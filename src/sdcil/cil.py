@@ -11,6 +11,7 @@ classifiers of the candidate classes vote.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset, Scaler
+from .dataset import DataError, LabeledDataset, Scaler
 from .geometry import (
     DEFAULT_SIDE_THRESHOLD,
     WidthSelection,
@@ -103,16 +104,19 @@ def add_class_detailed(
 
     Trains the class's one-class SVM (width picked per the SV-fraction
     filter) and one dispute classifier against each already-registered
-    class, using stored support vectors only. The input registry is never
-    modified; on any failure it is returned unchanged to the caller by
-    virtue of never being touched.
+    class, using stored support vectors only. The class needs at least 3
+    rows, because the edge partition needs 2 neighbours per row. The input
+    registry is never modified; on any failure it is returned unchanged to
+    the caller by virtue of never being touched.
     """
     label = int(label)
     if label in model.labels:
         raise ValueError(f"class {label} already registered")
     X = np.atleast_2d(np.asarray(X_class, dtype=float))
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 samples to add a class")
+    if X.shape[0] < 3:
+        raise ValueError(
+            "need at least 3 samples to add a class (the edge partition needs 2 neighbours per row)"
+        )
     cfg = model.config
     nu = cfg.nu_default if nu is None else float(nu)
     if nu * X.shape[0] < 1.0:
@@ -159,6 +163,9 @@ def _detail(model: CilModel, x: np.ndarray, dispute) -> PredictionDetail:
     if not model.classes:
         raise ValueError("no classes registered")
     x = np.asarray(x, dtype=float).ravel()
+    # math.isfinite beats a numpy reduction several-fold on one short row
+    if not all(map(math.isfinite, x.tolist())):
+        raise DataError("input contains NaN or Inf values")
     scaler = model.scaler
     xs = scaler.transform(x[None, :])[0] if scaler is not None else x
 
@@ -435,6 +442,13 @@ def load(path: str | Path) -> CilModel:
         for e in raw["pairs"]:
             clf = _pair_from_entry(e)
             pairs[(clf.label_a, clf.label_b)] = clf
+        expected = set(combinations(sorted(m.class_label for m in classes), 2))
+        if pairs.keys() != expected:
+            raise ModelFormatError(
+                f"malformed model file {path}: pair table does not match the classes "
+                f"(missing {sorted(expected - pairs.keys())}, "
+                f"unexpected {sorted(pairs.keys() - expected)})"
+            )
         return CilModel(
             config=config, scaler=scaler, classes=classes, pair_table=pairs,
             format_version=version,

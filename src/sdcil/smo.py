@@ -1,14 +1,16 @@
 """Sequential pairwise coordinate optimization for the two SVM duals.
 
-Both problems are solved as minimizations over a box with one equality
-constraint, using maximal-KKT-violating-pair working-set selection:
+Both duals are one problem (Chang & Lin, LIBSVM, ACM TIST 2011), solved by
+maximal-KKT-violating-pair working-set selection from a feasible start:
 
-  one-class:  min 1/2 a'Ka        s.t. sum(a) = 1,    0 <= a_i <= 1/(nu*l)
-  binary:     min 1/2 a'Qa - e'a  s.t. sum(y*a) = 0,  0 <= a_i <= C
-              with Q_ij = y_i y_j K_ij
+  min 1/2 a'Qa + p'a   s.t. y'a = Delta,  0 <= a_i <= C,  Q_ij = y_i y_j K_ij
+
+  one-class:  y = 1, p = 0,  Delta = 1, C = 1/(nu*l)
+  binary:     p = -e, Delta = 0
 
 The one-class objective is the negated form of the usual maximization of
--1/2 a'Ka; the optimizer and constraints are identical.
+-1/2 a'Ka; the optimizer and constraints are identical. Each entry point
+supplies its validation, start point, objective and the sign of its offset.
 """
 
 from __future__ import annotations
@@ -57,15 +59,68 @@ class DualSolution:
     kkt_violation: float
 
 
-def _midpoint(lo_vals: np.ndarray, hi_vals: np.ndarray) -> float:
-    """Midpoint of the KKT bracket; one-sided if a side is empty."""
-    has_lo, has_hi = lo_vals.size > 0, hi_vals.size > 0
-    if has_lo and has_hi:
-        return 0.5 * (float(np.max(lo_vals)) + float(np.min(hi_vals)))
-    if has_lo:
-        return float(np.max(lo_vals))
-    if has_hi:
-        return float(np.min(hi_vals))
+def _smo(
+    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+) -> tuple[int, float]:
+    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p.
+
+    alpha and G are updated in place. Returns the iteration count and the
+    final KKT violation: max of r = -y*G over I_up minus min of r over I_low.
+    The loop keeps r rather than G; as y is +-1, r -= t*(K_i - K_j) rounds
+    exactly like G += y*(t*(K_i - K_j)) followed by r = -y*G.
+    """
+    pos = y > 0
+    r = -y * G
+    max_iter = cfg.resolve_max_passes(y.shape[0])
+    it = 0
+    violation = np.inf
+    while it < max_iter:
+        can_inc = alpha < C - BOUND_MARGIN
+        can_dec = alpha > BOUND_MARGIN
+        ri = np.where(np.where(pos, can_inc, can_dec), r, -np.inf)  # I_up
+        rj = np.where(np.where(pos, can_dec, can_inc), r, np.inf)  # I_low
+        i = int(np.argmax(ri))
+        j = int(np.argmin(rj))
+        violation = float(ri[i] - rj[j])
+        if violation <= cfg.kkt_tolerance:
+            break
+        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
+        # move along u = y_i e_i - y_j e_j, which keeps y'a fixed
+        yi, yj = y[i], y[j]
+        room_i = C - alpha[i] if yi > 0 else alpha[i]
+        room_j = alpha[j] if yj > 0 else C - alpha[j]
+        t = min(violation / eta, room_i, room_j)
+        alpha[i] += yi * t
+        alpha[j] -= yj * t
+        if t == room_i:
+            alpha[i] = C if yi > 0 else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if yj > 0 else C
+        r -= t * (Kv[:, i] - Kv[:, j])
+        it += 1
+    G[:] = -y * r
+    return it, violation
+
+
+def _bias(y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray) -> float:
+    """Bias b from the value -y*G that each point's KKT condition suggests:
+    the mean over unbounded support vectors, else the midpoint of the KKT
+    bracket over bound-active points (one-sided if a side is empty)."""
+    r = -y * G
+    at_zero = alpha <= BOUND_MARGIN
+    at_c = alpha >= C - BOUND_MARGIN
+    unbounded = ~at_zero & ~at_c
+    if np.any(unbounded):
+        return float(np.mean(r[unbounded]))
+    pos = y > 0
+    lower = r[(at_zero & pos) | (at_c & ~pos)]  # b >= r there
+    upper = r[(at_zero & ~pos) | (at_c & pos)]  # b <= r there
+    if lower.size and upper.size:
+        return 0.5 * (float(np.max(lower)) + float(np.min(upper)))
+    if lower.size:
+        return float(np.max(lower))
+    if upper.size:
+        return float(np.min(upper))
     raise RuntimeError("cannot recover offset: no active constraints at all")
 
 
@@ -74,9 +129,9 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
 
     The start point puts equal mass on ceil(nu*l) points chosen in seeded
     order (the projection of the uniform-1/l assignment onto the feasible
-    set). rho is recovered from the gradient at the solution: the mean of
-    K@a over unbounded support vectors, falling back to the midpoint of the
-    KKT bracket formed by the bound-active points.
+    set). rho is the negated bias of the general form: the mean of K@a over
+    unbounded support vectors, falling back to the midpoint of the KKT
+    bracket formed by the bound-active points.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
@@ -85,58 +140,20 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
     if nu * l < 1.0:
         raise ValueError(f"infeasible: nu * l = {nu * l:.3g} < 1")
     C = 1.0 / (nu * l)
-    tol = cfg.kkt_tolerance
-    max_iter = cfg.resolve_max_passes(l)
 
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(l)
+    order = np.random.default_rng(cfg.seed).permutation(l)
     m = int(np.ceil(nu * l))
     alpha = np.zeros(l)
     alpha[order[:m]] = 1.0 / m
-
     G = Kv @ alpha
-    it = 0
-    violation = np.inf
-    while it < max_iter:
-        up = alpha < C - BOUND_MARGIN  # can receive mass
-        dn = alpha > BOUND_MARGIN  # can give mass
-        Gi = np.where(up, G, np.inf)
-        Gj = np.where(dn, G, -np.inf)
-        i = int(np.argmin(Gi))
-        j = int(np.argmax(Gj))
-        violation = float(Gj[j] - Gi[i])
-        if violation <= tol:
-            break
-        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
-        delta = violation / eta
-        room_i = C - alpha[i]
-        room_j = alpha[j]
-        delta = min(delta, room_i, room_j)
-        if delta == room_i:
-            alpha[i] = C
-            alpha[j] -= room_i
-        elif delta == room_j:
-            alpha[j] = 0.0
-            alpha[i] += room_j
-        else:
-            alpha[i] += delta
-            alpha[j] -= delta
-        G += delta * (Kv[:, i] - Kv[:, j])
-        it += 1
-
-    converged = violation <= tol
-    unbounded = (alpha > BOUND_MARGIN) & (alpha < C - BOUND_MARGIN)
-    if np.any(unbounded):
-        rho = float(np.mean(G[unbounded]))
-    else:
-        rho = _midpoint(G[alpha >= C - BOUND_MARGIN], G[alpha <= BOUND_MARGIN])
-    objective = 0.5 * float(alpha @ G)
+    y = np.ones(l)
+    it, violation = _smo(Kv, y, C, alpha, G, cfg)
     return DualSolution(
         alphas=alpha,
-        offset=rho,
-        objective=objective,
+        offset=-_bias(y, C, alpha, G),
+        objective=0.5 * float(alpha @ G),
         iterations=it,
-        converged=converged,
+        converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),
     )
 
@@ -144,9 +161,9 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
 def solve_binary_dual(K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig) -> DualSolution:
     """Solve the soft-margin binary dual over the Gram matrix K.
 
-    y must contain both +1 and -1. The bias is recovered like rho above:
-    mean of y_t - f_t over unbounded support vectors, else the KKT-bracket
-    midpoint over bound-active points.
+    y must contain both +1 and -1. The solve starts from a = 0, and the bias
+    is recovered like rho: mean of y_t - f_t over unbounded support vectors,
+    else the KKT-bracket midpoint over bound-active points.
     """
     Kv = K.values
     y = np.asarray(y, dtype=float).ravel()
@@ -157,59 +174,15 @@ def solve_binary_dual(K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig)
         raise ValueError("labels must be in {-1,+1} with both classes present")
     if C <= 0:
         raise ValueError("C must be positive")
-    tol = cfg.kkt_tolerance
-    max_iter = cfg.resolve_max_passes(n)
 
     alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of 1/2 a'Qa - e'a at a = 0
-    pos = y > 0
-    it = 0
-    violation = np.inf
-    while it < max_iter:
-        can_inc = alpha < C - BOUND_MARGIN
-        can_dec = alpha > BOUND_MARGIN
-        in_up = (can_inc & pos) | (can_dec & ~pos)
-        in_low = (can_inc & ~pos) | (can_dec & pos)
-        r = -y * G
-        ri = np.where(in_up, r, -np.inf)
-        rj = np.where(in_low, r, np.inf)
-        i = int(np.argmax(ri))
-        j = int(np.argmin(rj))
-        violation = float(ri[i] - rj[j])
-        if violation <= tol:
-            break
-        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
-        # move along u = y_i e_i - y_j e_j, which keeps sum(y*a) fixed
-        t = violation / eta
-        yi, yj = y[i], y[j]
-        t_hi_i = C - alpha[i] if yi > 0 else alpha[i]
-        t_hi_j = alpha[j] if yj > 0 else C - alpha[j]
-        t = min(t, t_hi_i, t_hi_j)
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i] = min(max(old_i + yi * t, 0.0), C)
-        alpha[j] = min(max(old_j - yj * t, 0.0), C)
-        dai = alpha[i] - old_i
-        daj = alpha[j] - old_j
-        G += y * (Kv[:, i] * (yi * dai) + Kv[:, j] * (yj * daj))
-        it += 1
-
-    converged = violation <= tol
-    r = -y * G  # the bias each point's KKT condition suggests
-    unbounded = (alpha > BOUND_MARGIN) & (alpha < C - BOUND_MARGIN)
-    if np.any(unbounded):
-        bias = float(np.mean(r[unbounded]))
-    else:
-        at_zero = alpha <= BOUND_MARGIN
-        at_c = alpha >= C - BOUND_MARGIN
-        lower = r[(at_zero & pos) | (at_c & ~pos)]  # b >= r there
-        upper = r[(at_zero & ~pos) | (at_c & pos)]  # b <= r there
-        bias = _midpoint(lower, upper)
-    objective = 0.5 * float(alpha @ G) - 0.5 * float(np.sum(alpha))
+    G = -np.ones(n)
+    it, violation = _smo(Kv, y, C, alpha, G, cfg)
     return DualSolution(
         alphas=alpha,
-        offset=bias,
-        objective=objective,
+        offset=_bias(y, C, alpha, G),
+        objective=0.5 * float(alpha @ G) - 0.5 * float(np.sum(alpha)),
         iterations=it,
-        converged=converged,
+        converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),
     )

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import fast_config, train_cil
 from sdcil import cil
 from sdcil.dataset import (
+    DataError,
     LabeledDataset,
     SplitSpec,
     fit_standardize,
@@ -85,6 +88,16 @@ class TestAddClass:
         assert {k: cil.pair_payload(v) for k, v in m_fwd.pair_table.items()} == {
             k: cil.pair_payload(v) for k, v in m_rev.pair_table.items()
         }
+
+    def test_minimum_class_size(self):
+        train, _ = blob_split()
+        scaler, _ = fit_standardize(train)
+        m = cil.new_model(fast_config(), scaler)
+        rows = train.rows_of(0)
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            cil.add_class(m, 0, rows[:2], nu=0.5)
+        with pytest.warns(UserWarning, match="outside the usual"):
+            assert cil.add_class(m, 0, rows[:3], nu=0.5).labels == [0]
 
     def test_nu_warning(self):
         train, _ = blob_split()
@@ -209,6 +222,13 @@ class TestPredict:
         assert sorted(detail.votes.values()) == [1, 1, 1]
         assert detail.label == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [cil.predict, cil.predict_detail, cil.ocsvm_nn_predict])
+    def test_non_finite_input_rejected(self, blob_model_and_split, fn, bad):
+        model, _, _ = blob_model_and_split
+        with pytest.raises(DataError, match="NaN or Inf"):
+            fn(model, np.array([bad, 0.0]))
+
     def test_dimension_mismatch(self, blob_model_and_split):
         model, _, _ = blob_model_and_split
         with pytest.raises(Exception):
@@ -330,6 +350,20 @@ class TestPersistence:
         raw = p.read_text().replace('"format_version": 1', '"format_version": 99')
         p.write_text(raw)
         with pytest.raises(cil.ModelFormatError, match="format_version"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("damage", ["missing", "unregistered"])
+    def test_pair_table_must_match_classes(self, blob_model_and_split, tmp_path, damage):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        if damage == "missing":
+            del raw["pairs"][0]
+        else:
+            raw["pairs"][0]["b"] = 7
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="pair table"):
             cil.load(p)
 
     def test_malformed_structure(self, tmp_path):

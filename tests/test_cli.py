@@ -97,6 +97,16 @@ class TestAddClass:
             csv.writer(f).writerows([[repr(float(v)) for v in r] for r in ds.rows_of(0)])
         assert run("add-class", model_p, newcls, "--label", "0") == EXIT_INPUT
 
+    def test_two_row_class_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p, "--order", "0,1")
+        ds = load_csv(blobs_csv)
+        newcls = tmp_path / "two.csv"
+        with open(newcls, "w", newline="") as f:
+            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in ds.rows_of(2)[:2]])
+        assert run("add-class", model_p, newcls, "--label", "2", "--nu", "0.5") == EXIT_INPUT
+        assert "at least 3 samples" in capsys.readouterr().err
+
 
 class TestPredictCmd:
     def test_labeled_file_reports_accuracy(self, blobs_csv, tmp_path, capsys):
@@ -105,6 +115,15 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_OK
         err = capsys.readouterr().err
         assert "accuracy" in err
+
+    def test_missing_pair_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        del raw["pairs"][0]
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "pair table" in capsys.readouterr().err
 
 
 class TestEvaluate:

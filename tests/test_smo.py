@@ -155,11 +155,19 @@ class TestBinaryDual:
         if n > 1:
             y[1] = -1.0
         C = float(rng.uniform(0.1, 100.0))
-        sol = solve_binary_dual(K, y, C, SolverConfig(kkt_tolerance=1e-5, seed=trial))
+        cfg = SolverConfig(kkt_tolerance=1e-5, seed=trial)
+        sol = solve_binary_dual(K, y, C, cfg)
         assert sol.converged
         assert sol.alphas.min() >= -1e-10
         assert sol.alphas.max() <= C + 1e-10
         assert abs(sol.alphas @ y) < 1e-8
+        # KKT: no feasible pair violates beyond tolerance; r = -y * gradient
+        r = y - K.values @ (sol.alphas * y)
+        can_inc = sol.alphas < C - BOUND_MARGIN
+        can_dec = sol.alphas > BOUND_MARGIN
+        up = np.where(y > 0, can_inc, can_dec)
+        low = np.where(y > 0, can_dec, can_inc)
+        assert r[up].max() - r[low].min() <= cfg.kkt_tolerance * (1 + 1e-9)
 
     def test_objective_never_worse_than_oracle(self):
         rng = np.random.default_rng(321)
