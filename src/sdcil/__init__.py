@@ -13,13 +13,13 @@ from .cil import (
     PredictionDetail,
     add_class,
     batch_svm_classify,
-    batch_svm_predict,
     knn_predict,
     load,
     new_model,
     ocsvm_nn_predict,
     predict,
     predict_detail,
+    predict_details,
     save,
     train_batch_svm,
 )
@@ -36,14 +36,7 @@ from .dataset import (
 )
 from .geometry import BoundaryPartition, WidthSelection, beps_partition, mies_score, select_width
 from .kernels import GramMatrix, KernelWidth, candidate_widths, gaussian, gram
-from .ocsvm import (
-    OcsvmModel,
-    decision_value,
-    normalized_distance,
-    predict_one,
-    sv_fraction,
-    train_ocsvm,
-)
+from .ocsvm import OcsvmModel, sv_fraction, train_ocsvm
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import DualSolution, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 

@@ -6,6 +6,10 @@ nothing previously trained is touched, and raw class data is discarded once
 the support vectors are extracted. Prediction first asks every class model;
 a single positive answer decides immediately, otherwise the dispute
 classifiers of the candidate classes vote.
+
+Every prediction entry point is a view of one batched path, _details, which
+takes rows in chunks and settles all disputed rows of a chunk that share
+their candidate classes with one call per dispute classifier.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -37,6 +42,10 @@ FORMAT_VERSION = 1
 REGION_UNIQUE = "unique_positive"
 REGION_MULTI = "multi_positive"
 REGION_NONE = "none_positive"
+
+# Rows per chunk of prediction work: bounds the rows x support-vector kernel
+# blocks held at once when a large X (a map raster) is predicted.
+_CHUNK_ROWS = 256
 
 
 class ModelFormatError(ValueError):
@@ -159,61 +168,84 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
     return add_class_detailed(model, label, X_class, nu)[0]
 
 
-def _detail(model: CilModel, x: np.ndarray, dispute) -> PredictionDetail:
+def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDetail]:
+    """Yield one PredictionDetail per row of X, in order.
+
+    Per chunk of _CHUNK_ROWS rows: one decision_values call per class, then
+    one dispute(model, Xs, possible, values) call per set of candidate
+    classes, which returns a (label, votes) for each of the rows in Xs.
+    """
     if not model.classes:
         raise ValueError("no classes registered")
-    x = np.asarray(x, dtype=float).ravel()
-    # math.isfinite beats a numpy reduction several-fold on one short row
-    if not all(map(math.isfinite, x.tolist())):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"need an n x d matrix of rows, got shape {X.shape}")
+    # math.isfinite beats a numpy reduction several-fold on one short row;
+    # X.flat does not copy a large X into Python floats first
+    if not all(map(math.isfinite, X.flat)):
         raise DataError("input contains NaN or Inf values")
-    scaler = model.scaler
-    xs = scaler.transform(x[None, :])[0] if scaler is not None else x
+    scaler, labels = model.scaler, model.labels
+    for start in range(0, X.shape[0], _CHUNK_ROWS):
+        Xs = X[start:start + _CHUNK_ROWS]
+        if scaler is not None:
+            Xs = scaler.transform(Xs)
+        columns = [decision_values(m, Xs).tolist() for m in model.classes]
+        rows, disputes = [], {}  # rows: [label, region, possible, values, votes]
+        for i, row in enumerate(zip(*columns)):
+            values = dict(zip(labels, row))
+            positive = [lbl for lbl, v in values.items() if v > 0.0]
+            region = REGION_UNIQUE if len(positive) == 1 else REGION_MULTI if positive else REGION_NONE
+            possible = tuple(sorted(positive or values))
+            if len(possible) > 1:
+                disputes.setdefault(possible, []).append(i)
+            rows.append([possible[0], region, possible, values, {}])
+        for possible, idx in disputes.items():
+            settled = dispute(model, Xs[idx], possible, [rows[i][3] for i in idx])
+            for i, (label, votes) in zip(idx, settled):
+                rows[i][0], rows[i][4] = label, votes
+        for row in rows:
+            yield PredictionDetail(*row)
 
-    values = {m.class_label: float(decision_values(m, xs[None, :])[0]) for m in model.classes}
-    positive = [lbl for lbl, v in values.items() if v > 0.0]
-    if len(positive) == 1:
-        return PredictionDetail(
-            label=positive[0], region=REGION_UNIQUE, possible=(positive[0],),
-            ocsvm_values=values, votes={},
-        )
-    region = REGION_MULTI if positive else REGION_NONE
-    possible = tuple(sorted(positive)) if positive else tuple(sorted(values))
-    if len(possible) == 1:
-        return PredictionDetail(
-            label=possible[0], region=region, possible=possible,
-            ocsvm_values=values, votes={},
-        )
-    label, votes = dispute(model, xs, possible, values)
-    return PredictionDetail(
-        label=label, region=region, possible=possible, ocsvm_values=values, votes=votes,
-    )
 
-
-def _vote_dispute(model: CilModel, xs: np.ndarray, possible, values):
-    votes = {lbl: 0 for lbl in possible}
+def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values):
+    """1vs1 votes among the possible classes; a vote tie goes to the larger
+    one-class value, then to the smaller label."""
+    votes = [dict.fromkeys(possible, 0) for _ in values]
     for a, b in combinations(possible, 2):
-        votes[predict_pair(model.pair_table[(a, b)], xs)] += 1
-    top = max(votes.values())
-    tied = [lbl for lbl, v in votes.items() if v == top]
-    if len(tied) > 1:
-        best = max(values[lbl] for lbl in tied)
-        tied = [lbl for lbl in tied if values[lbl] == best]
-    return min(tied), votes
+        for row_votes, winner in zip(votes, predict_pair(model.pair_table[(a, b)], Xs).tolist()):
+            row_votes[winner] += 1
+    settled = []
+    for row_votes, row_values in zip(votes, values):
+        top = max(row_votes.values())
+        tied = [lbl for lbl, v in row_votes.items() if v == top]
+        if len(tied) > 1:
+            best = max(row_values[lbl] for lbl in tied)
+            tied = [lbl for lbl in tied if row_values[lbl] == best]
+        settled.append((min(tied), row_votes))
+    return settled
 
 
-def _nearest_sv_dispute(model: CilModel, xs: np.ndarray, possible, values):
-    best_label, best_dist = None, np.inf
-    for lbl in possible:  # sorted ascending, so ties keep the smaller label
-        svs = model.class_model(lbl).support_vectors
-        dist = float(np.min(np.linalg.norm(svs - xs[None, :], axis=1)))
-        if dist < best_dist:
-            best_label, best_dist = lbl, dist
-    return best_label, {}
+def _nearest_sv_dispute(model: CilModel, Xs: np.ndarray, possible, values):
+    dists = [
+        np.min(np.linalg.norm(model.class_model(lbl).support_vectors - Xs[:, None, :], axis=2), axis=1)
+        for lbl in possible
+    ]
+    # possible is sorted ascending and argmin keeps the first minimum, so a
+    # distance tie goes to the smaller label
+    return [(possible[j], {}) for j in np.argmin(dists, axis=0).tolist()]
+
+
+def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail]:
+    """Full per-class values, region and votes for each row of X, in order.
+
+    Computed a chunk at a time as the iterator is consumed, so memory stays
+    bounded on large X; invalid input raises at the first item."""
+    return _details(model, X, _vote_dispute)
 
 
 def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
     """Full per-class values, region, and votes behind a prediction."""
-    return _detail(model, x, _vote_dispute)
+    return next(_details(model, np.asarray(x, dtype=float).reshape(1, -1), _vote_dispute))
 
 
 def predict(model: CilModel, x: np.ndarray) -> int:
@@ -223,7 +255,7 @@ def predict(model: CilModel, x: np.ndarray) -> int:
 
 def ocsvm_nn_predict(model: CilModel, x: np.ndarray) -> int:
     """Prediction with disputes resolved by the class of the nearest SV."""
-    return _detail(model, x, _nearest_sv_dispute).label
+    return next(_details(model, np.asarray(x, dtype=float).reshape(1, -1), _nearest_sv_dispute)).label
 
 
 # --- baselines ---------------------------------------------------------------
@@ -263,20 +295,17 @@ def train_batch_svm(train: LabeledDataset, cv: CvConfig, cfg: SolverConfig | Non
     return BatchSvm(labels=tuple(labels), pairs=pairs)
 
 
-def batch_svm_classify(svm: BatchSvm, x: np.ndarray) -> int:
-    """Majority vote over all pairs; ties go to the smallest label."""
-    votes = {lbl: 0 for lbl in svm.labels}
-    for clf in svm.pairs.values():
-        votes[predict_pair(clf, x)] += 1
-    top = max(votes.values())
-    return min(lbl for lbl, v in votes.items() if v == top)
-
-
-def batch_svm_predict(
-    train: LabeledDataset, cv: CvConfig, x: np.ndarray, cfg: SolverConfig | None = None
-) -> int:
-    """One-shot convenience: train the 1vs1 table, then classify x."""
-    return batch_svm_classify(train_batch_svm(train, cv, cfg), x)
+def batch_svm_classify(svm: BatchSvm, X: np.ndarray) -> np.ndarray:
+    """Majority vote over all pairs for each row of X; ties go to the
+    smallest label."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    labels = np.array(sorted(svm.labels))  # ascending, so argmax keeps the smallest on a tie
+    votes = np.zeros((X.shape[0], labels.size), dtype=int)
+    for start in range(0, X.shape[0], _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        for clf in svm.pairs.values():
+            votes[chunk] += predict_pair(clf, X[chunk])[:, None] == labels
+    return labels[np.argmax(votes, axis=1)]
 
 
 # --- persistence -------------------------------------------------------------
@@ -416,12 +445,21 @@ def _pair_from_entry(e: dict) -> PairwiseClassifier:
     )
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load(path: str | Path) -> CilModel:
     """Read a model file written by save()."""
     try:
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            # NaN, Infinity and overflowing literals would load as values
+            # that predict turns into arbitrary labels
+            raw = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as e:  # includes JSONDecodeError and UnicodeDecodeError
         raise ModelFormatError(f"corrupt model file {path}: {e}") from e
     try:
         version = raw["format_version"]
@@ -448,6 +486,15 @@ def load(path: str | Path) -> CilModel:
                 f"malformed model file {path}: pair table does not match the classes "
                 f"(missing {sorted(expected - pairs.keys())}, "
                 f"unexpected {sorted(pairs.keys() - expected)})"
+            )
+        dims = {m.support_vectors.shape[1:] for m in classes}
+        dims |= {clf.vectors.shape[1:] for clf in pairs.values()}
+        if scaler is not None:
+            dims |= {scaler.mean.shape, scaler.std.shape}
+        if len(dims) > 1:
+            raise ModelFormatError(
+                f"malformed model file {path}: the scaler, classes and pairs "
+                f"disagree on the feature dimension ({sorted(dims)})"
             )
         return CilModel(
             config=config, scaler=scaler, classes=classes, pair_table=pairs,

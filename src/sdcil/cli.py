@@ -148,13 +148,14 @@ def run_trials(
             model, fit_s, per_class_s = _fit_cil(train, config, nu)
             regions = {cil.REGION_UNIQUE: 0, cil.REGION_MULTI: 0, cil.REGION_NONE: 0}
             correct_vote = 0
-            correct_nn = 0
-            for x, y_true in zip(test.features, test.labels):
-                detail = cil.predict_detail(model, x)
+            for detail, y_true in zip(cil.predict_details(model, test.features), test.labels):
                 regions[detail.region] += 1
                 correct_vote += detail.label == y_true
-                if "ocsvm-nn" in methods:
-                    correct_nn += cil.ocsvm_nn_predict(model, x) == y_true
+            correct_nn = 0
+            if "ocsvm-nn" in methods:
+                correct_nn = sum(
+                    cil.ocsvm_nn_predict(model, x) == y for x, y in zip(test.features, test.labels)
+                )
             for m, correct in (("sdcil", correct_vote), ("ocsvm-nn", correct_nn)):
                 if m in methods:
                     results[m].append(
@@ -184,9 +185,7 @@ def run_trials(
             svm = cil.train_batch_svm(std_train, config.cv, config.solver)
             fit_s = time.perf_counter() - t0
             Xt = scaler.transform(test.features)
-            correct = sum(
-                cil.batch_svm_classify(svm, x) == y for x, y in zip(Xt, test.labels)
-            )
+            correct = int(np.sum(cil.batch_svm_classify(svm, Xt) == test.labels))
             results["batch-svm"].append(
                 TrialResult(seed=seed, accuracy=float(correct) / test.n, unique_pos=0,
                             multi_pos=0, none_pos=0, train_seconds=fit_s)
@@ -277,7 +276,7 @@ def cmd_predict(args) -> int:
         X = ds.features
     elif X.shape[1] != d:
         raise DataError(f"model expects {d} features, file has {X.shape[1]} columns")
-    preds = [cil.predict(model, x) for x in X]
+    preds = [detail.label for detail in cil.predict_details(model, X)]
     for p in preds:
         print(p)
     if ds is not None:
@@ -319,15 +318,14 @@ def map_grid(model: cil.CilModel, bounds, res) -> tuple[np.ndarray, np.ndarray, 
     w, h = res
     xs = xmin + (np.arange(w) + 0.5) * (xmax - xmin) / w
     ys = ymax - (np.arange(h) + 0.5) * (ymax - ymin) / h
-    labels = np.zeros((h, w), dtype=int)
-    regions = np.zeros((h, w), dtype=int)
+    gx, gy = np.meshgrid(xs, ys)
     region_code = {cil.REGION_UNIQUE: 0, cil.REGION_MULTI: 1, cil.REGION_NONE: 2}
-    for r, yv in enumerate(ys):
-        for c, xv in enumerate(xs):
-            detail = cil.predict_detail(model, np.array([xv, yv]))
-            labels[r, c] = detail.label
-            regions[r, c] = region_code[detail.region]
-    return labels, regions, xs, ys
+    details = cil.predict_details(model, np.column_stack([gx.ravel(), gy.ravel()]))
+    cells = np.array([(d.label, region_code[d.region]) for d in details]).reshape(h, w, 2)
+    # the narrowest integer types that hold the values: a caller that keeps
+    # many rasters (perfbench keeps every one) holds a fraction of int64's bytes
+    label_type = np.result_type(*map(np.min_scalar_type, (min(model.labels), max(model.labels))))
+    return cells[..., 0].astype(label_type), cells[..., 1].astype(np.uint8), xs, ys
 
 
 def cmd_map(args) -> int:

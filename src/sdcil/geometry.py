@@ -12,7 +12,7 @@ diagnostic only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -220,12 +220,7 @@ def select_width(
             (i for i, r in enumerate(records) if r.converged),
             key=lambda i: abs(records[i].sv_fraction - target),
         )
-        rec = records[best_i]
-        records[best_i] = CandidateRecord(
-            s=rec.s, converged=True, sv_fraction=rec.sv_fraction,
-            max_edge_dn=rec.max_edge_dn, max_interior_dn=rec.max_interior_dn,
-            f0=rec.f0, score=rec.score, covering=rec.covering, admitted=True, fallback=True,
-        )
+        records[best_i] = replace(records[best_i], admitted=True, fallback=True)
     return WidthSelection(
         chosen=records[best_i].s,
         per_candidate=records,

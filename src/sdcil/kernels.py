@@ -7,6 +7,7 @@ space. All downstream width selection treats s as a geometric scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ _GRID_HI = 20.0
 def check_width(s: float) -> float:
     """Validate a kernel width and return it as a float."""
     s = float(s)
-    if not np.isfinite(s) or s <= 0.0:
+    if not math.isfinite(s) or s <= 0.0:
         raise ValueError(f"kernel width must be a positive finite real, got {s}")
     return s
 
@@ -47,8 +48,9 @@ def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and Y (or X)."""
     X = np.asarray(X, dtype=float)
     Y = X if Y is None else np.asarray(Y, dtype=float)
-    xx = np.sum(X * X, axis=1)[:, None]
-    yy = np.sum(Y * Y, axis=1)[None, :]
+    # ndarray.sum skips np.sum's Python wrapper, which outweighs one-row work
+    xx = (X * X).sum(axis=1)[:, None]
+    yy = (Y * Y).sum(axis=1)[None, :]
     d2 = xx + yy - 2.0 * (X @ Y.T)
     np.maximum(d2, 0.0, out=d2)
     return d2

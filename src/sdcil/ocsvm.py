@@ -110,41 +110,22 @@ def model_from_solution(
     )
 
 
-def _kernel_row(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.d:
-        raise ValueError(f"dimension mismatch: model expects d={model.d}, got {x.shape[0]}")
-    return kernel_matrix(x[None, :], model.support_vectors, model.width)[0]
-
-
-def decision_value(model: OcsvmModel, x: np.ndarray) -> float:
-    """Sum of alpha_i * k(sv_i, x) minus rho."""
-    return float(_kernel_row(model, x) @ model.sv_alphas - model.rho)
-
-
 def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """Decision values for many rows at once."""
+    """Sum of alpha_i * k(sv_i, x) minus rho, for each row x of X.
+
+    Positive means inside the learned support."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model expects d={model.d}, got {X.shape[1]}")
     return kernel_matrix(X, model.support_vectors, model.width) @ model.sv_alphas - model.rho
 
 
-def predict_one(model: OcsvmModel, x: np.ndarray) -> int:
-    """+1 inside the learned support (decision strictly positive), else -1."""
-    return 1 if decision_value(model, x) > 0.0 else -1
-
-
-def normalized_distance(model: OcsvmModel, x: np.ndarray) -> float:
-    """Signed feature-space distance from x's image to the hyperplane.
+def normalized_distances(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
+    """Signed feature-space distance from each row's image to the hyperplane.
 
     Dividing by ||w|| makes the value a geometric distance, so models with
     different widths can be compared. Positive means inside.
     """
-    return decision_value(model, x) / model.w_norm
-
-
-def normalized_distances(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
     return decision_values(model, X) / model.w_norm
 
 

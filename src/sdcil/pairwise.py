@@ -58,17 +58,17 @@ class PairwiseClassifier:
         return self.vectors.shape[1]
 
 
-def decision_pair(clf: PairwiseClassifier, x: np.ndarray) -> float:
-    """Raw decision value; positive favors label_a."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != clf.d:
-        raise ValueError(f"dimension mismatch: classifier expects d={clf.d}, got {x.shape[0]}")
-    return float(kernel_matrix(x[None, :], clf.vectors, clf.width)[0] @ clf.coeffs + clf.bias)
+def decision_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
+    """Raw decision values for the rows of X; positive favors label_a."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != clf.d:
+        raise ValueError(f"dimension mismatch: classifier expects d={clf.d}, got {X.shape[1]}")
+    return kernel_matrix(X, clf.vectors, clf.width) @ clf.coeffs + clf.bias
 
 
-def predict_pair(clf: PairwiseClassifier, x: np.ndarray) -> int:
-    """label_a on a strictly positive decision, else label_b."""
-    return clf.label_a if decision_pair(clf, x) > 0.0 else clf.label_b
+def predict_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
+    """label_a for each row of X with a strictly positive decision, else label_b."""
+    return np.where(decision_pair(clf, X) > 0.0, clf.label_a, clf.label_b)
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -225,8 +225,7 @@ class TestCriterion6ShortcutSoundness:
         hi = train.features.max(axis=0) + 3
         probes = rng.uniform(lo, hi, size=(10_000, 2))
         uniques = 0
-        for x in probes:
-            detail = cil.predict_detail(model, x)
+        for detail in cil.predict_details(model, probes):
             if detail.region == cil.REGION_UNIQUE:
                 uniques += 1
                 only = detail.possible[0]
@@ -268,20 +267,13 @@ class TestCriterion8Persistence:
             hi = train.features.max(axis=0) + 2
             probes = rng.uniform(lo, hi, size=(100, 2))
             worst = 0.0
-            for x in probes:
-                d1 = cil.predict_detail(model, x)
-                d2 = cil.predict_detail(loaded, x)
+            for d1, d2 in zip(cil.predict_details(model, probes), cil.predict_details(loaded, probes)):
                 for lbl in d1.ocsvm_values:
                     worst = max(worst, abs(d1.ocsvm_values[lbl] - d2.ocsvm_values[lbl]))
-                xs = model.scaler.transform(x[None, :])[0]
-                for key in model.pair_table:
-                    worst = max(
-                        worst,
-                        abs(
-                            decision_pair(model.pair_table[key], xs)
-                            - decision_pair(loaded.pair_table[key], xs)
-                        ),
-                    )
+            Xs = model.scaler.transform(probes)
+            for key in model.pair_table:
+                drift = decision_pair(model.pair_table[key], Xs) - decision_pair(loaded.pair_table[key], Xs)
+                worst = max(worst, float(np.max(np.abs(drift))))
             assert worst < 1e-12, f"{tag}: worst decision drift {worst:.2e}"
         report("criterion 8 (persistence)", True,
                "save/load preserved all decision values within 1e-12 on 100 "

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fast_config, train_cil
 from sdcil import cil
@@ -145,12 +147,11 @@ class TestPredict:
         grid = np.column_stack(
             [rng.uniform(-1, 3.5, 4000), rng.uniform(-2, 2, 4000)]
         )
+        wants = predict_pair(model.pair_table[(0, 1)], model.scaler.transform(grid)).tolist()
         hits = 0
-        for x in grid:
-            detail = cil.predict_detail(model, x)
+        for detail, want in zip(cil.predict_details(model, grid), wants):
             if detail.region == cil.REGION_MULTI and len(detail.possible) == 2:
                 hits += 1
-                want = predict_pair(model.pair_table[(0, 1)], model.scaler.transform(x[None, :])[0])
                 assert detail.label == want
         assert hits > 0
 
@@ -223,7 +224,16 @@ class TestPredict:
         assert detail.label == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("fn", [cil.predict, cil.predict_detail, cil.ocsvm_nn_predict])
+    @pytest.mark.parametrize("fn", [
+        cil.predict,
+        cil.predict_detail,
+        cil.ocsvm_nn_predict,
+        # the bad row comes second: the whole matrix is checked before any row is returned
+        pytest.param(
+            lambda model, x: next(cil.predict_details(model, np.vstack([np.zeros(2), x]))),
+            id="predict_details",
+        ),
+    ])
     def test_non_finite_input_rejected(self, blob_model_and_split, fn, bad):
         model, _, _ = blob_model_and_split
         with pytest.raises(DataError, match="NaN or Inf"):
@@ -233,6 +243,28 @@ class TestPredict:
         model, _, _ = blob_model_and_split
         with pytest.raises(Exception):
             cil.predict(model, np.zeros(5))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 600),  # crosses the 256-row chunk boundary
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.0, 4.0),
+    )
+    def test_batch_matches_single_row(self, blob_model_and_split, n, seed, spread):
+        model, train, _ = blob_model_and_split
+        lo = train.features.min(axis=0) - spread
+        hi = train.features.max(axis=0) + spread
+        X = np.random.default_rng(seed).uniform(lo, hi, size=(n, 2))
+        batch = list(cil.predict_details(model, X))
+        assert len(batch) == n
+        for b, x in zip(batch, X):
+            one = cil.predict_detail(model, x)
+            assert (b.label, b.region, b.possible, b.votes) == (
+                one.label, one.region, one.possible, one.votes
+            )
+            assert b.ocsvm_values.keys() == one.ocsvm_values.keys()
+            for lbl, v in one.ocsvm_values.items():
+                assert abs(b.ocsvm_values[lbl] - v) <= 1e-12
 
 
 class TestOcsvmNn:
@@ -293,23 +325,23 @@ class TestBatchSvm:
         svm = cil.train_batch_svm(std, fast_config().cv, SolverConfig())
         assert len(svm.pairs) == 1
         clf = svm.pairs[(0, 1)]
-        for x in scaler.transform(test.features[test.labels != 2]):
-            assert cil.batch_svm_classify(svm, x) == predict_pair(clf, x)
+        Xt = scaler.transform(test.features[test.labels != 2])
+        assert np.array_equal(cil.batch_svm_classify(svm, Xt), predict_pair(clf, Xt))
 
     def test_output_in_registered_labels(self, blob_model_and_split):
         _, train, _ = blob_model_and_split
         scaler, std = fit_standardize(train)
         svm = cil.train_batch_svm(std, fast_config().cv, SolverConfig())
         rng = np.random.default_rng(2)
-        for x in rng.uniform(-10, 10, size=(50, 2)):
-            assert cil.batch_svm_predict(std, fast_config().cv, x) in (0, 1, 2) or True
-            assert cil.batch_svm_classify(svm, x) in (0, 1, 2)
+        out = cil.batch_svm_classify(svm, rng.uniform(-10, 10, size=(50, 2)))
+        assert out.shape == (50,)
+        assert set(out.tolist()) <= {0, 1, 2}
 
     def test_one_shot_convenience(self):
         train, _ = blob_split(npc=30)
         scaler, std = fit_standardize(train)
-        x = std.features[0]
-        assert cil.batch_svm_predict(std, fast_config().cv, x) == std.labels[0]
+        svm = cil.train_batch_svm(std, fast_config().cv)
+        assert cil.batch_svm_classify(svm, std.features[:1])[0] == std.labels[0]
 
 
 class TestPersistence:
@@ -366,6 +398,33 @@ class TestPersistence:
         with pytest.raises(cil.ModelFormatError, match="pair table"):
             cil.load(p)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, blob_model_and_split, tmp_path, token):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["classes"][0]["rho"] = "RHO"
+        p.write_text(json.dumps(raw).replace('"RHO"', token))
+        with pytest.raises(cil.ModelFormatError, match="non-finite number"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("part", ["scaler", "class", "pair"])
+    def test_feature_dimension_must_agree(self, blob_model_and_split, tmp_path, part):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        if part == "scaler":
+            raw["scaler"]["mean"].append(0.0)
+            raw["scaler"]["std"].append(1.0)
+        else:
+            entry, key = (raw["classes"][0], "sv_matrix") if part == "class" else (raw["pairs"][0], "vectors")
+            entry[key] = [row + [0.0] for row in entry[key]]
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="feature dimension"):
+            cil.load(p)
+
     def test_malformed_structure(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"format_version": 1}')
@@ -396,7 +455,5 @@ def test_batch_svm_iris_benchmark_band():
         scaler, std = fit_standardize(train)
         svm = cil.train_batch_svm(std, cv, SolverConfig())
         Xt = scaler.transform(test.features)
-        accs.append(
-            np.mean([cil.batch_svm_classify(svm, x) == y for x, y in zip(Xt, test.labels)])
-        )
+        accs.append(np.mean(cil.batch_svm_classify(svm, Xt) == test.labels))
     assert abs(100 * np.mean(accs) - 96.89) <= 3.0

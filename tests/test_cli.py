@@ -125,6 +125,15 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
         assert "pair table" in capsys.readouterr().err
 
+    def test_non_finite_model_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        raw["classes"][0]["rho"] = float("nan")
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "non-finite number NaN" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_deterministic_given_seed(self, blobs_csv, tmp_path, capsys):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
+from sdcil import cil
 from sdcil.dataset import fit_standardize, LabeledDataset
 from sdcil.geometry import beps_partition, default_k_neighbors, select_width
 from sdcil.kernels import candidate_widths
 from sdcil.ocsvm import (
     OcsvmModel,
-    decision_value,
     decision_values,
-    normalized_distance,
     normalized_distances,
-    predict_one,
     sv_fraction,
     train_ocsvm,
 )
@@ -57,8 +55,7 @@ class TestTrainOcsvm:
         model, _ = disk_model
         svs = unbounded_svs(model)
         assert svs.shape[0] >= 1
-        for sv in svs:
-            assert abs(decision_value(model, sv)) <= 10 * model.kkt_tolerance
+        assert np.all(np.abs(decision_values(model, svs)) <= 10 * model.kkt_tolerance)
 
     def test_alpha_invariants(self, disk_model):
         model, _ = disk_model
@@ -87,37 +84,39 @@ class TestDecisionValue:
     def test_far_point_approaches_minus_rho(self, disk_model):
         model, _ = disk_model
         far = np.array([1000.0, -1000.0])
-        assert decision_value(model, far) == pytest.approx(-model.rho, abs=1e-12)
+        assert decision_values(model, far)[0] == pytest.approx(-model.rho, abs=1e-12)
 
     def test_centroid_of_blob_inside(self, disk_model):
         model, X = disk_model
-        assert decision_value(model, X.mean(axis=0)) > 0
+        assert decision_values(model, X.mean(axis=0))[0] > 0
 
     def test_dimension_mismatch(self, disk_model):
         model, _ = disk_model
         with pytest.raises(ValueError, match="dimension"):
-            decision_value(model, np.zeros(3))
+            decision_values(model, np.zeros((4, 3)))
 
     def test_batch_matches_single(self, disk_model):
         model, X = disk_model
         batch = decision_values(model, X[:7])
-        single = [decision_value(model, x) for x in X[:7]]
+        single = [decision_values(model, x[None, :])[0] for x in X[:7]]
         assert np.allclose(batch, single, atol=1e-14)
 
 
 class TestPredictOne:
+    """The membership rule: inside exactly when the decision value is > 0."""
+
     def test_point_nudged_inward_from_sv(self, disk_model):
         model, X = disk_model
         centroid = X.mean(axis=0)
-        for sv in unbounded_svs(model)[:3]:
-            step = centroid - sv
-            step = step / np.linalg.norm(step)
-            assert predict_one(model, sv + 0.01 * model.width * step) == 1
+        svs = unbounded_svs(model)[:3]
+        steps = centroid - svs
+        steps /= np.linalg.norm(steps, axis=1)[:, None]
+        assert np.all(decision_values(model, svs + 0.01 * model.width * steps) > 0.0)
 
     def test_far_point_negative(self, disk_model):
         model, _ = disk_model
         far = np.full(2, 100.0 * model.width)
-        assert predict_one(model, far) == -1
+        assert decision_values(model, far)[0] < 0.0
         assert model.rho > 0
 
     def test_exact_zero_is_negative(self):
@@ -134,15 +133,17 @@ class TestPredictOne:
             converged=True,
             kkt_tolerance=1e-3,
         )
-        assert decision_value(m, np.zeros(2)) == 0.0
-        assert predict_one(m, np.zeros(2)) == -1
+        assert decision_values(m, np.zeros(2))[0] == 0.0
+        # a class claims a row only on a strictly positive value
+        detail = cil.predict_detail(cil.CilModel(config=cil.CilConfig(), classes=(m,)), np.zeros(2))
+        assert detail.region == cil.REGION_NONE
 
 
 class TestNormalizedDistance:
     def test_zero_at_unbounded_sv(self, disk_model):
         model, _ = disk_model
-        sv = unbounded_svs(model)[0]
-        assert abs(normalized_distance(model, sv)) <= 10 * model.kkt_tolerance / model.w_norm
+        sv = unbounded_svs(model)[:1]
+        assert abs(normalized_distances(model, sv)[0]) <= 10 * model.kkt_tolerance / model.w_norm
 
     def test_linear_in_decision_value(self, disk_model):
         model, X = disk_model
@@ -157,15 +158,15 @@ class TestNormalizedDistance:
         from scipy.spatial import ConvexHull
 
         hull = ConvexHull(X)
-        centroid_dist = normalized_distance(model, X.mean(axis=0))
+        centroid_dist = normalized_distances(model, X.mean(axis=0))[0]
         hull_dists = normalized_distances(model, X[hull.vertices])
         assert centroid_dist > hull_dists.max()
 
     def test_sign_agrees_with_predict(self, disk_model):
         model, _ = disk_model
         rng = np.random.default_rng(6)
-        for x in rng.uniform(-1.5, 1.5, size=(200, 2)):
-            assert (predict_one(model, x) == 1) == (normalized_distance(model, x) > 0)
+        P = rng.uniform(-1.5, 1.5, size=(200, 2))
+        assert np.array_equal(decision_values(model, P) > 0, normalized_distances(model, P) > 0)
 
 
 class TestSvFraction:

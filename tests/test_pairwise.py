@@ -36,16 +36,15 @@ class TestTrainPair:
         a = rng.normal(size=(30, 2)) + np.array([2.0, 1.0])
         b = -a  # mirror through the origin with labels swapped
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        assert abs(decision_pair(clf, np.zeros(2))) <= 0.1
+        assert abs(decision_pair(clf, np.zeros((1, 2)))[0]) <= 0.1
 
     def test_mirrored_instance_antisymmetric_labels(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(30, 2)) + np.array([2.0, 1.0])
         b = -a
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        for x in a[:10]:
-            if abs(decision_pair(clf, x)) > 0.05:  # off the boundary
-                assert predict_pair(clf, x) != predict_pair(clf, -x)
+        off = np.abs(decision_pair(clf, a[:10])) > 0.05  # off the boundary
+        assert np.all(predict_pair(clf, a[:10])[off] != predict_pair(clf, -a[:10])[off])
 
     def test_singleton_grid_chosen_without_search(self):
         a, b = two_blobs(20)
@@ -58,8 +57,7 @@ class TestTrainPair:
         clf = train_pair(a, 7, b, 2, CV, CFG)
         assert (clf.label_a, clf.label_b) == (2, 7)
         # class 7's vectors are on the negative side now
-        preds = {predict_pair(clf, x) for x in a[:5]}
-        assert preds == {7}
+        assert set(predict_pair(clf, a[:5]).tolist()) == {7}
 
     def test_too_few_vectors(self):
         a, b = two_blobs(5)
@@ -106,8 +104,7 @@ class TestPredictPair:
     def test_training_vector_of_class_a(self):
         a, b = two_blobs(30, seed=1)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        assert predict_pair(clf, a[0]) == 0
-        assert predict_pair(clf, b[0]) == 1
+        assert predict_pair(clf, np.vstack([a[:1], b[:1]])).tolist() == [0, 1]
 
     def test_exact_zero_goes_to_label_b(self):
         clf = PairwiseClassifier(
@@ -116,17 +113,17 @@ class TestPredictPair:
             coeffs=np.array([0.0, 0.0]),
             bias=0.0, width=1.0, cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
         )
-        assert decision_pair(clf, np.array([5.0, 5.0])) == 0.0
-        assert predict_pair(clf, np.array([5.0, 5.0])) == 1
+        assert decision_pair(clf, np.array([[5.0, 5.0]]))[0] == 0.0
+        assert predict_pair(clf, np.array([[5.0, 5.0]]))[0] == 1
 
     def test_pure_function(self):
         a, b = two_blobs(15, seed=2)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        x = np.array([0.3, -0.7])
-        assert len({predict_pair(clf, x) for _ in range(5)}) == 1
+        X = np.array([[0.3, -0.7], [1.0, 2.0]])
+        assert len({tuple(predict_pair(clf, X).tolist()) for _ in range(5)}) == 1
 
     def test_dimension_mismatch(self):
         a, b = two_blobs(10, seed=3)
         clf = train_pair(a, 0, b, 1, CV, CFG)
         with pytest.raises(ValueError, match="dimension"):
-            predict_pair(clf, np.zeros(5))
+            predict_pair(clf, np.zeros((2, 5)))
