@@ -34,9 +34,9 @@ from .dataset import (
     make_waveform,
     stratified_split,
 )
-from .geometry import BoundaryPartition, WidthSelection, beps_partition, mies_score, select_width
+from .geometry import BoundaryPartition, WidthSelection, beps_partition, select_width
 from .kernels import GramMatrix, KernelWidth, candidate_widths, gaussian, gram
-from .ocsvm import OcsvmModel, sv_fraction, train_ocsvm
+from .ocsvm import OcsvmModel, train_ocsvm
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import DualSolution, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 

@@ -18,7 +18,7 @@ import json
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .geometry import (
     default_k_neighbors,
     select_width,
 )
-from .kernels import candidate_widths, kernel_matrix
+from .kernels import candidate_widths
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel, decision_values
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import SolverConfig
@@ -346,46 +346,17 @@ def pair_payload(p: PairwiseClassifier) -> bytes:
     return json.dumps(pair_entry(p), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _config_entry(cfg: CilConfig) -> dict:
-    return {
-        "nu_default": cfg.nu_default,
-        "k_neighbors": cfg.k_neighbors,
-        "side_threshold": cfg.side_threshold,
-        "width_count": cfg.width_count,
-        "cv": {
-            "folds": cfg.cv.folds,
-            "cost_grid": list(cfg.cv.cost_grid),
-            "width_grid": None if cfg.cv.width_grid is None else list(cfg.cv.width_grid),
-            "width_count": cfg.cv.width_count,
-            "seed": cfg.cv.seed,
-        },
-        "solver": {
-            "kkt_tolerance": cfg.solver.kkt_tolerance,
-            "max_passes": cfg.solver.max_passes,
-            "seed": cfg.solver.seed,
-        },
-    }
-
-
 def _config_from_entry(e: dict) -> CilConfig:
-    return CilConfig(
-        nu_default=e["nu_default"],
-        k_neighbors=e["k_neighbors"],
-        side_threshold=e["side_threshold"],
-        width_count=e["width_count"],
-        cv=CvConfig(
-            folds=e["cv"]["folds"],
-            cost_grid=tuple(e["cv"]["cost_grid"]),
-            width_grid=None if e["cv"]["width_grid"] is None else tuple(e["cv"]["width_grid"]),
-            width_count=e["cv"]["width_count"],
-            seed=e["cv"]["seed"],
-        ),
-        solver=SolverConfig(
-            kkt_tolerance=e["solver"]["kkt_tolerance"],
-            max_passes=e["solver"]["max_passes"],
-            seed=e["solver"]["seed"],
-        ),
-    )
+    # a key that fell back to its default would hide a damaged file
+    for entry, cls in ((e, CilConfig), (e["cv"], CvConfig), (e["solver"], SolverConfig)):
+        missing = [f.name for f in fields(cls) if f.name not in entry]
+        if missing:
+            raise KeyError(missing[0])
+    cv = dict(e["cv"])
+    cv["cost_grid"] = tuple(cv["cost_grid"])
+    if cv["width_grid"] is not None:
+        cv["width_grid"] = tuple(cv["width_grid"])
+    return CilConfig(**{**e, "cv": CvConfig(**cv), "solver": SolverConfig(**e["solver"])})
 
 
 def to_json_dict(model: CilModel) -> dict:
@@ -401,7 +372,7 @@ def to_json_dict(model: CilModel) -> dict:
         },
         "classes": [class_entry(m) for m in model.classes],
         "pairs": [pair_entry(model.pair_table[k]) for k in sorted(model.pair_table)],
-        "config": _config_entry(model.config),
+        "config": asdict(model.config),
     }
 
 
@@ -412,22 +383,16 @@ def save(model: CilModel, path: str | Path) -> None:
         f.write("\n")
 
 
-def _ocsvm_from_entry(e: dict, solver: SolverConfig) -> OcsvmModel:
-    sv = np.array(e["sv_matrix"], dtype=float)
-    a = np.array(e["sv_alphas"], dtype=float)
-    width = float(e["width"])
-    K = kernel_matrix(sv, sv, width)
+def _ocsvm_from_entry(e: dict) -> OcsvmModel:
     return OcsvmModel(
         class_label=int(e["label"]),
-        support_vectors=sv,
-        sv_alphas=a,
+        support_vectors=np.array(e["sv_matrix"], dtype=float),
+        sv_alphas=np.array(e["sv_alphas"], dtype=float),
         rho=float(e["rho"]),
-        width=width,
+        width=float(e["width"]),
         nu=float(e["nu"]),
         train_count=int(e["train_count"]),
-        w_norm=float(np.sqrt(max(a @ K @ a, 0.0))),
         converged=True,
-        kkt_tolerance=solver.kkt_tolerance,
     )
 
 
@@ -475,7 +440,7 @@ def load(path: str | Path) -> CilModel:
                 std=np.array(raw["scaler"]["std"], dtype=float),
                 constant_columns=tuple(raw["scaler"]["constant_columns"]),
             )
-        classes = tuple(_ocsvm_from_entry(e, config.solver) for e in raw["classes"])
+        classes = tuple(_ocsvm_from_entry(e) for e in raw["classes"])
         pairs = {}
         for e in raw["pairs"]:
             clf = _pair_from_entry(e)
@@ -486,6 +451,13 @@ def load(path: str | Path) -> CilModel:
                 f"malformed model file {path}: pair table does not match the classes "
                 f"(missing {sorted(expected - pairs.keys())}, "
                 f"unexpected {sorted(pairs.keys() - expected)})"
+            )
+        bad = [f"class {m.class_label}" for m in classes if m.m == 0 or m.sv_alphas.shape != (m.m,)]
+        bad += [f"pair {k}" for k, clf in pairs.items() if clf.coeffs.shape != clf.vectors.shape[:1]]
+        if bad:
+            raise ModelFormatError(
+                f"malformed model file {path}: need one coefficient per stored vector "
+                f"and at least one support vector per class ({', '.join(bad)})"
             )
         dims = {m.support_vectors.shape[1:] for m in classes}
         dims |= {clf.vectors.shape[1:] for clf in pairs.values()}

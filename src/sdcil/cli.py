@@ -10,8 +10,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from .dataset import (
     save_csv,
     stratified_split,
 )
-from .geometry import WidthSelection
 from .pairwise import CvConfig
 from .smo import SolverConfig
 

@@ -1,7 +1,7 @@
 """Loading, standardization, splitting, and generation of labeled datasets.
 
 CSV convention: comma-separated UTF-8, optional header row (detected by a
-non-numeric first row), label in the last column by default. Labels are
+non-numeric first row), label in the last column. Labels are
 remapped to dense integer ids 0..c-1 in first-appearance order, with the
 original tokens kept in `label_names`.
 """
@@ -100,7 +100,6 @@ class SplitSpec:
 
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -114,8 +113,8 @@ def _try_float(token: str) -> float | None:
         return None
 
 
-def load_csv(path: str | Path, label_column: int | str = "last") -> LabeledDataset:
-    """Load a labeled CSV file.
+def load_csv(path: str | Path) -> LabeledDataset:
+    """Load a labeled CSV file whose last column is the label.
 
     Labels may be arbitrary tokens; they are mapped to dense ids 0..c-1 in
     order of first appearance and the mapping is kept in `label_names`.
@@ -130,12 +129,8 @@ def load_csv(path: str | Path, label_column: int | str = "last") -> LabeledDatas
         raise DataError(f"empty file: {path}")
 
     # A header is any first row whose feature cells are not all numeric.
-    first_data = 0
     ncol = len(rows[0])
-    label_idx = ncol - 1 if label_column == "last" else int(label_column)
-    probe = [t for i, t in enumerate(rows[0]) if i != label_idx]
-    if any(_try_float(t) is None for t in probe):
-        first_data = 1
+    first_data = 1 if any(_try_float(t) is None for t in rows[0][:-1]) else 0
     if first_data == len(rows):
         raise DataError(f"{path}: header only, no data rows")
 
@@ -145,15 +140,13 @@ def load_csv(path: str | Path, label_column: int | str = "last") -> LabeledDatas
         if len(row) != ncol:
             raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(row)}")
         vals = []
-        for i, tok in enumerate(row):
-            if i == label_idx:
-                continue
+        for tok in row[:-1]:
             v = _try_float(tok.strip())
             if v is None:
                 raise DataError(f"{path}:{lineno}: non-numeric feature value {tok!r}")
             vals.append(v)
         feats.append(vals)
-        raw_labels.append(row[label_idx].strip())
+        raw_labels.append(row[-1].strip())
 
     ids: dict[str, int] = {}
     for tok in raw_labels:
@@ -234,7 +227,7 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDatase
         idx = np.nonzero(ds.labels == label)[0]
         if idx.size < 2:
             raise DataError(f"class {label} has only {idx.size} sample(s); cannot split")
-        perm = rng.permutation(idx) if spec.stratified else idx
+        perm = rng.permutation(idx)
         n_train = int(np.floor(spec.train_fraction * idx.size + 0.5))
         n_train = max(1, min(n_train, idx.size))
         train_idx.append(perm[:n_train])

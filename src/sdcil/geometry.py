@@ -5,9 +5,7 @@ on one side of its tangent plane; the plane's normal is estimated as the
 mean of unit vectors toward the neighbors. Width selection trains one
 one-class SVM per candidate width, keeps the candidates whose support-vector
 fraction stays within [nu, 1.5*nu], and among those picks the width whose
-enclosing surface stays closest to the edge points (smallest maximum edge
-distance). The classic interior-minus-edge separation score is kept as a
-diagnostic only.
+support vectors lie on the edge set and cover it most tightly.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import KernelWidth, gram_from_sqdist, squared_distances
-from .ocsvm import SV_THRESHOLD, OcsvmModel, model_from_solution, normalized_distances
-from .smo import SolverConfig, solve_ocsvm_dual
+from .ocsvm import SV_THRESHOLD, OcsvmModel, model_from_solution
+from .smo import DualSolution, SolverConfig, solve_ocsvm_dual
 
 # Normals shorter than this are treated as degenerate: a point surrounded
 # symmetrically by its neighbors is interior.
@@ -48,9 +46,8 @@ class BoundaryPartition:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """Per-width diagnostics from a selection sweep.
+    """One candidate width of a selection sweep.
 
-    max_edge_dn/max_interior_dn are geometric (margin over ||w||) distances.
     score is the fraction of the candidate's support vectors lying outside
     the edge set and covering is the worst edge point's Euclidean distance
     to its nearest support vector; the selector minimizes (score, covering).
@@ -59,9 +56,6 @@ class CandidateRecord:
     s: float
     converged: bool
     sv_fraction: float
-    max_edge_dn: float
-    max_interior_dn: float
-    f0: float
     score: float
     covering: float
     admitted: bool
@@ -120,18 +114,6 @@ def beps_partition(
     )
 
 
-def mies_score(model: OcsvmModel, part: BoundaryPartition, X: np.ndarray) -> float:
-    """Interior-vs-edge separation diagnostic.
-
-    max over interior points of the normalized distance minus max over edge
-    points, taken verbatim; the production selector below does not use it.
-    """
-    if part.edge_indices.size == 0 or part.interior_indices.size == 0:
-        raise ValueError("both edge and interior sets must be nonempty")
-    dn = normalized_distances(model, np.asarray(X, dtype=float))
-    return float(np.max(dn[part.interior_indices]) - np.max(dn[part.edge_indices]))
-
-
 def select_width(
     X_class: np.ndarray,
     nu: float,
@@ -142,16 +124,17 @@ def select_width(
 ) -> WidthSelection:
     """Pick a kernel width per the support-vector-fraction filter.
 
-    Trains one model per candidate (sharing the pairwise-distance work) and
-    admits converged candidates with SV fraction in [nu, 1.5*nu]. Among the
-    admitted, the winner puts its support vectors on the detected boundary:
-    fewest SVs outside the edge set first, then the smallest worst-case gap
-    between an edge point and its nearest SV, then the smaller width. Raw
-    feature-space margins cannot arbitrate here because they shrink
-    uniformly as the width grows; the SV-on-boundary agreement is the
-    scale-free statement of the same objective. If nothing is admitted,
-    falls back to the converged candidate whose SV fraction is closest to
-    1.25*nu, flagged as such.
+    Solves one one-class dual per candidate (sharing the pairwise-distance
+    work) and admits converged candidates with SV fraction in [nu, 1.5*nu];
+    only the winner is built into a model. Among the admitted, the winner
+    puts its support vectors on the detected boundary: fewest SVs outside
+    the edge set first, then the smallest worst-case gap between an edge
+    point and its nearest SV, then the smaller width. Raw feature-space
+    margins cannot arbitrate here because they shrink uniformly as the
+    width grows; the SV-on-boundary agreement is the scale-free statement
+    of the same objective. If nothing is admitted, falls back to the
+    converged candidate whose SV fraction is closest to 1.25*nu, flagged
+    as such.
     """
     X = np.asarray(X_class, dtype=float)
     if not candidates:
@@ -164,45 +147,31 @@ def select_width(
     edge_mask[part.edge_indices] = True
 
     records: list[CandidateRecord] = []
-    models: list[OcsvmModel | None] = []
+    solutions: list[DualSolution] = []
     for s in sorted(float(s) for s in candidates):
-        K = gram_from_sqdist(d2, s)
-        sol = solve_ocsvm_dual(K, nu, cfg)
+        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s), nu, cfg)
+        solutions.append(sol)
         if not sol.converged:
             records.append(
                 CandidateRecord(
-                    s=s, converged=False, sv_fraction=float("nan"),
-                    max_edge_dn=float("nan"), max_interior_dn=float("nan"),
-                    f0=float("nan"), score=float("nan"), covering=float("nan"),
-                    admitted=False,
+                    s=s, converged=False, sv_fraction=float("nan"), score=float("nan"),
+                    covering=float("nan"), admitted=False,
                 )
             )
-            models.append(None)
             continue
-        model = model_from_solution(X, nu, s, sol, cfg.kkt_tolerance, class_label, K)
-        frac = model.m / model.train_count
-        # decision values over the training rows come free from the Gram
         keep = sol.alphas > SV_THRESHOLD
-        dn = (K.values[:, keep] @ sol.alphas[keep] - model.rho) / model.w_norm
-        max_edge = float(np.max(dn[part.edge_indices])) if part.edge_indices.size else float("nan")
-        max_int = (
-            float(np.max(dn[part.interior_indices])) if part.interior_indices.size else float("nan")
-        )
-        f0 = max_int - max_edge
+        frac = int(np.count_nonzero(keep)) / X.shape[0]
         score = float(np.mean(~edge_mask[keep]))
         gaps = np.sqrt(d2[np.ix_(part.edge_indices, np.nonzero(keep)[0])])
         covering = float(np.max(np.min(gaps, axis=1))) if part.edge_indices.size else 0.0
-        admitted = nu <= frac <= 1.5 * nu
         records.append(
             CandidateRecord(
-                s=s, converged=True, sv_fraction=frac,
-                max_edge_dn=max_edge, max_interior_dn=max_int, f0=f0, score=score,
-                covering=covering, admitted=admitted,
+                s=s, converged=True, sv_fraction=frac, score=score, covering=covering,
+                admitted=nu <= frac <= 1.5 * nu,
             )
         )
-        models.append(model)
 
-    if all(m is None for m in models):
+    if not any(r.converged for r in records):
         raise RuntimeError("no candidate width converged")
 
     best_i = None
@@ -221,9 +190,10 @@ def select_width(
             key=lambda i: abs(records[i].sv_fraction - target),
         )
         records[best_i] = replace(records[best_i], admitted=True, fallback=True)
+    chosen = records[best_i].s
     return WidthSelection(
-        chosen=records[best_i].s,
+        chosen=chosen,
         per_candidate=records,
-        model=models[best_i],
+        model=model_from_solution(X, nu, chosen, solutions[best_i], class_label),
         fallback=fallback,
     )

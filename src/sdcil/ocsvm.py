@@ -1,9 +1,8 @@
-"""Per-class one-class SVM: training, decision values, normalized distances.
+"""Per-class one-class SVM: training and decision values.
 
 A trained model keeps only the rows with nonzero dual coefficients (the
 support vectors); everything needed at predict time is (SVs, alphas, rho,
-width). The normalized distance divides the decision value by ||w|| so that
-values are geometric margins, comparable across kernel widths.
+width).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelWidth, check_width, gram, kernel_matrix
+from .kernels import KernelWidth, check_width, gram, kernel_matrix
 from .smo import DualSolution, SolverConfig, solve_ocsvm_dual
 
 # Dual coefficients at or below this are treated as zero and dropped.
@@ -32,9 +31,7 @@ class OcsvmModel:
     width: KernelWidth
     nu: float
     train_count: int
-    w_norm: float
     converged: bool
-    kkt_tolerance: float
 
     @property
     def m(self) -> int:
@@ -51,62 +48,41 @@ def train_ocsvm(
     s: KernelWidth,
     cfg: SolverConfig,
     class_label: int = 0,
-    K: GramMatrix | None = None,
 ) -> OcsvmModel:
     """Train a one-class SVM on one class's rows at kernel width s.
 
-    Pass a precomputed GramMatrix over X_class to skip the kernel work
-    (width-selection sweeps do this). A non-converged solve still yields a
-    model, flagged so callers can reject it.
+    A non-converged solve still yields a model, flagged so callers can
+    reject it.
     """
     X = np.asarray(X_class, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need an n x d matrix with n >= 2")
     s = check_width(s)
-    if K is None:
-        K = gram(X, s)
-    elif K.values.shape[0] != X.shape[0]:
-        raise ValueError("precomputed Gram size does not match X_class")
     if not NU_SOFT_RANGE[0] <= nu <= NU_SOFT_RANGE[1]:
         warnings.warn(
             f"nu={nu} outside the usual [{NU_SOFT_RANGE[0]}, {NU_SOFT_RANGE[1]}] range",
             stacklevel=2,
         )
-    sol = solve_ocsvm_dual(K, nu, cfg)
-    return model_from_solution(X, nu, s, sol, cfg.kkt_tolerance, class_label, K)
+    sol = solve_ocsvm_dual(gram(X, s), nu, cfg)
+    return model_from_solution(X, nu, s, sol, class_label)
 
 
 def model_from_solution(
-    X: np.ndarray,
-    nu: float,
-    s: KernelWidth,
-    sol: DualSolution,
-    kkt_tolerance: float,
-    class_label: int = 0,
-    K: GramMatrix | None = None,
+    X: np.ndarray, nu: float, s: KernelWidth, sol: DualSolution, class_label: int = 0
 ) -> OcsvmModel:
     """Build the retained-SV model from a dual solution over X."""
     keep = sol.alphas > SV_THRESHOLD
-    sv = X[keep]
-    a = sol.alphas[keep]
-    if sv.shape[0] == 0:
+    if not keep.any():
         raise RuntimeError("no support vectors retained; solver produced a zero solution")
-    if K is not None:
-        Ksv = K.values[np.ix_(keep.nonzero()[0], keep.nonzero()[0])]
-    else:
-        Ksv = kernel_matrix(sv, sv, s)
-    w_norm = float(np.sqrt(max(a @ Ksv @ a, 0.0)))
     return OcsvmModel(
         class_label=int(class_label),
-        support_vectors=sv,
-        sv_alphas=a,
+        support_vectors=X[keep],
+        sv_alphas=sol.alphas[keep],
         rho=float(sol.offset),
         width=float(s),
         nu=float(nu),
         train_count=int(X.shape[0]),
-        w_norm=w_norm,
         converged=bool(sol.converged),
-        kkt_tolerance=float(kkt_tolerance),
     )
 
 
@@ -118,17 +94,3 @@ def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model expects d={model.d}, got {X.shape[1]}")
     return kernel_matrix(X, model.support_vectors, model.width) @ model.sv_alphas - model.rho
-
-
-def normalized_distances(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """Signed feature-space distance from each row's image to the hyperplane.
-
-    Dividing by ||w|| makes the value a geometric distance, so models with
-    different widths can be compared. Positive means inside.
-    """
-    return decision_values(model, X) / model.w_norm
-
-
-def sv_fraction(model: OcsvmModel) -> float:
-    """Retained support vectors as a fraction of the training rows."""
-    return model.m / model.train_count

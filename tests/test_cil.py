@@ -186,8 +186,7 @@ class TestPredict:
                 class_label=label,
                 support_vectors=np.array([[dist, 0.0]]),
                 sv_alphas=np.array([1.0]),
-                rho=0.5, width=1.0, nu=1.0, train_count=1, w_norm=1.0,
-                converged=True, kkt_tolerance=1e-3,
+                rho=0.5, width=1.0, nu=1.0, train_count=1, converged=True,
             )
 
         def const_pair(a, b, bias):
@@ -423,6 +422,31 @@ class TestPersistence:
             entry[key] = [row + [0.0] for row in entry[key]]
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match="feature dimension"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("part", ["class", "pair"])
+    def test_array_lengths_must_agree(self, blob_model_and_split, tmp_path, part):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        entry, key = (raw["classes"][0], "sv_alphas") if part == "class" else (raw["pairs"][0], "coeffs")
+        del entry[key][-1]
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="malformed model file"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("damage", ["missing", "unknown"])
+    def test_config_keys_must_match(self, tmp_path, damage):
+        p = tmp_path / "m.json"
+        cil.save(cil.new_model(fast_config()), p)
+        raw = json.loads(p.read_text())
+        if damage == "missing":
+            del raw["config"]["solver"]["seed"]
+        else:
+            raw["config"]["cv"]["shuffle"] = True
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="malformed model file"):
             cil.load(p)
 
     def test_malformed_structure(self, tmp_path):

@@ -134,6 +134,16 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
         assert "non-finite number NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries,key", [("classes", "sv_alphas"), ("pairs", "coeffs")])
+    def test_short_coefficients_exit_code(self, blobs_csv, tmp_path, capsys, entries, key):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        del raw[entries][0][key][-1]
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "malformed model file" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_deterministic_given_seed(self, blobs_csv, tmp_path, capsys):

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from sdcil.geometry import (
-    BoundaryPartition,
-    beps_partition,
-    default_k_neighbors,
-    mies_score,
-    select_width,
-)
+from sdcil.geometry import beps_partition, default_k_neighbors, select_width
 from sdcil.kernels import candidate_widths
-from sdcil.ocsvm import normalized_distances, train_ocsvm
 from sdcil.smo import SolverConfig
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
@@ -96,50 +89,6 @@ class TestBepsPartition:
         assert default_k_neighbors(10) == 5
         assert default_k_neighbors(100) == 10
         assert default_k_neighbors(5) == 4
-
-
-class TestMiesScore:
-    def test_matches_definition(self):
-        X = disk_points(100, seed=2)
-        part = beps_partition(X, 10, 0.7)
-        model = train_ocsvm(X, 0.2, 1.0, CFG)
-        dn = normalized_distances(model, X)
-        want = dn[part.interior_indices].max() - dn[part.edge_indices].max()
-        assert mies_score(model, part, X) == pytest.approx(want, abs=1e-14)
-
-    def test_identical_profiles_give_zero(self):
-        X = disk_points(60, seed=3)
-        model = train_ocsvm(X, 0.2, 1.0, CFG)
-        dn = normalized_distances(model, X)
-        j = int(np.argmax(dn))
-        # a partition whose two sides share the same maximal point
-        part = BoundaryPartition(
-            edge_indices=np.array([j, 0, 1]),
-            interior_indices=np.array([j, 2, 3]),
-            k_neighbors=3,
-            side_threshold=0.7,
-        )
-        assert mies_score(model, part, X) == pytest.approx(0.0, abs=1e-15)
-
-    def test_empty_side_errors(self):
-        X = disk_points(30, seed=4)
-        model = train_ocsvm(X, 0.2, 1.0, CFG)
-        part = BoundaryPartition(
-            edge_indices=np.arange(30),
-            interior_indices=np.array([], dtype=int),
-            k_neighbors=5,
-            side_threshold=0.7,
-        )
-        with pytest.raises(ValueError, match="nonempty"):
-            mies_score(model, part, X)
-
-    def test_finite_across_candidate_sweep(self):
-        X = disk_points(90, seed=6)
-        part = beps_partition(X, default_k_neighbors(90), 0.7)
-        for s in candidate_widths(X, 10):
-            model = train_ocsvm(X, 0.2, s, CFG)
-            if model.converged and part.interior_indices.size:
-                assert np.isfinite(mies_score(model, part, X))
 
 
 class TestSelectWidth:

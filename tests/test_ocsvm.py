@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from sdcil import cil
-from sdcil.dataset import fit_standardize, LabeledDataset
 from sdcil.geometry import beps_partition, default_k_neighbors, select_width
 from sdcil.kernels import candidate_widths
-from sdcil.ocsvm import (
-    OcsvmModel,
-    decision_values,
-    normalized_distances,
-    sv_fraction,
-    train_ocsvm,
-)
+from sdcil.ocsvm import OcsvmModel, decision_values, train_ocsvm
 from sdcil.smo import BOUND_MARGIN, SolverConfig
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
@@ -49,13 +42,13 @@ class TestTrainOcsvm:
 
     def test_disk_sv_fraction_with_selected_width(self, disk_model):
         model, _ = disk_model
-        assert 0.2 <= sv_fraction(model) <= 0.3
+        assert 0.2 <= model.m / model.train_count <= 0.3
 
     def test_unbounded_svs_on_hyperplane(self, disk_model):
         model, _ = disk_model
         svs = unbounded_svs(model)
         assert svs.shape[0] >= 1
-        assert np.all(np.abs(decision_values(model, svs)) <= 10 * model.kkt_tolerance)
+        assert np.all(np.abs(decision_values(model, svs)) <= 10 * CFG.kkt_tolerance)
 
     def test_alpha_invariants(self, disk_model):
         model, _ = disk_model
@@ -63,7 +56,6 @@ class TestTrainOcsvm:
         assert np.all(model.sv_alphas > 1e-8)
         assert abs(model.sv_alphas.sum() - 1.0) < 1e-8
         assert np.all(model.sv_alphas <= hi + 1e-10)
-        assert model.w_norm > 0
 
     def test_nonconverged_flag_surfaces(self):
         X = disk_points(60, seed=3)
@@ -101,6 +93,19 @@ class TestDecisionValue:
         single = [decision_values(model, x[None, :])[0] for x in X[:7]]
         assert np.allclose(batch, single, atol=1e-14)
 
+    def test_zero_at_unbounded_sv(self, disk_model):
+        model, _ = disk_model
+        sv = unbounded_svs(model)[:1]
+        assert abs(decision_values(model, sv)[0]) <= 10 * CFG.kkt_tolerance
+
+    def test_centroid_deeper_than_hull_points(self, disk_model):
+        model, X = disk_model
+        from scipy.spatial import ConvexHull
+
+        hull = ConvexHull(X)
+        centroid_value = decision_values(model, X.mean(axis=0))[0]
+        assert centroid_value > decision_values(model, X[hull.vertices]).max()
+
 
 class TestPredictOne:
     """The membership rule: inside exactly when the decision value is > 0."""
@@ -129,9 +134,7 @@ class TestPredictOne:
             width=1.0,
             nu=1.0,
             train_count=1,
-            w_norm=1.0,
             converged=True,
-            kkt_tolerance=1e-3,
         )
         assert decision_values(m, np.zeros(2))[0] == 0.0
         # a class claims a row only on a strictly positive value
@@ -139,42 +142,12 @@ class TestPredictOne:
         assert detail.region == cil.REGION_NONE
 
 
-class TestNormalizedDistance:
-    def test_zero_at_unbounded_sv(self, disk_model):
-        model, _ = disk_model
-        sv = unbounded_svs(model)[:1]
-        assert abs(normalized_distances(model, sv)[0]) <= 10 * model.kkt_tolerance / model.w_norm
-
-    def test_linear_in_decision_value(self, disk_model):
-        model, X = disk_model
-        vals = decision_values(model, X[:20])
-        dists = normalized_distances(model, X[:20])
-        assert np.allclose(dists * model.w_norm, vals, atol=1e-12)
-        # two points with decision values v and 2v have distances in ratio 1:2
-        assert np.allclose(dists, vals / model.w_norm, atol=1e-15)
-
-    def test_centroid_deeper_than_hull_points(self, disk_model):
-        model, X = disk_model
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(X)
-        centroid_dist = normalized_distances(model, X.mean(axis=0))[0]
-        hull_dists = normalized_distances(model, X[hull.vertices])
-        assert centroid_dist > hull_dists.max()
-
-    def test_sign_agrees_with_predict(self, disk_model):
-        model, _ = disk_model
-        rng = np.random.default_rng(6)
-        P = rng.uniform(-1.5, 1.5, size=(200, 2))
-        assert np.array_equal(decision_values(model, P) > 0, normalized_distances(model, P) > 0)
-
-
 class TestSvFraction:
     @pytest.mark.filterwarnings("ignore:nu=0.5")
     def test_two_point_model(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = train_ocsvm(X, 0.5, 1.0, CFG)
-        assert sv_fraction(m) == 1.0
+        assert m.m / m.train_count == 1.0
 
     @pytest.mark.parametrize("trial", range(20))
     def test_nu_property_lower_bound(self, trial):
@@ -186,7 +159,7 @@ class TestSvFraction:
         X = rng.normal(size=(n, 3))
         m = train_ocsvm(X, nu, float(rng.uniform(0.5, 4.0)), CFG)
         assert m.converged
-        assert sv_fraction(m) >= nu - 2.0 / n
+        assert m.m / m.train_count >= nu - 2.0 / n
 
 
 def test_model_reconstructible_from_fields(disk_model):
@@ -199,9 +172,7 @@ def test_model_reconstructible_from_fields(disk_model):
         width=model.width,
         nu=model.nu,
         train_count=model.train_count,
-        w_norm=model.w_norm,
         converged=model.converged,
-        kkt_tolerance=model.kkt_tolerance,
     )
     rng = np.random.default_rng(9)
     P = rng.uniform(-2, 2, size=(100, 2))
