@@ -47,6 +47,10 @@ REGION_NONE = "none_positive"
 # blocks held at once when a large X (a map raster) is predicted.
 _CHUNK_ROWS = 256
 
+# Relative slack on the dual box in load(): the solver's last step may round
+# an alpha an ulp or so past its bound.
+_BOX_SLACK = 1e-9
+
 
 class ModelFormatError(ValueError):
     """Raised for unreadable or incompatible model files."""
@@ -458,6 +462,21 @@ def load(path: str | Path) -> CilModel:
             raise ModelFormatError(
                 f"malformed model file {path}: need one coefficient per stored vector "
                 f"and at least one support vector per class ({', '.join(bad)})"
+            )
+        bad = [
+            f"class {m.class_label}" for m in classes
+            if not (m.nu > 0 and m.train_count > 0 and np.all(m.sv_alphas > 0)
+                    and np.all(m.sv_alphas <= (1 + _BOX_SLACK) / (m.nu * m.train_count)))
+        ]
+        bad += [
+            f"pair {k}" for k, clf in pairs.items()
+            if not np.all(np.abs(clf.coeffs) <= (1 + _BOX_SLACK) * clf.cost)
+        ]
+        if bad:
+            raise ModelFormatError(
+                f"malformed model file {path}: coefficients outside the dual box, "
+                f"(0, 1/(nu*train_count)] for a class and [-cost, cost] for a pair "
+                f"({', '.join(bad)})"
             )
         dims = {m.support_vectors.shape[1:] for m in classes}
         dims |= {clf.vectors.shape[1:] for clf in pairs.values()}

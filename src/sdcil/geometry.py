@@ -162,8 +162,9 @@ def select_width(
         keep = sol.alphas > SV_THRESHOLD
         frac = int(np.count_nonzero(keep)) / X.shape[0]
         score = float(np.mean(~edge_mask[keep]))
-        gaps = np.sqrt(d2[np.ix_(part.edge_indices, np.nonzero(keep)[0])])
-        covering = float(np.max(np.min(gaps, axis=1))) if part.edge_indices.size else 0.0
+        # sqrt is monotone and correctly rounded: take it after the min and max
+        gaps2 = d2[np.ix_(part.edge_indices, np.nonzero(keep)[0])]
+        covering = float(np.sqrt(np.max(np.min(gaps2, axis=1)))) if part.edge_indices.size else 0.0
         records.append(
             CandidateRecord(
                 s=s, converged=True, sv_fraction=frac, score=score, covering=covering,

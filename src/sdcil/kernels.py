@@ -45,9 +45,19 @@ class GramMatrix:
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of X and Y (or X)."""
+    """Pairwise squared Euclidean distances between rows of X and Y (or X).
+
+    With Y omitted the result is exactly symmetric: numpy computes X @ X.T
+    as a symmetric product for a C- or F-contiguous X, but may not for a
+    strided one, which is therefore copied first.
+    """
     X = np.asarray(X, dtype=float)
-    Y = X if Y is None else np.asarray(Y, dtype=float)
+    if Y is None:
+        if not (X.flags.c_contiguous or X.flags.f_contiguous):
+            X = np.ascontiguousarray(X)
+        Y = X
+    else:
+        Y = np.asarray(Y, dtype=float)
     # ndarray.sum skips np.sum's Python wrapper, which outweighs one-row work
     xx = (X * X).sum(axis=1)[:, None]
     yy = (Y * Y).sum(axis=1)[None, :]

@@ -83,13 +83,11 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def _fit_predict_fold(
-    Kv: np.ndarray, y: np.ndarray, C: float, width: float, tr: np.ndarray, va: np.ndarray,
+    K_tr: np.ndarray, K_va: np.ndarray, y_tr: np.ndarray, C: float, width: float,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, bool]:
-    sub = GramMatrix(values=Kv[np.ix_(tr, tr)], width=width)
-    sol = solve_binary_dual(sub, y[tr], C, cfg)
-    coeffs = sol.alphas * y[tr]
-    dec = Kv[np.ix_(va, tr)] @ coeffs + sol.offset
+    sol = solve_binary_dual(GramMatrix(values=K_tr, width=width), y_tr, C, cfg)
+    dec = K_va @ (sol.alphas * y_tr) + sol.offset
     return np.where(dec > 0.0, 1.0, -1.0), sol.converged
 
 
@@ -139,21 +137,28 @@ def train_pair(
     d2 = squared_distances(X)
     np.fill_diagonal(d2, 0.0)
 
+    # the fold index sets depend on neither width nor C; a fold with no
+    # validation rows or a one-class training side is skipped
+    fold_sets = []
+    for f in range(folds):
+        va = np.nonzero(fold_of == f)[0]
+        tr = np.nonzero(fold_of != f)[0]
+        if va.size and np.unique(y[tr]).size == 2:
+            fold_sets.append((np.ix_(tr, tr), np.ix_(va, tr), y[tr], y[va]))
+
     best = None  # (accuracy, C, s)
     any_converged = False
     for s in widths:
         Kv = gram_from_sqdist(d2, s).values
-        for C in costs:
-            fold_acc = []
-            for f in range(folds):
-                va = np.nonzero(fold_of == f)[0]
-                tr = np.nonzero(fold_of != f)[0]
-                if va.size == 0 or np.unique(y[tr]).size < 2:
-                    continue
-                pred, conv = _fit_predict_fold(Kv, y, C, s, tr, va, cfg)
+        fold_acc = [[] for _ in costs]
+        for tr_tr, va_tr, y_tr, y_va in fold_sets:
+            K_tr, K_va = Kv[tr_tr], Kv[va_tr]
+            for C, accs in zip(costs, fold_acc):
+                pred, conv = _fit_predict_fold(K_tr, K_va, y_tr, C, s, cfg)
                 any_converged = any_converged or conv
-                fold_acc.append(float(np.mean(pred == y[va])))
-            acc = float(np.mean(fold_acc)) if fold_acc else 0.0
+                accs.append(float(np.mean(pred == y_va)))
+        for C, accs in zip(costs, fold_acc):
+            acc = float(np.mean(accs)) if accs else 0.0
             # ties prefer smaller C, then smaller width
             if best is None or acc > best[0] or (acc == best[0] and (C, s) < (best[1], best[2])):
                 best = (acc, C, s)

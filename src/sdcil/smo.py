@@ -11,6 +11,12 @@ maximal-KKT-violating-pair working-set selection from a feasible start:
 The one-class objective is the negated form of the usual maximization of
 -1/2 a'Ka; the optimizer and constraints are identical. Each entry point
 supplies its validation, start point, objective and the sign of its offset.
+
+One iteration of the shared loop costs a few numpy calls. The index sets
+I_up and I_low are built once, as penalty vectors added to the gradient
+term, and a step updates only the two entries it moved. The gradient update
+reads the contiguous rows K_i and K_j rather than the strided columns, so K
+must be exactly symmetric; kernels.gram builds it so.
 """
 
 from __future__ import annotations
@@ -64,40 +70,63 @@ def _smo(
 ) -> tuple[int, float]:
     """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p.
 
-    alpha and G are updated in place. Returns the iteration count and the
-    final KKT violation: max of r = -y*G over I_up minus min of r over I_low.
-    The loop keeps r rather than G; as y is +-1, r -= t*(K_i - K_j) rounds
-    exactly like G += y*(t*(K_i - K_j)) followed by r = -y*G.
+    Kv must be exactly symmetric: the gradient update reads rows of Kv where
+    the update formula has columns. alpha and G are updated in place. Returns
+    the iteration count and the final KKT violation: max of r = -y*G over
+    I_up minus min of r over I_low. The loop keeps r rather than G; as y is
+    +-1, r -= t*(K_i - K_j) rounds exactly like G += y*(t*(K_i - K_j))
+    followed by r = -y*G.
+
+    I_up and I_low are kept as penalty vectors added to r: -0.0 (the exact
+    additive identity, so r + -0.0 is r bit for bit) for a member and an
+    infinity otherwise. A step moves only alpha_i and alpha_j, so only those
+    two entries of each penalty change. The scalar work runs on Python
+    floats, which round like numpy's float64.
     """
+    C = float(C)
+    hi = C - BOUND_MARGIN
     pos = y > 0
+    can_inc = alpha < hi
+    can_dec = alpha > BOUND_MARGIN
+    up = np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
+    low = np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
     r = -y * G
+    ri, rj, step = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    a, ys, diag = alpha.tolist(), y.tolist(), Kv.diagonal().tolist()
+    tol = cfg.kkt_tolerance
     max_iter = cfg.resolve_max_passes(y.shape[0])
     it = 0
     violation = np.inf
     while it < max_iter:
-        can_inc = alpha < C - BOUND_MARGIN
-        can_dec = alpha > BOUND_MARGIN
-        ri = np.where(np.where(pos, can_inc, can_dec), r, -np.inf)  # I_up
-        rj = np.where(np.where(pos, can_dec, can_inc), r, np.inf)  # I_low
-        i = int(np.argmax(ri))
-        j = int(np.argmin(rj))
-        violation = float(ri[i] - rj[j])
-        if violation <= cfg.kkt_tolerance:
+        np.add(r, up, out=ri)
+        np.add(r, low, out=rj)
+        i = int(ri.argmax())
+        j = int(rj.argmin())
+        violation = ri.item(i) - rj.item(j)
+        if violation <= tol:
             break
-        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
+        eta = max(diag[i] + diag[j] - 2.0 * Kv.item(i, j), _CURVATURE_FLOOR)
         # move along u = y_i e_i - y_j e_j, which keeps y'a fixed
-        yi, yj = y[i], y[j]
-        room_i = C - alpha[i] if yi > 0 else alpha[i]
-        room_j = alpha[j] if yj > 0 else C - alpha[j]
+        yi, yj, ai, aj = ys[i], ys[j], a[i], a[j]
+        room_i = C - ai if yi > 0 else ai
+        room_j = aj if yj > 0 else C - aj
         t = min(violation / eta, room_i, room_j)
-        alpha[i] += yi * t
-        alpha[j] -= yj * t
+        ai += yi * t
+        aj -= yj * t
         if t == room_i:
-            alpha[i] = C if yi > 0 else 0.0
+            ai = C if yi > 0 else 0.0
         if t == room_j:
-            alpha[j] = 0.0 if yj > 0 else C
-        r -= t * (Kv[:, i] - Kv[:, j])
+            aj = 0.0 if yj > 0 else C
+        a[i], a[j] = ai, aj
+        for k, ak, yk in ((i, ai, yi), (j, aj, yj)):
+            inc, dec = ak < hi, ak > BOUND_MARGIN
+            up[k] = -0.0 if (inc if yk > 0 else dec) else -np.inf
+            low[k] = -0.0 if (dec if yk > 0 else inc) else np.inf
+        np.subtract(Kv[i], Kv[j], out=step)
+        step *= t
+        r -= step
         it += 1
+    alpha[:] = a
     G[:] = -y * r
     return it, violation
 
@@ -124,8 +153,15 @@ def _bias(y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray) -> float:
     raise RuntimeError("cannot recover offset: no active constraints at all")
 
 
+def _square(K: GramMatrix) -> np.ndarray:
+    Kv = K.values
+    if Kv.ndim != 2 or Kv.shape[0] != Kv.shape[1]:
+        raise ValueError(f"Gram matrix must be square, got shape {Kv.shape}")
+    return Kv
+
+
 def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolution:
-    """Solve the one-class dual over the Gram matrix K.
+    """Solve the one-class dual over the Gram matrix K (square, exactly symmetric).
 
     The start point puts equal mass on ceil(nu*l) points chosen in seeded
     order (the projection of the uniform-1/l assignment onto the feasible
@@ -135,7 +171,7 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    Kv = K.values
+    Kv = _square(K)
     l = Kv.shape[0]
     if nu * l < 1.0:
         raise ValueError(f"infeasible: nu * l = {nu * l:.3g} < 1")
@@ -159,13 +195,14 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
 
 
 def solve_binary_dual(K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig) -> DualSolution:
-    """Solve the soft-margin binary dual over the Gram matrix K.
+    """Solve the soft-margin binary dual over the Gram matrix K (square, exactly
+    symmetric).
 
     y must contain both +1 and -1. The solve starts from a = 0, and the bias
     is recovered like rho: mean of y_t - f_t over unbounded support vectors,
     else the KKT-bracket midpoint over bound-active points.
     """
-    Kv = K.values
+    Kv = _square(K)
     y = np.asarray(y, dtype=float).ravel()
     n = Kv.shape[0]
     if y.shape[0] != n:

@@ -5,11 +5,17 @@ feasible sets, written without touching the package's solver code. Step
 size is 1/L with L the largest eigenvalue of the quadratic term; iteration
 cap 10^5 with an early exit once the iterate stops moving at floating-point
 resolution.
+
+`reference_smo` is the exception: a verbatim copy of the package's SMO loop
+as first merged, kept so that a faster loop can be held to the same
+floating-point results.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN
 
 MAX_ITERS = 100_000
 # consecutive-iterate displacement below this (sup-norm) counts as a fixed
@@ -109,3 +115,42 @@ def pgd_binary_objective(K: np.ndarray, y: np.ndarray, C: float, iters: int = MA
         iters=iters,
     )
     return 0.5 * float(a @ Q @ a) - float(a.sum())
+
+
+def reference_smo(Kv, y, C, alpha, G, cfg):
+    """The SMO loop as first merged, one masked selection per iteration.
+
+    Pins `smo._smo` bit for bit: from the same start point both must return
+    the same alpha, G, iteration count and violation.
+    """
+    pos = y > 0
+    r = -y * G
+    max_iter = cfg.resolve_max_passes(y.shape[0])
+    it = 0
+    violation = np.inf
+    while it < max_iter:
+        can_inc = alpha < C - BOUND_MARGIN
+        can_dec = alpha > BOUND_MARGIN
+        ri = np.where(np.where(pos, can_inc, can_dec), r, -np.inf)  # I_up
+        rj = np.where(np.where(pos, can_dec, can_inc), r, np.inf)  # I_low
+        i = int(np.argmax(ri))
+        j = int(np.argmin(rj))
+        violation = float(ri[i] - rj[j])
+        if violation <= cfg.kkt_tolerance:
+            break
+        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
+        # move along u = y_i e_i - y_j e_j, which keeps y'a fixed
+        yi, yj = y[i], y[j]
+        room_i = C - alpha[i] if yi > 0 else alpha[i]
+        room_j = alpha[j] if yj > 0 else C - alpha[j]
+        t = min(violation / eta, room_i, room_j)
+        alpha[i] += yi * t
+        alpha[j] -= yj * t
+        if t == room_i:
+            alpha[i] = C if yi > 0 else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if yj > 0 else C
+        r -= t * (Kv[:, i] - Kv[:, j])
+        it += 1
+    G[:] = -y * r
+    return it, violation

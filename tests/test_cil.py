@@ -436,6 +436,26 @@ class TestPersistence:
         with pytest.raises(cil.ModelFormatError, match="malformed model file"):
             cil.load(p)
 
+    @pytest.mark.parametrize("part", ["class", "pair"])
+    def test_alphas_must_lie_in_box(self, blob_model_and_split, tmp_path, part):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        if part == "class":
+            entry, key = raw["classes"][0], "sv_alphas"
+            bound = 1.0 / (entry["nu"] * entry["train_count"])
+        else:
+            entry, key = raw["pairs"][0], "coeffs"
+            bound = -entry["cost"]
+        entry[key][0] = bound
+        p.write_text(json.dumps(raw))
+        cil.load(p)  # on the bound is inside the box
+        entry[key][0] = 1.01 * bound
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="dual box"):
+            cil.load(p)
+
     @pytest.mark.parametrize("damage", ["missing", "unknown"])
     def test_config_keys_must_match(self, tmp_path, damage):
         p = tmp_path / "m.json"

@@ -145,6 +145,16 @@ class TestPredictCmd:
         assert "malformed model file" in capsys.readouterr().err
 
 
+    def test_alpha_out_of_box_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        raw["pairs"][0]["coeffs"][0] = 2.0 * raw["pairs"][0]["cost"]
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "dual box" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_deterministic_given_seed(self, blobs_csv, tmp_path, capsys):
         r1 = tmp_path / "r1.csv"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcil.kernels import (
@@ -11,6 +11,7 @@ from sdcil.kernels import (
     gram,
     kernel_matrix,
     median_pairwise_distance,
+    squared_distances,
 )
 
 
@@ -86,6 +87,23 @@ class TestGram:
         g = gram(rng.normal(size=(40, 4)), 2.0)
         assert np.max(np.abs(g.values - g.values.T)) < 1e-12
         assert np.max(np.abs(np.diag(g.values) - 1.0)) < 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 320),
+        d=st.integers(1, 24),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    @example(seed=0, n=300, d=21, layout="strided")  # numpy's gemm path, before the copy
+    @settings(max_examples=150, deadline=None)
+    def test_exactly_symmetric(self, seed, n, d, layout):
+        # the SMO loop reads rows of K in place of columns: K must equal K.T bit for bit
+        A = np.random.default_rng(seed).normal(size=(n, 2 * d))
+        X = {"C": A[:, :d].copy(), "F": np.asfortranarray(A[:, :d]), "strided": A[:, ::2]}[layout]
+        D = squared_distances(X)
+        K = gram(X, 1.5).values
+        assert np.array_equal(D, D.T)
+        assert np.array_equal(K, K.T)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n,s", [(30, 0.3), (120, 1.0), (200, 5.0)])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pgd_binary_objective, pgd_ocsvm_objective
+from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_smo
 from sdcil.kernels import GramMatrix, gram, kernel_matrix
-from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
+from sdcil.smo import BOUND_MARGIN, SolverConfig, _smo, solve_binary_dual, solve_ocsvm_dual
 
 TIGHT = SolverConfig(kkt_tolerance=1e-7)
 
@@ -187,3 +189,62 @@ def test_solver_config_validation():
     assert SolverConfig().resolve_max_passes(50) == 10000
     assert SolverConfig().resolve_max_passes(2000) == 20000
     assert SolverConfig(max_passes=7).resolve_max_passes(2000) == 7
+
+
+@pytest.mark.parametrize("dual", ["ocsvm", "binary"])
+def test_non_square_gram_rejected(dual):
+    K = GramMatrix(values=np.ones((3, 2)), width=1.0)
+    with pytest.raises(ValueError, match="square"):
+        if dual == "ocsvm":
+            solve_ocsvm_dual(K, 0.5, TIGHT)
+        else:
+            solve_binary_dual(K, np.array([1.0, -1.0, 1.0]), 1.0, TIGHT)
+
+
+class TestLoopIdentity:
+    """The SMO loop against the reference copy of the loop as first merged.
+
+    Same start point, same picks, same rounding: every output is byte-equal.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        log_tol=st.floats(-7.0, -2.0),
+        dual=st.sampled_from(["ocsvm", "binary"]),
+        rows=st.sampled_from(["distinct", "duplicate", "near-duplicate"]),
+        max_passes=st.one_of(st.none(), st.integers(0, 100)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop(self, seed, n, log_tol, dual, rows, max_passes):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 3))
+        if rows != "distinct":
+            # the later half repeats rows of the first, exactly or nearly
+            half = n // 2
+            X[half:] = X[rng.integers(0, max(half, 1), size=n - half)]
+            if rows == "near-duplicate":
+                X[half:] += rng.normal(scale=10.0 ** rng.uniform(-9, -1), size=(n - half, 3))
+        Kv = gram(X, float(rng.uniform(0.2, 3.0))).values
+        cfg = SolverConfig(kkt_tolerance=10.0**log_tol, max_passes=max_passes)
+        if dual == "ocsvm":
+            nu = float(rng.uniform(1.0 / n, 1.0))
+            C = 1.0 / (nu * n)
+            m = int(np.ceil(nu * n))
+            y = np.ones(n)
+            alpha = np.zeros(n)
+            alpha[rng.permutation(n)[:m]] = 1.0 / m
+            G = Kv @ alpha
+        else:
+            C = float(2.0 ** rng.uniform(-3, 7))
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[0], y[-1] = 1.0, -1.0
+            alpha = np.zeros(n)
+            G = -np.ones(n)
+        a_ref, G_ref = alpha.copy(), G.copy()
+        it, violation = _smo(Kv, y, C, alpha, G, cfg)
+        it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
+        assert it == it_ref
+        assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
+        assert alpha.tobytes() == a_ref.tobytes()
+        assert G.tobytes() == G_ref.tobytes()
