@@ -16,6 +16,7 @@ from .cil import (
     knn_predict,
     load,
     new_model,
+    ocsvm_nn_labels,
     ocsvm_nn_predict,
     predict,
     predict_detail,

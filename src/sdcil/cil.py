@@ -35,7 +35,7 @@ from .geometry import (
 from .kernels import candidate_widths
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel, decision_values
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
-from .smo import SolverConfig
+from .smo import BOX_SLACK, SolverConfig
 
 FORMAT_VERSION = 1
 
@@ -46,10 +46,6 @@ REGION_NONE = "none_positive"
 # Rows per chunk of prediction work: bounds the rows x support-vector kernel
 # blocks held at once when a large X (a map raster) is predicted.
 _CHUNK_ROWS = 256
-
-# Relative slack on the dual box in load(): the solver's last step may round
-# an alpha an ulp or so past its bound.
-_BOX_SLACK = 1e-9
 
 
 class ModelFormatError(ValueError):
@@ -257,9 +253,15 @@ def predict(model: CilModel, x: np.ndarray) -> int:
     return predict_detail(model, x).label
 
 
+def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
+    """Predicted class id for each row of X, with disputes resolved by the
+    class of the nearest SV."""
+    return np.array([d.label for d in _details(model, X, _nearest_sv_dispute)], dtype=int)
+
+
 def ocsvm_nn_predict(model: CilModel, x: np.ndarray) -> int:
     """Prediction with disputes resolved by the class of the nearest SV."""
-    return next(_details(model, np.asarray(x, dtype=float).reshape(1, -1), _nearest_sv_dispute)).label
+    return int(ocsvm_nn_labels(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 # --- baselines ---------------------------------------------------------------
@@ -466,11 +468,11 @@ def load(path: str | Path) -> CilModel:
         bad = [
             f"class {m.class_label}" for m in classes
             if not (m.nu > 0 and m.train_count > 0 and np.all(m.sv_alphas > 0)
-                    and np.all(m.sv_alphas <= (1 + _BOX_SLACK) / (m.nu * m.train_count)))
+                    and np.all(m.sv_alphas <= (1 + BOX_SLACK) / (m.nu * m.train_count)))
         ]
         bad += [
             f"pair {k}" for k, clf in pairs.items()
-            if not np.all(np.abs(clf.coeffs) <= (1 + _BOX_SLACK) * clf.cost)
+            if not np.all(np.abs(clf.coeffs) <= (1 + BOX_SLACK) * clf.cost)
         ]
         if bad:
             raise ModelFormatError(

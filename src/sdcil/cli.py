@@ -151,9 +151,7 @@ def run_trials(
                 correct_vote += detail.label == y_true
             correct_nn = 0
             if "ocsvm-nn" in methods:
-                correct_nn = sum(
-                    cil.ocsvm_nn_predict(model, x) == y for x, y in zip(test.features, test.labels)
-                )
+                correct_nn = int(np.sum(cil.ocsvm_nn_labels(model, test.features) == test.labels))
             for m, correct in (("sdcil", correct_vote), ("ocsvm-nn", correct_nn)):
                 if m in methods:
                     results[m].append(

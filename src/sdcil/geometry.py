@@ -70,6 +70,22 @@ class WidthSelection:
     fallback: bool = False
 
 
+def _nearest_neighbours(d2: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of a stable argsort of each row of d2: the k
+    smallest entries in ascending (distance, index) order.
+
+    np.partition finds each row's k-th smallest distance, and every entry of
+    the sorted prefix is at most that. The candidates, taken in index order,
+    are sorted by (row, distance) with a stable sort, so index order still
+    breaks distance ties, and each row keeps its first k.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d2 <= kth)  # row-major: index order within a row
+    order = np.lexsort((d2[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(d2.shape[0]))
+    return cols[order][first[:, None] + np.arange(k)]
+
+
 def beps_partition(
     X: np.ndarray, k_neighbors: int, side_threshold: float = DEFAULT_SIDE_THRESHOLD
 ) -> BoundaryPartition:
@@ -91,8 +107,7 @@ def beps_partition(
 
     d2 = squared_distances(X)
     np.fill_diagonal(d2, np.inf)  # exclude self
-    # stable sort keeps index order on distance ties (duplicate points)
-    nbr = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+    nbr = _nearest_neighbours(d2, k_neighbors)
 
     edge = np.zeros(n, dtype=bool)
     for i in range(n):

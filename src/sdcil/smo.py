@@ -11,6 +11,10 @@ maximal-KKT-violating-pair working-set selection from a feasible start:
 The one-class objective is the negated form of the usual maximization of
 -1/2 a'Ka; the optimizer and constraints are identical. Each entry point
 supplies its validation, start point, objective and the sign of its offset.
+The binary dual takes an optional start point (alpha seeding, DeCoste &
+Wagstaff, KDD 2000): any feasible a, such as the solution of the same
+problem at a smaller C, which stays feasible as the box grows. The gradient
+is recomputed from it, and a zero start gives exactly the cold solve.
 
 One iteration of the shared loop costs a few numpy calls. The index sets
 I_up and I_low are built once, as penalty vectors added to the gradient
@@ -33,6 +37,11 @@ BOUND_MARGIN = 1e-8
 
 # Floor for the curvature term K_ii + K_jj - 2 K_ij of a working pair.
 _CURVATURE_FLOOR = 1e-12
+
+# Relative slack on the dual box and on y'a for a point the solver produced:
+# its last step may round an alpha an ulp or so past a bound, and its steps
+# drift y'a at the rounding level.
+BOX_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,12 +203,19 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
     )
 
 
-def solve_binary_dual(K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig) -> DualSolution:
+def solve_binary_dual(
+    K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig, start: np.ndarray | None = None
+) -> DualSolution:
     """Solve the soft-margin binary dual over the Gram matrix K (square, exactly
     symmetric).
 
-    y must contain both +1 and -1. The solve starts from a = 0, and the bias
-    is recovered like rho: mean of y_t - f_t over unbounded support vectors,
+    y must contain both +1 and -1. The solve starts from start, or from a = 0
+    when none is given. A start must be feasible: n finite values in [0, C]
+    with y'a = 0, both up to a relative BOX_SLACK, as the alphas of a solve
+    of the same problem at any cost <= C are; ValueError otherwise. The
+    gradient y*(K(a*y)) - 1 is recomputed from it, which for a = 0 is
+    exactly -1, so a zero start and no start give the same bytes. The bias is
+    recovered like rho: mean of y_t - f_t over unbounded support vectors,
     else the KKT-bracket midpoint over bound-active points.
     """
     Kv = _square(K)
@@ -212,8 +228,16 @@ def solve_binary_dual(K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig)
     if C <= 0:
         raise ValueError("C must be positive")
 
-    alpha = np.zeros(n)
-    G = -np.ones(n)
+    alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
+    if alpha.shape != (n,):
+        raise ValueError(f"start must hold {n} values, got shape {alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("start contains NaN or Inf values")
+    if alpha.min() < 0.0 or alpha.max() > C * (1.0 + BOX_SLACK):
+        raise ValueError(f"start leaves the box [0, C={C}]")
+    if abs(float(y @ alpha)) > BOX_SLACK * float(alpha.sum()):
+        raise ValueError("start violates y'a = 0")
+    G = y * (Kv @ (alpha * y)) - 1.0
     it, violation = _smo(Kv, y, C, alpha, G, cfg)
     return DualSolution(
         alphas=alpha,

@@ -285,6 +285,15 @@ class TestOcsvmNn:
         want = min(sorted(dists), key=lambda l: dists[l])
         assert cil.ocsvm_nn_predict(model, x) == want
 
+    def test_batch_matches_single_row(self, blob_model_and_split):
+        model, train, _ = blob_model_and_split
+        lo, hi = train.features.min(axis=0) - 3.0, train.features.max(axis=0) + 3.0
+        X = np.random.default_rng(17).uniform(lo, hi, size=(600, 2))  # crosses 256-row chunks
+        regions = [d.region for d in cil.predict_details(model, X)]
+        assert regions.count(cil.REGION_UNIQUE) < len(regions)  # disputes are settled too
+        labels = cil.ocsvm_nn_labels(model, X)
+        assert labels.tolist() == [cil.ocsvm_nn_predict(model, x) for x in X]
+
 
 class TestKnn:
     def test_k1_on_training_row(self):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdcil.geometry import beps_partition, default_k_neighbors, select_width
-from sdcil.kernels import candidate_widths
+from sdcil.geometry import _nearest_neighbours, beps_partition, default_k_neighbors, select_width
+from sdcil.kernels import candidate_widths, squared_distances
 from sdcil.smo import SolverConfig
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
@@ -75,6 +77,23 @@ class TestBepsPartition:
         a = beps_partition(X, 3, 0.7)
         b = beps_partition(X, 3, 0.7)
         assert np.array_equal(a.edge_indices, b.edge_indices)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 80),
+        d=st.integers(1, 3),
+        side=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_neighbours_match_full_stable_sort(self, seed, n, d, side):
+        # points on a small integer grid: duplicate rows and tied distances
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, side + 1, size=(n, d)).astype(float)
+        d2 = squared_distances(X)
+        np.fill_diagonal(d2, np.inf)
+        k = int(rng.integers(1, n))
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest_neighbours(d2, k), want)
 
     def test_parameter_validation(self):
         X = disk_points(10)

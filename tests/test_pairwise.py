@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdcil import pairwise
 from sdcil.cil import pair_payload
 from sdcil.kernels import kernel_matrix
 from sdcil.pairwise import (
@@ -90,6 +91,31 @@ class TestTrainPair:
         cv = CvConfig(folds=2, cost_grid=(8.0, 0.5, 64.0), width_grid=(5.0, 2.0))
         clf = train_pair(a, 0, b, 1, cv, CFG)
         assert clf.cost == 0.5 and clf.width == 2.0
+
+    def test_cost_grid_seeding(self, monkeypatch):
+        # within each (width, fold), costs ascend and each solve starts from
+        # the previous cost's alphas; the full-pool refit is the last, cold solve
+        calls = []
+        solve = pairwise.solve_binary_dual
+
+        def recording(K, y, C, cfg, start=None):
+            sol = solve(K, y, C, cfg, start=start)
+            calls.append((C, None if start is None else start.copy(), sol.alphas.copy(), y.size))
+            return sol
+
+        monkeypatch.setattr(pairwise, "solve_binary_dual", recording)
+        a, b = two_blobs(20, gap=2.0, seed=5)
+        cv = CvConfig(folds=3, cost_grid=(64.0, 0.5, 8.0), width_grid=(3.0, 0.3, 1.0))
+        clf = train_pair(a, 0, b, 1, cv, CFG)
+        *grid, refit = calls
+        assert len(grid) == 3 * 3 * 3
+        for g in range(0, len(grid), 3):
+            run = grid[g:g + 3]
+            assert [C for C, *_ in run] == [0.5, 8.0, 64.0]
+            assert run[0][1] is None
+            for prev, cur in zip(run, run[1:]):
+                assert cur[1].tobytes() == prev[2].tobytes()
+        assert refit[0] == clf.cost and refit[1] is None and refit[3] == 40
 
     def test_train_accuracy_recomputable(self):
         a, b = two_blobs(20, seed=12)

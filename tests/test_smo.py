@@ -248,3 +248,63 @@ class TestLoopIdentity:
         assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
         assert alpha.tobytes() == a_ref.tobytes()
         assert G.tobytes() == G_ref.tobytes()
+
+
+def binary_problem(seed, n):
+    rng = np.random.default_rng(seed)
+    K, _, _ = random_gram(rng, n)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    return K, y
+
+
+class TestWarmStart:
+    def test_zero_start_is_the_cold_solve(self):
+        for seed in range(5):
+            K, y = binary_problem(seed, 30)
+            cfg = SolverConfig(kkt_tolerance=1e-5)
+            cold = solve_binary_dual(K, y, 4.0, cfg)
+            zero = solve_binary_dual(K, y, 4.0, cfg, start=np.zeros(30))
+            assert zero.alphas.tobytes() == cold.alphas.tobytes()
+            assert np.float64(zero.offset).tobytes() == np.float64(cold.offset).tobytes()
+            assert np.float64(zero.objective).tobytes() == np.float64(cold.objective).tobytes()
+            assert zero.iterations == cold.iterations
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 20),
+        log_c1=st.floats(-3.0, 7.0),
+        log_ratio=st.floats(0.0, 4.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_seeded_solve_is_optimal(self, seed, n, log_c1, log_ratio):
+        K, y = binary_problem(seed, n)
+        C1 = 2.0**log_c1
+        C2 = C1 * 2.0**log_ratio
+        cfg = SolverConfig(kkt_tolerance=1e-7)
+        first = solve_binary_dual(K, y, C1, cfg)
+        sol = solve_binary_dual(K, y, C2, cfg, start=first.alphas)
+        assert sol.converged and sol.kkt_violation <= cfg.kkt_tolerance
+        # KKT recomputed from the returned alphas; r = -y * gradient
+        r = y - K.values @ (sol.alphas * y)
+        can_inc = sol.alphas < C2 - BOUND_MARGIN
+        can_dec = sol.alphas > BOUND_MARGIN
+        up = np.where(y > 0, can_inc, can_dec)
+        low = np.where(y > 0, can_dec, can_inc)
+        assert r[up].max() - r[low].min() <= cfg.kkt_tolerance * (1 + 1e-9)
+        assert rel_diff(sol.objective, pgd_binary_objective(K.values, y, C2)) < 1e-6
+
+    @pytest.mark.parametrize("bad", ["length", "nan", "inf", "negative", "above_c", "unbalanced"])
+    def test_infeasible_start_rejected(self, bad):
+        K, y = binary_problem(0, 6)
+        start = np.where(y > 0, 0.5 / np.sum(y > 0), 0.5 / np.sum(y < 0))  # y'a = 0
+        start = {
+            "length": start[:-1],
+            "nan": np.where(np.arange(6) == 2, np.nan, start),
+            "inf": np.where(np.arange(6) == 2, np.inf, start),
+            "negative": start - 0.5,
+            "above_c": start + 2.0,
+            "unbalanced": start + np.where(np.arange(6) == 0, 0.01, 0.0),
+        }[bad]
+        with pytest.raises(ValueError, match="start"):
+            solve_binary_dual(K, y, 1.0, TIGHT, start=start)
