@@ -9,7 +9,11 @@ classifiers of the candidate classes vote.
 
 Every prediction entry point is a view of one batched path, _details, which
 takes rows in chunks and settles all disputed rows of a chunk that share
-their candidate classes with one call per dispute classifier.
+their candidate classes with one call per dispute classifier. Each chunk's
+squared distances to each class's support vectors are computed once and
+serve both stages: a dispute classifier's vectors are its two classes'
+support vectors, lower label first (load() rejects a file where they are
+not), so its distance block is the two class blocks side by side.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .geometry import (
     default_k_neighbors,
     select_width,
 )
-from .kernels import candidate_widths
+from .kernels import candidate_widths, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel, decision_values
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import BOX_SLACK, SolverConfig
@@ -171,9 +175,12 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
 def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDetail]:
     """Yield one PredictionDetail per row of X, in order.
 
-    Per chunk of _CHUNK_ROWS rows: one decision_values call per class, then
-    one dispute(model, Xs, possible, values) call per set of candidate
-    classes, which returns a (label, votes) for each of the rows in Xs.
+    Per chunk of _CHUNK_ROWS rows: the rows' squared norms once, one
+    squared-distance block per class against its support vectors (with the
+    class's stored SV norms), one decision_values call per class on its
+    block, then one dispute(model, Xs, possible, values, d2) call per set of
+    candidate classes, where d2 maps each candidate class to its block's
+    rows for Xs; the call returns a (label, votes) for each row of Xs.
     """
     if not model.classes:
         raise ValueError("no classes registered")
@@ -189,7 +196,14 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
         Xs = X[start:start + _CHUNK_ROWS]
         if scaler is not None:
             Xs = scaler.transform(Xs)
-        columns = [decision_values(m, Xs).tolist() for m in model.classes]
+        xx = squared_norms(Xs)
+        # one block per class, never one stacked product: a class's values
+        # must not depend on which other classes are registered
+        blocks = {
+            m.class_label: squared_distances(Xs, m.support_vectors, xx=xx, yy=m.sv_sq_norms)
+            for m in model.classes
+        }
+        columns = [decision_values(m, Xs, blocks[m.class_label]).tolist() for m in model.classes]
         rows, disputes = [], {}  # rows: [label, region, possible, values, votes]
         for i, row in enumerate(zip(*columns)):
             values = dict(zip(labels, row))
@@ -200,19 +214,23 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
                 disputes.setdefault(possible, []).append(i)
             rows.append([possible[0], region, possible, values, {}])
         for possible, idx in disputes.items():
-            settled = dispute(model, Xs[idx], possible, [rows[i][3] for i in idx])
+            d2 = {lbl: blocks[lbl][idx] for lbl in possible}
+            settled = dispute(model, Xs[idx], possible, [rows[i][3] for i in idx], d2)
             for i, (label, votes) in zip(idx, settled):
                 rows[i][0], rows[i][4] = label, votes
         for row in rows:
             yield PredictionDetail(*row)
 
 
-def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values):
+def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
     """1vs1 votes among the possible classes; a vote tie goes to the larger
-    one-class value, then to the smaller label."""
+    one-class value, then to the smaller label. A pair's distance block is
+    its two classes' blocks side by side, lower label first, as its vectors
+    are stacked."""
     votes = [dict.fromkeys(possible, 0) for _ in values]
     for a, b in combinations(possible, 2):
-        for row_votes, winner in zip(votes, predict_pair(model.pair_table[(a, b)], Xs).tolist()):
+        pair_d2 = np.concatenate((d2[a], d2[b]), axis=1)
+        for row_votes, winner in zip(votes, predict_pair(model.pair_table[(a, b)], Xs, pair_d2).tolist()):
             row_votes[winner] += 1
     settled = []
     for row_votes, row_values in zip(votes, values):
@@ -225,7 +243,7 @@ def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values):
     return settled
 
 
-def _nearest_sv_dispute(model: CilModel, Xs: np.ndarray, possible, values):
+def _nearest_sv_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
     dists = [
         np.min(np.linalg.norm(model.class_model(lbl).support_vectors - Xs[:, None, :], axis=2), axis=1)
         for lbl in possible
@@ -423,6 +441,10 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def load(path: str | Path) -> CilModel:
     """Read a model file written by save()."""
     try:
@@ -488,6 +510,17 @@ def load(path: str | Path) -> CilModel:
             raise ModelFormatError(
                 f"malformed model file {path}: the scaler, classes and pairs "
                 f"disagree on the feature dimension ({sorted(dims)})"
+            )
+        # prediction takes a pair's distances from its two classes' blocks
+        by_label = {m.class_label: m.support_vectors for m in classes}
+        bad = [
+            f"pair {(a, b)}" for (a, b), clf in pairs.items()
+            if not _same_bytes(clf.vectors, np.vstack((by_label[a], by_label[b])))
+        ]
+        if bad:
+            raise ModelFormatError(
+                f"malformed model file {path}: a pair's vectors must be the support "
+                f"vectors of its two classes, lower label first ({', '.join(bad)})"
             )
         return CilModel(
             config=config, scaler=scaler, classes=classes, pair_table=pairs,

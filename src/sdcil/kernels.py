@@ -44,8 +44,24 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of X, as squared_distances takes them."""
+    # ndarray.sum skips np.sum's Python wrapper, which outweighs one-row work
+    return (X * X).sum(axis=1)
+
+
+def squared_distances(
+    X: np.ndarray,
+    Y: np.ndarray | None = None,
+    *,
+    xx: np.ndarray | None = None,
+    yy: np.ndarray | None = None,
+) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and Y (or X).
+
+    xx and yy, when given, are squared_norms(X) and squared_norms(Y), which a
+    caller that reuses X or Y over many calls computes once; the result is
+    the same as without them.
 
     With Y omitted the result is exactly symmetric: numpy computes X @ X.T
     as a symmetric product for a C- or F-contiguous X, but may not for a
@@ -58,10 +74,11 @@ def squared_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         Y = X
     else:
         Y = np.asarray(Y, dtype=float)
-    # ndarray.sum skips np.sum's Python wrapper, which outweighs one-row work
-    xx = (X * X).sum(axis=1)[:, None]
-    yy = (Y * Y).sum(axis=1)[None, :]
-    d2 = xx + yy - 2.0 * (X @ Y.T)
+    if xx is None:
+        xx = squared_norms(X)
+    if yy is None:
+        yy = squared_norms(Y)
+    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -77,10 +94,12 @@ def gaussian(x: np.ndarray, y: np.ndarray, s: KernelWidth) -> float:
     return float(np.exp(-d2 / (2.0 * s * s)))
 
 
-def kernel_matrix(X: np.ndarray, Y: np.ndarray, s: KernelWidth) -> np.ndarray:
-    """Rectangular kernel matrix k(X_i, Y_j); used for decision functions."""
+def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth) -> np.ndarray:
+    """Kernel values exp(-d2 / (2 s^2)) from precomputed squared distances;
+    kernel_from_sqdist(squared_distances(X, Y), s) is the rectangular kernel
+    matrix k(X_i, Y_j)."""
     s = check_width(s)
-    return np.exp(squared_distances(X, Y) / (-2.0 * s * s))
+    return np.exp(d2 / (-2.0 * s * s))
 
 
 def gram_from_sqdist(d2: np.ndarray, s: KernelWidth) -> GramMatrix:
@@ -90,8 +109,7 @@ def gram_from_sqdist(d2: np.ndarray, s: KernelWidth) -> GramMatrix:
     distance work is shared across the grid.
     """
     s = check_width(s)
-    values = np.exp(d2 / (-2.0 * s * s))
-    return GramMatrix(values=values, width=s)
+    return GramMatrix(values=kernel_from_sqdist(d2, s), width=s)
 
 
 def gram(X: np.ndarray, s: KernelWidth) -> GramMatrix:

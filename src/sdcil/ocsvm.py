@@ -2,17 +2,18 @@
 
 A trained model keeps only the rows with nonzero dual coefficients (the
 support vectors); everything needed at predict time is (SVs, alphas, rho,
-width).
+width). The SVs' squared norms are derived from them when a model is built
+and kept beside them for the distance computation; they are not saved.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelWidth, check_width, gram, kernel_matrix
+from .kernels import KernelWidth, check_width, gram, kernel_from_sqdist, squared_distances, squared_norms
 from .smo import DualSolution, SolverConfig, solve_ocsvm_dual
 
 # Dual coefficients at or below this are treated as zero and dropped.
@@ -32,6 +33,11 @@ class OcsvmModel:
     nu: float
     train_count: int
     converged: bool
+    # squared_norms(support_vectors), derived whenever a model is built
+    sv_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sv_sq_norms", squared_norms(self.support_vectors))
 
     @property
     def m(self) -> int:
@@ -86,11 +92,18 @@ def model_from_solution(
     )
 
 
-def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
+def decision_values(model: OcsvmModel, X: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
     """Sum of alpha_i * k(sv_i, x) minus rho, for each row x of X.
 
-    Positive means inside the learned support."""
+    Positive means inside the learned support. d2, when given, is
+    squared_distances(X, model.support_vectors), computed by a caller that
+    reuses it; without it the distances are computed here from the stored
+    SV norms."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model expects d={model.d}, got {X.shape[1]}")
-    return kernel_matrix(X, model.support_vectors, model.width) @ model.sv_alphas - model.rho
+    if d2 is None:
+        d2 = squared_distances(X, model.support_vectors, yy=model.sv_sq_norms)
+    elif d2.shape != (X.shape[0], model.m):
+        raise ValueError(f"distance block has shape {d2.shape}, need {(X.shape[0], model.m)}")
+    return kernel_from_sqdist(d2, model.width) @ model.sv_alphas - model.rho

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from sdcil import cil
 from sdcil.dataset import (
     DataError,
     LabeledDataset,
+    Scaler,
     SplitSpec,
     fit_standardize,
     load_uci,
     make_toy,
     stratified_split,
 )
-from sdcil.pairwise import CvConfig, predict_pair
+from sdcil.ocsvm import OcsvmModel, decision_values
+from sdcil.pairwise import CvConfig, PairwiseClassifier, predict_pair
 from sdcil.smo import SolverConfig
 
 
@@ -266,6 +270,117 @@ class TestPredict:
                 assert abs(b.ocsvm_values[lbl] - v) <= 1e-12
 
 
+def random_registry(rng, k: int, d: int) -> cil.CilModel:
+    """k classes with random SVs, registered in random label order, and a
+    pair per class pair whose vectors stack its classes' SVs, lower label
+    first, as add_class builds them."""
+    labels = [int(v) for v in rng.choice(50, size=k, replace=False)]
+    classes = []
+    for label in labels:
+        m = int(rng.integers(1, 9))
+        alphas = rng.uniform(0.1, 1.0, m)
+        classes.append(OcsvmModel(
+            class_label=label,
+            support_vectors=rng.normal(size=(m, d)) + 2.0 * rng.normal(size=d),
+            sv_alphas=alphas,
+            rho=float(rng.uniform(0.05, 0.5) * alphas.sum()),
+            width=float(rng.uniform(0.5, 3.0)),
+            nu=0.2, train_count=5 * m, converged=True,
+        ))
+    svs = {m.class_label: m.support_vectors for m in classes}
+    pairs = {}
+    for a, b in combinations(sorted(labels), 2):
+        vectors = np.vstack((svs[a], svs[b]))
+        pairs[(a, b)] = PairwiseClassifier(
+            label_a=a, label_b=b, vectors=vectors,
+            coeffs=rng.uniform(-1.0, 1.0, vectors.shape[0]), bias=float(rng.uniform(-0.3, 0.3)),
+            width=float(rng.uniform(0.5, 3.0)), cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
+        )
+    scaler = Scaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2.0, d))
+    return cil.CilModel(config=fast_config(), scaler=scaler, classes=tuple(classes), pair_table=pairs)
+
+
+def raw_probes(rng, model: cil.CilModel, n: int) -> np.ndarray:
+    """Rows near the classes' SVs and farther out, in raw (unscaled) space,
+    so that every region occurs."""
+    svs = np.vstack([m.support_vectors for m in model.classes])
+    Xs = svs[rng.integers(0, svs.shape[0], n)] + rng.normal(scale=rng.uniform(0.1, 3.0, (n, 1)), size=(n, svs.shape[1]))
+    return model.scaler.inverse(Xs)
+
+
+class TestSharedDistances:
+    """The chunked path computes each class's distances once and gives the
+    dispute classifiers their two classes' blocks; the one-model APIs are
+    the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        d=st.integers(1, 6),
+        n=st.integers(cil._CHUNK_ROWS + 1, 3 * cil._CHUNK_ROWS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_model_apis(self, k, d, n, seed):
+        rng = np.random.default_rng(seed)
+        grown = random_registry(rng, k + 1, d)
+        model = replace(
+            grown, classes=grown.classes[:k],
+            pair_table={key: p for key, p in grown.pair_table.items() if set(key) <= set(grown.labels[:k])},
+        )
+        X = raw_probes(rng, grown, n)
+        Xs = model.scaler.transform(X)
+        details = list(cil.predict_details(model, X))
+
+        # the reference takes the same row blocks: numpy multiplies a
+        # one-row block (n = 257 leaves one) by a dot kernel instead of
+        # gemv, which rounds differently
+        blocks = [Xs[i:i + cil._CHUNK_ROWS] for i in range(0, n, cil._CHUNK_ROWS)]
+        for m in model.classes:
+            got = np.array([dt.ocsvm_values[m.class_label] for dt in details])
+            want = np.concatenate([decision_values(m, block) for block in blocks])
+            assert got.tobytes() == want.tobytes()
+
+        winners = {key: predict_pair(p, Xs) for key, p in model.pair_table.items()}
+        for i, dt in enumerate(details):
+            if len(dt.possible) == 1:
+                assert dt.votes == {}
+                continue
+            want = dict.fromkeys(dt.possible, 0)
+            for key in combinations(dt.possible, 2):
+                want[int(winners[key][i])] += 1
+            assert dt.votes == want
+            assert want[dt.label] == max(want.values())
+
+        # registering one more class leaves the others' values untouched
+        for before, after in zip(details, cil.predict_details(grown, X)):
+            for lbl, v in before.ocsvm_values.items():
+                assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
+
+    def test_sv_norms_are_derived(self, blob_model_and_split):
+        model, _, _ = blob_model_and_split
+        for m in model.classes:
+            assert m.sv_sq_norms.tobytes() == (m.support_vectors * m.support_vectors).sum(axis=1).tobytes()
+            assert "sv_sq_norms" not in repr(m)
+
+    def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        assert all(set(cil.class_entry(m)) == {
+            "label", "nu", "width", "rho", "sv_matrix", "sv_alphas", "train_count",
+        } for m in model.classes)
+        # norms that no longer match their SVs change no saved or compared byte
+        damaged = []
+        for m in model.classes:
+            copy = replace(m)
+            object.__setattr__(copy, "sv_sq_norms", np.zeros(m.m))
+            damaged.append(copy)
+        other = replace(model, classes=tuple(damaged))
+        assert [cil.class_payload(m) for m in other.classes] == [cil.class_payload(m) for m in model.classes]
+        cil.save(model, tmp_path / "a.json")
+        cil.save(other, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert other == model
+
+
 class TestOcsvmNn:
     def test_agrees_on_unique_positive(self, blob_model_and_split):
         model, train, test = blob_model_and_split
@@ -463,6 +578,22 @@ class TestPersistence:
         entry[key][0] = 1.01 * bound
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match="dual box"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("damage", ["one value", "order"])
+    def test_pair_vectors_must_stack_class_svs(self, blob_model_and_split, tmp_path, damage):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        pair = raw["pairs"][0]
+        if damage == "one value":
+            pair["vectors"][0][0] += 1e-9
+        else:
+            size_a = len(next(c for c in raw["classes"] if c["label"] == pair["a"])["sv_matrix"])
+            pair["vectors"] = pair["vectors"][size_a:] + pair["vectors"][:size_a]
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="support vectors of its two classes"):
             cil.load(p)
 
     @pytest.mark.parametrize("damage", ["missing", "unknown"])

@@ -145,6 +145,15 @@ class TestPredictCmd:
         assert "malformed model file" in capsys.readouterr().err
 
 
+    def test_tampered_pair_vector_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        raw["pairs"][0]["vectors"][-1][-1] += 0.5
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "support vectors of its two classes" in capsys.readouterr().err
+
     def test_alpha_out_of_box_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p)

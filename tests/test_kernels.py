@@ -9,7 +9,7 @@ from sdcil.kernels import (
     check_width,
     gaussian,
     gram,
-    kernel_matrix,
+    kernel_from_sqdist,
     median_pairwise_distance,
     squared_distances,
 )
@@ -112,10 +112,10 @@ class TestGram:
         g = gram(rng.normal(size=(n, 3)), s)
         assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
 
-    def test_kernel_matrix_rectangular(self):
+    def test_kernel_from_sqdist_rectangular(self):
         rng = np.random.default_rng(11)
         X, Y = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
-        K = kernel_matrix(X, Y, 0.8)
+        K = kernel_from_sqdist(squared_distances(X, Y), 0.8)
         assert K.shape == (6, 4)
         assert K[2, 3] == pytest.approx(gaussian(X[2], Y[3], 0.8), abs=1e-14)
 

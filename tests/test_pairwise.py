@@ -3,7 +3,7 @@ import pytest
 
 from sdcil import pairwise
 from sdcil.cil import pair_payload
-from sdcil.kernels import kernel_matrix
+from sdcil.kernels import gram
 from sdcil.pairwise import (
     CvConfig,
     PairwiseClassifier,
@@ -120,7 +120,7 @@ class TestTrainPair:
     def test_train_accuracy_recomputable(self):
         a, b = two_blobs(20, seed=12)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        dec = kernel_matrix(clf.vectors, clf.vectors, clf.width) @ clf.coeffs + clf.bias
+        dec = gram(clf.vectors, clf.width).values @ clf.coeffs + clf.bias
         y = np.concatenate([np.ones(20), -np.ones(20)])
         agree = np.mean(np.where(dec > 0, 1.0, -1.0) == y)
         assert agree == pytest.approx(clf.train_accuracy, abs=1e-12)

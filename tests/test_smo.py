@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_smo
-from sdcil.kernels import GramMatrix, gram, kernel_matrix
+from sdcil.kernels import GramMatrix, gram, kernel_from_sqdist, squared_distances
 from sdcil.smo import BOUND_MARGIN, SolverConfig, _smo, solve_binary_dual, solve_ocsvm_dual
 
 TIGHT = SolverConfig(kkt_tolerance=1e-7)
@@ -107,7 +107,7 @@ class TestBinaryDual:
         assert sol.converged
         assert sol.alphas[0] == pytest.approx(sol.alphas[1], rel=1e-9)
         # decision at the midpoint of the two points sits on the boundary
-        kmid = kernel_matrix(np.array([[1.0, 0.0]]), X, 1.0)[0]
+        kmid = kernel_from_sqdist(squared_distances(np.array([[1.0, 0.0]]), X), 1.0)[0]
         dec = kmid @ (sol.alphas * y) + sol.offset
         assert abs(dec) < 1e-7
 
