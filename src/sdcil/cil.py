@@ -12,8 +12,14 @@ takes rows in chunks and settles all disputed rows of a chunk that share
 their candidate classes with one call per dispute classifier. Each chunk's
 squared distances to each class's support vectors are computed once and
 serve both stages: a dispute classifier's vectors are its two classes'
-support vectors, lower label first (load() rejects a file where they are
-not), so its distance block is the two class blocks side by side.
+support vectors, lower label first, so its distance block is the two class
+blocks side by side.
+
+A saved model (format version 2) stores each support vector once, in its
+class, and load() stacks a dispute classifier's vectors from its two
+classes. Version-1 files also stored them in every pair entry; load() still
+reads them when those vectors are the stacked class support vectors, as
+every version-1 writer made them.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .ocsvm import NU_SOFT_RANGE, OcsvmModel, decision_values
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import BOX_SLACK, SolverConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 REGION_UNIQUE = "unique_positive"
 REGION_MULTI = "multi_positive"
@@ -85,7 +91,6 @@ class CilModel:
     scaler: Scaler | None = None
     classes: tuple[OcsvmModel, ...] = ()
     pair_table: dict[tuple[int, int], PairwiseClassifier] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     @property
     def labels(self) -> list[int]:
@@ -244,10 +249,7 @@ def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
 
 
 def _nearest_sv_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
-    dists = [
-        np.min(np.linalg.norm(model.class_model(lbl).support_vectors - Xs[:, None, :], axis=2), axis=1)
-        for lbl in possible
-    ]
+    dists = [np.min(d2[lbl], axis=1) for lbl in possible]
     # possible is sorted ascending and argmin keeps the first minimum, so a
     # distance tie goes to the smaller label
     return [(possible[j], {}) for j in np.argmin(dists, axis=0).tolist()]
@@ -344,6 +346,7 @@ def class_entry(m: OcsvmModel) -> dict:
         "sv_matrix": [[float(v) for v in row] for row in m.support_vectors],
         "sv_alphas": [float(a) for a in m.sv_alphas],
         "train_count": int(m.train_count),
+        "converged": m.converged,
     }
 
 
@@ -354,10 +357,10 @@ def pair_entry(p: PairwiseClassifier) -> dict:
         "width": float(p.width),
         "cost": float(p.cost),
         "bias": float(p.bias),
-        "vectors": [[float(v) for v in row] for row in p.vectors],
         "coeffs": [float(c) for c in p.coeffs],
         "cv_accuracy": float(p.cv_accuracy),
         "train_accuracy": float(p.train_accuracy),
+        "converged": p.converged,
     }
 
 
@@ -386,7 +389,7 @@ def _config_from_entry(e: dict) -> CilConfig:
 def to_json_dict(model: CilModel) -> dict:
     scaler = model.scaler
     return {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "scaler": None
         if scaler is None
         else {
@@ -407,7 +410,16 @@ def save(model: CilModel, path: str | Path) -> None:
         f.write("\n")
 
 
-def _ocsvm_from_entry(e: dict) -> OcsvmModel:
+def _converged_from_entry(e: dict, version: int) -> bool | None:
+    if version == 1:  # version 1 did not record convergence
+        return None
+    converged = e["converged"]
+    if converged is not None and not isinstance(converged, bool):
+        raise TypeError(f"converged must be true, false or null, got {converged!r}")
+    return converged
+
+
+def _ocsvm_from_entry(e: dict, version: int) -> OcsvmModel:
     return OcsvmModel(
         class_label=int(e["label"]),
         support_vectors=np.array(e["sv_matrix"], dtype=float),
@@ -416,21 +428,31 @@ def _ocsvm_from_entry(e: dict) -> OcsvmModel:
         width=float(e["width"]),
         nu=float(e["nu"]),
         train_count=int(e["train_count"]),
-        converged=True,
+        converged=_converged_from_entry(e, version),
     )
 
 
-def _pair_from_entry(e: dict) -> PairwiseClassifier:
+def _pair_from_entry(e: dict, version: int, svs: dict[int, np.ndarray]) -> PairwiseClassifier:
+    a, b = int(e["a"]), int(e["b"])
+    vectors = np.vstack((svs[a], svs[b]))
+    # a version-1 entry repeats its vectors; any other copy than the
+    # stacked class SVs is damage, and the copy is not kept
+    if version == 1 and not np.array_equal(np.array(e["vectors"], dtype=float), vectors):
+        raise ValueError(
+            "a pair's vectors must be the support vectors of its two classes, "
+            f"lower label first (pair {(a, b)})"
+        )
     return PairwiseClassifier(
-        label_a=int(e["a"]),
-        label_b=int(e["b"]),
-        vectors=np.array(e["vectors"], dtype=float),
+        label_a=a,
+        label_b=b,
+        vectors=vectors,
         coeffs=np.array(e["coeffs"], dtype=float),
         bias=float(e["bias"]),
         width=float(e["width"]),
         cost=float(e["cost"]),
         cv_accuracy=float(e["cv_accuracy"]),
         train_accuracy=float(e["train_accuracy"]),
+        converged=_converged_from_entry(e, version),
     )
 
 
@@ -441,12 +463,13 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def load(path: str | Path) -> CilModel:
-    """Read a model file written by save()."""
+    """Read a model file written by save(), of this format version or of
+    version 1.
+
+    A version-1 file also holds each pair's vectors; it loads only when they
+    are the stacked support vectors of the pair's two classes, lower label
+    first, and its classes and pairs load with converged=None (unknown)."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -456,9 +479,9 @@ def load(path: str | Path) -> CilModel:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from e
     try:
         version = raw["format_version"]
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise ModelFormatError(
-                f"unsupported format_version {version} (this build reads {FORMAT_VERSION})"
+                f"unsupported format_version {version} (this build reads 1 and {FORMAT_VERSION})"
             )
         config = _config_from_entry(raw["config"])
         scaler = None
@@ -468,18 +491,25 @@ def load(path: str | Path) -> CilModel:
                 std=np.array(raw["scaler"]["std"], dtype=float),
                 constant_columns=tuple(raw["scaler"]["constant_columns"]),
             )
-        classes = tuple(_ocsvm_from_entry(e) for e in raw["classes"])
-        pairs = {}
-        for e in raw["pairs"]:
-            clf = _pair_from_entry(e)
-            pairs[(clf.label_a, clf.label_b)] = clf
+        classes = tuple(_ocsvm_from_entry(e, version) for e in raw["classes"])
+        dims = {m.support_vectors.shape[1:] for m in classes}
+        if scaler is not None:
+            dims |= {scaler.mean.shape, scaler.std.shape}
+        if len(dims) > 1:
+            raise ModelFormatError(
+                f"malformed model file {path}: the scaler and classes "
+                f"disagree on the feature dimension ({sorted(dims)})"
+            )
+        entries = {(int(e["a"]), int(e["b"])): e for e in raw["pairs"]}
         expected = set(combinations(sorted(m.class_label for m in classes), 2))
-        if pairs.keys() != expected:
+        if entries.keys() != expected:
             raise ModelFormatError(
                 f"malformed model file {path}: pair table does not match the classes "
-                f"(missing {sorted(expected - pairs.keys())}, "
-                f"unexpected {sorted(pairs.keys() - expected)})"
+                f"(missing {sorted(expected - entries.keys())}, "
+                f"unexpected {sorted(entries.keys() - expected)})"
             )
+        svs = {m.class_label: m.support_vectors for m in classes}
+        pairs = {key: _pair_from_entry(e, version, svs) for key, e in entries.items()}
         bad = [f"class {m.class_label}" for m in classes if m.m == 0 or m.sv_alphas.shape != (m.m,)]
         bad += [f"pair {k}" for k, clf in pairs.items() if clf.coeffs.shape != clf.vectors.shape[:1]]
         if bad:
@@ -502,30 +532,7 @@ def load(path: str | Path) -> CilModel:
                 f"(0, 1/(nu*train_count)] for a class and [-cost, cost] for a pair "
                 f"({', '.join(bad)})"
             )
-        dims = {m.support_vectors.shape[1:] for m in classes}
-        dims |= {clf.vectors.shape[1:] for clf in pairs.values()}
-        if scaler is not None:
-            dims |= {scaler.mean.shape, scaler.std.shape}
-        if len(dims) > 1:
-            raise ModelFormatError(
-                f"malformed model file {path}: the scaler, classes and pairs "
-                f"disagree on the feature dimension ({sorted(dims)})"
-            )
-        # prediction takes a pair's distances from its two classes' blocks
-        by_label = {m.class_label: m.support_vectors for m in classes}
-        bad = [
-            f"pair {(a, b)}" for (a, b), clf in pairs.items()
-            if not _same_bytes(clf.vectors, np.vstack((by_label[a], by_label[b])))
-        ]
-        if bad:
-            raise ModelFormatError(
-                f"malformed model file {path}: a pair's vectors must be the support "
-                f"vectors of its two classes, lower label first ({', '.join(bad)})"
-            )
-        return CilModel(
-            config=config, scaler=scaler, classes=classes, pair_table=pairs,
-            format_version=version,
-        )
+        return CilModel(config=config, scaler=scaler, classes=classes, pair_table=pairs)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:

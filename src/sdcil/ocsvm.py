@@ -32,7 +32,7 @@ class OcsvmModel:
     width: KernelWidth
     nu: float
     train_count: int
-    converged: bool
+    converged: bool | None  # None when unknown (a version-1 file)
     # squared_norms(support_vectors), derived whenever a model is built
     sv_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 

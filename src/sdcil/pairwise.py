@@ -62,6 +62,7 @@ class PairwiseClassifier:
     cost: float
     cv_accuracy: float
     train_accuracy: float
+    converged: bool | None  # the refit's solve; None when unknown (a version-1 file)
 
     @property
     def d(self) -> int:
@@ -209,4 +210,5 @@ def train_pair(
         cost=float(C_win),
         cv_accuracy=cv_accuracy,
         train_accuracy=train_accuracy,
+        converged=bool(sol.converged),
     )

@@ -15,6 +15,11 @@ from sdcil.smo import SolverConfig
 # transfusion.csv). Tests needing them skip when absent.
 DATA_DIR = Path(os.environ.get("SDCIL_DATA_DIR", Path(__file__).parent / "data"))
 
+# A 3-class blobs model (make_toy("blobs", 20, seed=5), train_cil defaults)
+# written by the format-version-1 save() of commit 36d90a1, which stored
+# every pair's vectors beside its classes' support vectors.
+V1_MODEL = Path(__file__).parent / "fixtures" / "blobs3_v1.json"
+
 
 def fast_config(nu: float = 0.2) -> cil.CilConfig:
     """Small grids so unit tests stay quick; contracts don't depend on them."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fast_config, train_cil
+from conftest import V1_MODEL, fast_config, train_cil
 from sdcil import cil
 from sdcil.dataset import (
     DataError,
@@ -198,7 +198,7 @@ class TestPredict:
                 label_a=a, label_b=b,
                 vectors=np.array([[0.0, 0.0], [1.0, 0.0]]),
                 coeffs=np.zeros(2), bias=bias, width=1.0, cost=1.0,
-                cv_accuracy=1.0, train_accuracy=1.0,
+                cv_accuracy=1.0, train_accuracy=1.0, converged=True,
             )
 
         return cil.CilModel(
@@ -295,6 +295,7 @@ def random_registry(rng, k: int, d: int) -> cil.CilModel:
             label_a=a, label_b=b, vectors=vectors,
             coeffs=rng.uniform(-1.0, 1.0, vectors.shape[0]), bias=float(rng.uniform(-0.3, 0.3)),
             width=float(rng.uniform(0.5, 3.0)), cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
+            converged=True,
         )
     scaler = Scaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2.0, d))
     return cil.CilModel(config=fast_config(), scaler=scaler, classes=tuple(classes), pair_table=pairs)
@@ -365,7 +366,7 @@ class TestSharedDistances:
     def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
         model, _, _ = blob_model_and_split
         assert all(set(cil.class_entry(m)) == {
-            "label", "nu", "width", "rho", "sv_matrix", "sv_alphas", "train_count",
+            "label", "nu", "width", "rho", "sv_matrix", "sv_alphas", "train_count", "converged",
         } for m in model.classes)
         # norms that no longer match their SVs change no saved or compared byte
         damaged = []
@@ -502,7 +503,7 @@ class TestPersistence:
         m = cil.new_model(fast_config())
         p = tmp_path / "m.json"
         cil.save(m, p)
-        raw = p.read_text().replace('"format_version": 1', '"format_version": 99')
+        raw = p.read_text().replace('"format_version": 2', '"format_version": 99')
         p.write_text(raw)
         with pytest.raises(cil.ModelFormatError, match="format_version"):
             cil.load(p)
@@ -538,14 +539,20 @@ class TestPersistence:
         p = tmp_path / "m.json"
         cil.save(model, p)
         raw = json.loads(p.read_text())
+        match = "feature dimension"
         if part == "scaler":
             raw["scaler"]["mean"].append(0.0)
             raw["scaler"]["std"].append(1.0)
+        elif part == "class":
+            raw["classes"][0]["sv_matrix"] = [row + [0.0] for row in raw["classes"][0]["sv_matrix"]]
         else:
-            entry, key = (raw["classes"][0], "sv_matrix") if part == "class" else (raw["pairs"][0], "vectors")
-            entry[key] = [row + [0.0] for row in entry[key]]
+            # only a version-1 pair stores vectors, and they must be its
+            # classes' SVs, so a widened copy fails that check
+            raw = json.loads(V1_MODEL.read_text())
+            raw["pairs"][0]["vectors"] = [row + [0.0] for row in raw["pairs"][0]["vectors"]]
+            match = "support vectors of its two classes"
         p.write_text(json.dumps(raw))
-        with pytest.raises(cil.ModelFormatError, match="feature dimension"):
+        with pytest.raises(cil.ModelFormatError, match=match):
             cil.load(p)
 
     @pytest.mark.parametrize("part", ["class", "pair"])
@@ -581,11 +588,11 @@ class TestPersistence:
             cil.load(p)
 
     @pytest.mark.parametrize("damage", ["one value", "order"])
-    def test_pair_vectors_must_stack_class_svs(self, blob_model_and_split, tmp_path, damage):
-        model, _, _ = blob_model_and_split
+    def test_pair_vectors_must_stack_class_svs(self, tmp_path, damage):
+        # only a version-1 file stores pair vectors
         p = tmp_path / "m.json"
-        cil.save(model, p)
-        raw = json.loads(p.read_text())
+        raw = json.loads(V1_MODEL.read_text())
+        cil.load(V1_MODEL)  # undamaged, it loads
         pair = raw["pairs"][0]
         if damage == "one value":
             pair["vectors"][0][0] += 1e-9
@@ -611,9 +618,91 @@ class TestPersistence:
 
     def test_malformed_structure(self, tmp_path):
         p = tmp_path / "m.json"
-        p.write_text('{"format_version": 1}')
-        with pytest.raises(cil.ModelFormatError, match="malformed"):
+        for version in (1, cil.FORMAT_VERSION):
+            p.write_text(f'{{"format_version": {version}}}')
+            with pytest.raises(cil.ModelFormatError, match="malformed"):
+                cil.load(p)
+
+    def test_save_stores_each_sv_once(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        assert raw["format_version"] == cil.FORMAT_VERSION
+        assert all(set(e) == {
+            "a", "b", "width", "cost", "bias", "coeffs", "cv_accuracy", "train_accuracy", "converged",
+        } for e in raw["pairs"])
+        loaded = cil.load(p)
+        for key, clf in model.pair_table.items():
+            assert loaded.pair_table[key].vectors.tobytes() == clf.vectors.tobytes()
+            assert loaded.pair_table[key].coeffs.tobytes() == clf.coeffs.tobytes()
+
+    @pytest.mark.parametrize("flag", [False, None])
+    def test_convergence_roundtrip(self, blob_model_and_split, tmp_path, flag):
+        model, _, _ = blob_model_and_split
+        first = min(model.pair_table)
+        model = replace(
+            model,
+            classes=(replace(model.classes[0], converged=flag),) + model.classes[1:],
+            pair_table={**model.pair_table, first: replace(model.pair_table[first], converged=flag)},
+        )
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        loaded = cil.load(p)
+        assert [m.converged for m in loaded.classes] == [flag, True, True]
+        assert {k: clf.converged for k, clf in loaded.pair_table.items()} == {
+            k: flag if k == first else True for k in model.pair_table
+        }
+
+    def test_converged_must_be_a_flag(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["pairs"][0]["converged"] = 1
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="converged"):
             cil.load(p)
+
+    def test_v1_file_loads(self):
+        raw = json.loads(V1_MODEL.read_text())
+        assert raw["format_version"] == 1
+        model = cil.load(V1_MODEL)
+        assert model.labels == [0, 1, 2] and sorted(model.pair_table) == [(0, 1), (0, 2), (1, 2)]
+        # version 1 did not record convergence
+        assert all(m.converged is None for m in model.classes)
+        assert all(clf.converged is None for clf in model.pair_table.values())
+        for e in raw["pairs"]:
+            assert model.pair_table[(e["a"], e["b"])].vectors.tolist() == e["vectors"]
+
+    def test_v1_file_resaves_as_current_version(self, tmp_path):
+        v1 = cil.load(V1_MODEL)
+        p = tmp_path / "m.json"
+        cil.save(v1, p)
+        raw = json.loads(p.read_text())
+        assert raw["format_version"] == cil.FORMAT_VERSION
+        assert not any("vectors" in e for e in raw["pairs"])
+        assert [e["converged"] for e in raw["classes"] + raw["pairs"]] == [None] * 6
+        assert cil.load(p) == v1
+
+
+@pytest.fixture(scope="module")
+def v1_and_rewrite(tmp_path_factory):
+    """The version-1 fixture model and its rewrite in the current format."""
+    p = tmp_path_factory.mktemp("rewrite") / "m.json"
+    cil.save(cil.load(V1_MODEL), p)
+    return cil.load(V1_MODEL), cil.load(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2 * cil._CHUNK_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_v1_and_rewrite_predict_alike(v1_and_rewrite, n, seed):
+    v1, v2 = v1_and_rewrite
+    X = raw_probes(np.random.default_rng(seed), v1, n)
+    for a, b in zip(cil.predict_details(v1, X), cil.predict_details(v2, X), strict=True):
+        assert (a.label, a.region, a.possible, a.votes) == (b.label, b.region, b.possible, b.votes)
+        assert a.ocsvm_values.keys() == b.ocsvm_values.keys()
+        assert np.array(list(a.ocsvm_values.values())).tobytes() == np.array(list(b.ocsvm_values.values())).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import V1_MODEL
 from sdcil import cil
 from sdcil.cli import EXIT_INPUT, EXIT_OK, EvalReport, TrialResult, main, map_grid
 from sdcil.dataset import load_csv, make_toy, save_csv
@@ -146,9 +147,9 @@ class TestPredictCmd:
 
 
     def test_tampered_pair_vector_exit_code(self, blobs_csv, tmp_path, capsys):
+        # only a version-1 file stores pair vectors
         model_p = tmp_path / "m.json"
-        run("train", blobs_csv, "--out", model_p)
-        raw = json.loads(model_p.read_text())
+        raw = json.loads(V1_MODEL.read_text())
         raw["pairs"][0]["vectors"][-1][-1] += 0.5
         model_p.write_text(json.dumps(raw))
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT

@@ -137,7 +137,7 @@ class TestPredictPair:
             label_a=0, label_b=1,
             vectors=np.array([[0.0, 0.0], [1.0, 1.0]]),
             coeffs=np.array([0.0, 0.0]),
-            bias=0.0, width=1.0, cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
+            bias=0.0, width=1.0, cost=1.0, cv_accuracy=1.0, train_accuracy=1.0, converged=True,
         )
         assert decision_pair(clf, np.array([[5.0, 5.0]]))[0] == 0.0
         assert predict_pair(clf, np.array([[5.0, 5.0]]))[0] == 1
