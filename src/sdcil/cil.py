@@ -8,12 +8,18 @@ a single positive answer decides immediately, otherwise the dispute
 classifiers of the candidate classes vote.
 
 Every prediction entry point is a view of one batched path, _details, which
-takes rows in chunks and settles all disputed rows of a chunk that share
-their candidate classes with one call per dispute classifier. Each chunk's
-squared distances to each class's support vectors are computed once and
-serve both stages: a dispute classifier's vectors are its two classes'
-support vectors, lower label first, so its distance block is the two class
-blocks side by side.
+takes rows in chunks and works on each chunk in two fused stages. The class
+stage writes one product per class into one rows x all-SVs buffer and turns
+it in place into squared distances and kernel values, with a fixed number
+of numpy calls per chunk plus one product per class on each side; the
+per-model column layout (CilModel.layout) is derived from the registry and
+never saved. The dispute stage settles all disputed rows of a chunk that
+share their candidate classes together: a dispute classifier's vectors are
+its two classes' support vectors, lower label first, so its distance block
+is the two class blocks side by side. The blocks of all pairs of a
+one-row group go into one buffer that one exp turns into all their
+kernels; a larger group takes a smaller run of pairs, or one pair, per
+buffer.
 
 A saved model (format version 2) stores each support vector once, in its
 class, and load() stacks a dispute classifier's vectors from its two
@@ -27,10 +33,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +50,8 @@ from .geometry import (
     default_k_neighbors,
     select_width,
 )
-from .kernels import candidate_widths, squared_distances, squared_norms
-from .ocsvm import NU_SOFT_RANGE, OcsvmModel, decision_values
+from .kernels import candidate_widths, check_width, squared_norms
+from .ocsvm import NU_SOFT_RANGE, OcsvmModel
 from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
 from .smo import BOX_SLACK, SolverConfig
 
@@ -56,6 +64,12 @@ REGION_NONE = "none_positive"
 # Rows per chunk of prediction work: bounds the rows x support-vector kernel
 # blocks held at once when a large X (a map raster) is predicted.
 _CHUNK_ROWS = 256
+# Cells of one dispute-stage kernel buffer: the pairs of one disputed row
+# share a buffer, so its kernels take one exp, while the groups of a batch
+# take one pair per buffer and divide it by one scalar. Both measured faster
+# than the other way round: per-pair numpy calls dominate one row, and a
+# per-column divisor array or strided pair columns slow large groups.
+_PAIR_BUFFER_CELLS = 1 << 12
 
 
 class ModelFormatError(ValueError):
@@ -83,6 +97,37 @@ class PredictionDetail:
     votes: dict[int, int]
 
 
+class PredictionLayout(NamedTuple):
+    """Where each class's support vectors sit among the columns of a
+    prediction chunk's distance buffer, and the per-column numbers that turn
+    the products there into kernel values: O(k x all SVs) numbers, derived
+    from the registry whenever a CilModel is built and never saved."""
+
+    columns: dict[int, slice]  # label -> its SVs' columns, in registry order
+    sq_norms: np.ndarray  # each column's SV squared norm
+    divisors: np.ndarray  # each column's -2 s^2, for its class's width s
+    rhos: np.ndarray  # each class's offset, in registry order
+    pair_divisors: dict[tuple[int, int], float]  # each pair's -2 s^2
+
+    @classmethod
+    def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
+        stops = accumulate(m.m for m in classes)
+        return cls(
+            columns={m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)},
+            # the leading empty array lets an empty registry through
+            sq_norms=np.concatenate([np.empty(0), *(m.sv_sq_norms for m in classes)]),
+            divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
+            rhos=np.array([m.rho for m in classes], dtype=float),
+            pair_divisors={key: _divisor(clf.width) for key, clf in pair_table.items()},
+        )
+
+
+def _divisor(width: float) -> float:
+    """-2 s^2, which kernel_from_sqdist divides squared distances by."""
+    s = check_width(width)
+    return -2.0 * s * s
+
+
 @dataclass(frozen=True)
 class CilModel:
     """Registry of per-class models plus the dispute-classifier table."""
@@ -91,6 +136,11 @@ class CilModel:
     scaler: Scaler | None = None
     classes: tuple[OcsvmModel, ...] = ()
     pair_table: dict[tuple[int, int], PairwiseClassifier] = field(default_factory=dict)
+    # derived whenever a model is built, never saved or compared
+    layout: PredictionLayout = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layout", PredictionLayout.of(self.classes, self.pair_table))
 
     @property
     def labels(self) -> list[int]:
@@ -181,61 +231,106 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
     """Yield one PredictionDetail per row of X, in order.
 
     Per chunk of _CHUNK_ROWS rows: the rows' squared norms once, one
-    squared-distance block per class against its support vectors (with the
-    class's stored SV norms), one decision_values call per class on its
-    block, then one dispute(model, Xs, possible, values, d2) call per set of
-    candidate classes, where d2 maps each candidate class to its block's
-    rows for Xs; the call returns a (label, votes) for each row of Xs.
+    product with each class's support vectors, written into one rows x
+    all-SVs buffer that becomes the squared distances in place, one exp of
+    it divided by each column's class divisor, and one product with each
+    class's alphas. Then one dispute(model, d2, values, possible) call per
+    set of candidate classes: d2 holds the rows of the distance buffer
+    that the call settles (model.layout.columns gives each class's
+    columns), and values their class-value dicts; the call returns a
+    (label, votes) for each of those rows.
     """
     if not model.classes:
         raise ValueError("no classes registered")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"need an n x d matrix of rows, got shape {X.shape}")
+    if X.shape[1] != model.classes[0].d:
+        raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
     # math.isfinite beats a numpy reduction several-fold on one short row;
     # X.flat does not copy a large X into Python floats first
     if not all(map(math.isfinite, X.flat)):
         raise DataError("input contains NaN or Inf values")
-    scaler, labels = model.scaler, model.labels
+    scaler, labels, layout = model.scaler, model.labels, model.layout
+    # the distance and kernel buffers, reused by every chunk: fresh pages
+    # for each chunk would cost more than the arithmetic on them
+    d2_buffer = np.empty((min(X.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
+    K_buffer = np.empty_like(d2_buffer)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
         Xs = X[start:start + _CHUNK_ROWS]
         if scaler is not None:
             Xs = scaler.transform(Xs)
-        xx = squared_norms(Xs)
-        # one block per class, never one stacked product: a class's values
-        # must not depend on which other classes are registered
-        blocks = {
-            m.class_label: squared_distances(Xs, m.support_vectors, xx=xx, yy=m.sv_sq_norms)
-            for m in model.classes
-        }
-        columns = [decision_values(m, Xs, blocks[m.class_label]).tolist() for m in model.classes]
+        d2, K = d2_buffer[:Xs.shape[0]], K_buffer[:Xs.shape[0]]
+        # one product per class, never one stacked product: a class's
+        # values must not depend on which other classes are registered
+        for m, cols in zip(model.classes, layout.columns.values()):
+            np.matmul(Xs, m.support_vectors.T, out=d2[:, cols])
+        # squared_distances' (xx + yy) - 2P clipped at 0, then each class's
+        # kernel, all in place
+        np.add(squared_norms(Xs)[:, None], layout.sq_norms, out=K)
+        d2 *= 2.0
+        np.subtract(K, d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        np.exp(np.divide(d2, layout.divisors, out=K), out=K)
+        values = np.array([K[:, cols] @ m.sv_alphas for m, cols in zip(model.classes, layout.columns.values())])
+        values -= layout.rhos[:, None]
         rows, disputes = [], {}  # rows: [label, region, possible, values, votes]
-        for i, row in enumerate(zip(*columns)):
-            values = dict(zip(labels, row))
-            positive = [lbl for lbl, v in values.items() if v > 0.0]
+        for i, row in enumerate(zip(*values.tolist())):
+            row_values = dict(zip(labels, row))
+            positive = [lbl for lbl, v in row_values.items() if v > 0.0]
             region = REGION_UNIQUE if len(positive) == 1 else REGION_MULTI if positive else REGION_NONE
-            possible = tuple(sorted(positive or values))
+            possible = tuple(sorted(positive or row_values))
             if len(possible) > 1:
                 disputes.setdefault(possible, []).append(i)
-            rows.append([possible[0], region, possible, values, {}])
+            rows.append([possible[0], region, possible, row_values, {}])
         for possible, idx in disputes.items():
-            d2 = {lbl: blocks[lbl][idx] for lbl in possible}
-            settled = dispute(model, Xs[idx], possible, [rows[i][3] for i in idx], d2)
-            for i, (label, votes) in zip(idx, settled):
+            for i, (label, votes) in zip(idx, dispute(model, d2[idx], [rows[i][3] for i in idx], possible)):
                 rows[i][0], rows[i][4] = label, votes
         for row in rows:
             yield PredictionDetail(*row)
 
 
-def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
+def _batches(pairs: list[PairwiseClassifier], budget: int):
+    """Consecutive runs of the pairs whose kernel blocks hold at most budget
+    columns together, or single wider pairs; each pair comes with its
+    columns in its run."""
+    batch, stop = [], 0
+    for clf in pairs:
+        if batch and stop + clf.coeffs.size > budget:
+            yield batch
+            batch, stop = [], 0
+        batch.append((clf, slice(stop, stop + clf.coeffs.size)))
+        stop += clf.coeffs.size
+    if batch:
+        yield batch
+
+
+def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]], possible):
     """1vs1 votes among the possible classes; a vote tie goes to the larger
-    one-class value, then to the smaller label. A pair's distance block is
-    its two classes' blocks side by side, lower label first, as its vectors
-    are stacked."""
+    one-class value, then to the smaller label.
+
+    A pair's distance block is its two classes' blocks side by side, lower
+    label first, as its vectors are stacked. Consecutive pairs share one
+    buffer of their blocks, in pair order, as many as keep it within
+    _PAIR_BUFFER_CELLS cells (or one wider pair), and the buffer becomes
+    their kernels in place."""
+    layout, keys = model.layout, list(combinations(possible, 2))
+    pairs = [model.pair_table[key] for key in keys]
+    blocks = {lbl: d2[:, layout.columns[lbl]] for lbl in possible}
+    decisions = []
+    for batch in _batches(pairs, _PAIR_BUFFER_CELLS // d2.shape[0]):
+        E = np.concatenate([blocks[lbl] for clf, _ in batch for lbl in (clf.label_a, clf.label_b)], axis=1)
+        # numpy divides by one scalar per pair faster than by a per-column array
+        for clf, cols in batch:
+            E[:, cols] /= layout.pair_divisors[clf.label_a, clf.label_b]
+        np.exp(E, out=E)
+        decisions += [E[:, cols] @ clf.coeffs for clf, cols in batch]
+    decisions = np.concatenate(decisions).reshape(len(pairs), -1)
+    decisions += np.array([clf.bias for clf in pairs])[:, None]
+    pair_labels = np.array(keys)
     votes = [dict.fromkeys(possible, 0) for _ in values]
-    for a, b in combinations(possible, 2):
-        pair_d2 = np.concatenate((d2[a], d2[b]), axis=1)
-        for row_votes, winner in zip(votes, predict_pair(model.pair_table[(a, b)], Xs, pair_d2).tolist()):
+    for winners in np.where(decisions > 0.0, pair_labels[:, :1], pair_labels[:, 1:]).tolist():
+        for row_votes, winner in zip(votes, winners):
             row_votes[winner] += 1
     settled = []
     for row_votes, row_values in zip(votes, values):
@@ -248,8 +343,8 @@ def _vote_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
     return settled
 
 
-def _nearest_sv_dispute(model: CilModel, Xs: np.ndarray, possible, values, d2):
-    dists = [np.min(d2[lbl], axis=1) for lbl in possible]
+def _nearest_sv_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]], possible):
+    dists = [np.min(d2[:, model.layout.columns[lbl]], axis=1) for lbl in possible]
     # possible is sorted ascending and argmin keeps the first minimum, so a
     # distance tie goes to the smaller label
     return [(possible[j], {}) for j in np.argmin(dists, axis=0).tolist()]
@@ -501,6 +596,12 @@ def load(path: str | Path) -> CilModel:
                 f"disagree on the feature dimension ({sorted(dims)})"
             )
         entries = {(int(e["a"]), int(e["b"])): e for e in raw["pairs"]}
+        if len(entries) != len(raw["pairs"]):
+            listed = Counter((int(e["a"]), int(e["b"])) for e in raw["pairs"])
+            raise ModelFormatError(
+                f"malformed model file {path}: pair table lists "
+                f"{sorted(key for key, n in listed.items() if n > 1)} more than once"
+            )
         expected = set(combinations(sorted(m.class_label for m in classes), 2))
         if entries.keys() != expected:
             raise ModelFormatError(

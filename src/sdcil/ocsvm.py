@@ -92,18 +92,12 @@ def model_from_solution(
     )
 
 
-def decision_values(model: OcsvmModel, X: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
+def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
     """Sum of alpha_i * k(sv_i, x) minus rho, for each row x of X.
 
-    Positive means inside the learned support. d2, when given, is
-    squared_distances(X, model.support_vectors), computed by a caller that
-    reuses it; without it the distances are computed here from the stored
-    SV norms."""
+    Positive means inside the learned support."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: model expects d={model.d}, got {X.shape[1]}")
-    if d2 is None:
-        d2 = squared_distances(X, model.support_vectors, yy=model.sv_sq_norms)
-    elif d2.shape != (X.shape[0], model.m):
-        raise ValueError(f"distance block has shape {d2.shape}, need {(X.shape[0], model.m)}")
+    d2 = squared_distances(X, model.support_vectors, yy=model.sv_sq_norms)
     return kernel_from_sqdist(d2, model.width) @ model.sv_alphas - model.rho

@@ -69,25 +69,18 @@ class PairwiseClassifier:
         return self.vectors.shape[1]
 
 
-def decision_pair(clf: PairwiseClassifier, X: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
-    """Raw decision values for the rows of X; positive favors label_a.
-
-    d2, when given, is squared_distances(X, clf.vectors), computed by a
-    caller that already holds it."""
+def decision_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
+    """Raw decision values for the rows of X; positive favors label_a."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != clf.d:
         raise ValueError(f"dimension mismatch: classifier expects d={clf.d}, got {X.shape[1]}")
-    if d2 is None:
-        d2 = squared_distances(X, clf.vectors)
-    elif d2.shape != (X.shape[0], clf.vectors.shape[0]):
-        raise ValueError(f"distance block has shape {d2.shape}, need {(X.shape[0], clf.vectors.shape[0])}")
-    return kernel_from_sqdist(d2, clf.width) @ clf.coeffs + clf.bias
+    return kernel_from_sqdist(squared_distances(X, clf.vectors), clf.width) @ clf.coeffs + clf.bias
 
 
-def predict_pair(clf: PairwiseClassifier, X: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
+def predict_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
     """label_a for each row of X with a strictly positive decision, else
-    label_b. d2 is as for decision_pair."""
-    return np.where(decision_pair(clf, X, d2) > 0.0, clf.label_a, clf.label_b)
+    label_b."""
+    return np.where(decision_pair(clf, X) > 0.0, clf.label_a, clf.label_b)
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -6,15 +6,20 @@ size is 1/L with L the largest eigenvalue of the quadratic term; iteration
 cap 10^5 with an early exit once the iterate stops moving at floating-point
 resolution.
 
-`reference_smo` is the exception: a verbatim copy of the package's SMO loop
-as first merged, kept so that a faster loop can be held to the same
+`reference_smo` and `reference_details` are the exceptions: copies of the
+package's SMO loop as first merged and of its prediction path before the
+fused kernel passes, kept so that faster code can be held to the same
 floating-point results.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
+from sdcil import cil
+from sdcil.kernels import kernel_from_sqdist, squared_distances, squared_norms
 from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN
 
 MAX_ITERS = 100_000
@@ -154,3 +159,70 @@ def reference_smo(Kv, y, C, alpha, G, cfg):
         it += 1
     G[:] = -y * r
     return it, violation
+
+
+def reference_details(model, X, nearest_sv: bool = False) -> list:
+    """cil.predict_details (or, with nearest_sv, the details behind
+    cil.ocsvm_nn_labels) as computed before the fused kernel passes.
+
+    Per chunk of cil._CHUNK_ROWS rows: one squared-distance block and one
+    decision_values computation per class; then, per set of candidate
+    classes, one predict_pair computation per dispute classifier on its two
+    classes' blocks side by side, or the class of the nearest support
+    vector. Pins the fused path bit for bit: numpy multiplies a one-row
+    block with a dot kernel and a larger one with gemv, so the chunks must
+    match.
+    """
+    X = np.asarray(X, dtype=float)
+    labels, details = model.labels, []
+    for start in range(0, X.shape[0], cil._CHUNK_ROWS):
+        Xs = X[start:start + cil._CHUNK_ROWS]
+        if model.scaler is not None:
+            Xs = model.scaler.transform(Xs)
+        xx = squared_norms(Xs)
+        blocks = {
+            m.class_label: squared_distances(Xs, m.support_vectors, xx=xx, yy=squared_norms(m.support_vectors))
+            for m in model.classes
+        }
+        columns = [
+            (kernel_from_sqdist(blocks[m.class_label], m.width) @ m.sv_alphas - m.rho).tolist()
+            for m in model.classes
+        ]
+        rows, disputes = [], {}
+        for i, row in enumerate(zip(*columns)):
+            values = dict(zip(labels, row))
+            positive = [lbl for lbl, v in values.items() if v > 0.0]
+            region = cil.REGION_UNIQUE if len(positive) == 1 else cil.REGION_MULTI if positive else cil.REGION_NONE
+            possible = tuple(sorted(positive or values))
+            if len(possible) > 1:
+                disputes.setdefault(possible, []).append(i)
+            rows.append([possible[0], region, possible, values, {}])
+        for possible, idx in disputes.items():
+            d2 = {lbl: blocks[lbl][idx] for lbl in possible}
+            if nearest_sv:
+                dists = [np.min(d2[lbl], axis=1) for lbl in possible]
+                settled = [(possible[j], {}) for j in np.argmin(dists, axis=0).tolist()]
+            else:
+                settled = _reference_vote(model, possible, [rows[i][3] for i in idx], d2)
+            for i, (label, votes) in zip(idx, settled):
+                rows[i][0], rows[i][4] = label, votes
+        details += [cil.PredictionDetail(*row) for row in rows]
+    return details
+
+
+def _reference_vote(model, possible, values, d2):
+    votes = [dict.fromkeys(possible, 0) for _ in values]
+    for a, b in combinations(possible, 2):
+        clf = model.pair_table[(a, b)]
+        decision = kernel_from_sqdist(np.concatenate((d2[a], d2[b]), axis=1), clf.width) @ clf.coeffs + clf.bias
+        for row_votes, winner in zip(votes, np.where(decision > 0.0, a, b).tolist()):
+            row_votes[winner] += 1
+    settled = []
+    for row_votes, row_values in zip(votes, values):
+        top = max(row_votes.values())
+        tied = [lbl for lbl, v in row_votes.items() if v == top]
+        if len(tied) > 1:
+            best = max(row_values[lbl] for lbl in tied)
+            tied = [lbl for lbl in tied if row_values[lbl] == best]
+        settled.append((min(tied), row_votes))
+    return settled

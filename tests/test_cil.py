@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V1_MODEL, fast_config, train_cil
+from oracles import reference_details
 from sdcil import cil
 from sdcil.dataset import (
     DataError,
@@ -363,23 +364,113 @@ class TestSharedDistances:
             assert m.sv_sq_norms.tobytes() == (m.support_vectors * m.support_vectors).sum(axis=1).tobytes()
             assert "sv_sq_norms" not in repr(m)
 
+    @staticmethod
+    def _layout_bytes(layout):
+        return (
+            layout.columns, layout.sq_norms.tobytes(), layout.divisors.tobytes(),
+            layout.rhos.tobytes(), layout.pair_divisors,
+        )
+
+    @staticmethod
+    def _derived_layout_bytes(model):
+        """The prediction layout computed from the registry alone."""
+        stops = np.cumsum([m.m for m in model.classes]).tolist()
+        return (
+            {m.class_label: slice(stop - m.m, stop) for m, stop in zip(model.classes, stops)},
+            np.concatenate([(m.support_vectors * m.support_vectors).sum(axis=1) for m in model.classes]).tobytes(),
+            np.concatenate([np.full(m.m, -2.0 * m.width * m.width) for m in model.classes]).tobytes(),
+            np.array([m.rho for m in model.classes]).tobytes(),
+            {key: -2.0 * clf.width * clf.width for key, clf in model.pair_table.items()},
+        )
+
     def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
-        model, _, _ = blob_model_and_split
+        model, train, _ = blob_model_and_split
         assert all(set(cil.class_entry(m)) == {
             "label", "nu", "width", "rho", "sv_matrix", "sv_alphas", "train_count", "converged",
         } for m in model.classes)
-        # norms that no longer match their SVs change no saved or compared byte
+        assert self._layout_bytes(model.layout) == self._derived_layout_bytes(model)
+        assert "layout" not in repr(model)
+        # norms and a prediction layout that no longer match the registry
+        # change no saved or compared byte
         damaged = []
         for m in model.classes:
             copy = replace(m)
             object.__setattr__(copy, "sv_sq_norms", np.zeros(m.m))
             damaged.append(copy)
         other = replace(model, classes=tuple(damaged))
+        layout = other.layout
+        object.__setattr__(other, "layout", layout._replace(
+            sq_norms=np.zeros_like(layout.sq_norms), divisors=np.ones_like(layout.divisors),
+            pair_divisors=dict.fromkeys(layout.pair_divisors, 1.0),
+        ))
         assert [cil.class_payload(m) for m in other.classes] == [cil.class_payload(m) for m in model.classes]
         cil.save(model, tmp_path / "a.json")
         cil.save(other, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert other == model
+        # load() and replace(), through which add_class builds the grown
+        # registry, derive the layout afresh
+        assert self._layout_bytes(cil.load(tmp_path / "b.json").layout) == self._derived_layout_bytes(model)
+        fresh = replace(model)
+        object.__setattr__(fresh, "layout", other.layout)
+        assert self._layout_bytes(replace(fresh).layout) == self._derived_layout_bytes(model)
+        grown = cil.add_class(fresh, 9, train.rows_of(0) + 40.0)
+        assert self._layout_bytes(grown.layout) == self._derived_layout_bytes(grown)
+
+
+def assert_same_details(got, want):
+    """Equal labels, regions, candidate classes and votes, and byte-equal
+    class values in the same order."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.label, g.region, g.possible) == (w.label, w.region, w.possible)
+        assert list(g.votes.items()) == list(w.votes.items())
+        assert list(g.ocsvm_values) == list(w.ocsvm_values)
+        assert np.array(list(g.ocsvm_values.values())).tobytes() == np.array(list(w.ocsvm_values.values())).tobytes()
+
+
+class TestFusedPrediction:
+    """The fused chunk path gives what per-class decision_values and
+    per-pair predict_pair calls gave (tests/oracles.py::reference_details),
+    bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        d=st.integers(1, 5),
+        n=st.integers(1, 600),  # crosses the 256-row chunk boundary
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, k, d, n, seed):
+        rng = np.random.default_rng(seed)
+        model = random_registry(rng, k, d)
+        X = raw_probes(rng, model, n)
+        assert_same_details(cil.predict_details(model, X), reference_details(model, X))
+        for x in X[:3]:
+            assert_same_details([cil.predict_detail(model, x)], reference_details(model, x[None, :]))
+        want = [dt.label for dt in reference_details(model, X, nearest_sv=True)]
+        assert cil.ocsvm_nn_labels(model, X).tolist() == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 7),
+        d=st.integers(1, 5),
+        n=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_values_ignore_other_classes(self, k, d, n, seed):
+        rng = np.random.default_rng(seed)
+        grown = random_registry(rng, k + 1, d)
+        kept = set(grown.labels[:k])
+        model = replace(
+            grown, classes=grown.classes[:k],
+            pair_table={key: p for key, p in grown.pair_table.items() if set(key) <= kept},
+        )
+        X = raw_probes(rng, grown, n)
+        for before, after in zip(cil.predict_details(model, X), cil.predict_details(grown, X), strict=True):
+            for lbl, v in before.ocsvm_values.items():
+                assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
 
 
 class TestOcsvmNn:
@@ -520,6 +611,30 @@ class TestPersistence:
             raw["pairs"][0]["b"] = 7
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match="pair table"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("source", ["v1", "v2"])
+    def test_pair_listed_twice(self, blob_model_and_split, tmp_path, source):
+        p = tmp_path / "m.json"
+        if source == "v1":
+            raw = json.loads(V1_MODEL.read_text())
+        else:
+            cil.save(blob_model_and_split[0], p)
+            raw = json.loads(p.read_text())
+        raw["pairs"].append(dict(raw["pairs"][0], bias=5.0))
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match=r"lists \[\(0, 1\)\] more than once"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("entries", ["classes", "pairs"])
+    def test_kernel_width_must_be_positive(self, blob_model_and_split, tmp_path, entries):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw[entries][0]["width"] = 0.0
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="kernel width"):
             cil.load(p)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -703,6 +818,16 @@ def test_v1_and_rewrite_predict_alike(v1_and_rewrite, n, seed):
         assert (a.label, a.region, a.possible, a.votes) == (b.label, b.region, b.possible, b.votes)
         assert a.ocsvm_values.keys() == b.ocsvm_values.keys()
         assert np.array(list(a.ocsvm_values.values())).tobytes() == np.array(list(b.ocsvm_values.values())).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_v1_fixture_matches_reference(v1_and_rewrite, n, seed):
+    v1, _ = v1_and_rewrite
+    X = raw_probes(np.random.default_rng(seed), v1, n)
+    assert_same_details(cil.predict_details(v1, X), reference_details(v1, X))
+    assert_same_details([cil.predict_detail(v1, X[0])], reference_details(v1, X[:1]))
+    assert cil.ocsvm_nn_labels(v1, X).tolist() == [dt.label for dt in reference_details(v1, X, nearest_sv=True)]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

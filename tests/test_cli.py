@@ -155,6 +155,14 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
         assert "support vectors of its two classes" in capsys.readouterr().err
 
+    def test_duplicate_pair_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        raw = json.loads(V1_MODEL.read_text())
+        raw["pairs"].append(dict(raw["pairs"][0], bias=5.0))
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "more than once" in capsys.readouterr().err
+
     def test_alpha_out_of_box_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p)
