@@ -14,12 +14,15 @@ it in place into squared distances and kernel values, with a fixed number
 of numpy calls per chunk plus one product per class on each side; the
 per-model column layout (CilModel.layout) is derived from the registry and
 never saved. The dispute stage settles all disputed rows of a chunk that
-share their candidate classes together: a dispute classifier's vectors are
-its two classes' support vectors, lower label first, so its distance block
-is the two class blocks side by side. The blocks of all pairs of a
-one-row group go into one buffer that one exp turns into all their
-kernels; a larger group takes a smaller run of pairs, or one pair, per
-buffer.
+share their candidate classes together, in a fixed number of numpy calls
+whatever the number of pairs. A dispute classifier's vectors are its two
+classes' support vectors, lower label first, so its distance columns are
+the two class blocks side by side. The layout lays every pair out as one
+segment of a (k - 1) x all-SVs table, in sorted key order: the columns it
+reads, its -2 s^2 and its coefficients. A group gathers its pairs'
+segments from its rows' distances in one call, turns them into kernel
+terms with one divide, one exp and one multiply, sums each segment with
+one reduceat, and counts every row's votes with one bincount.
 
 A saved model (format version 2) stores each support vector once, in its
 class, and load() stacks a dispute classifier's vectors from its two
@@ -64,12 +67,6 @@ REGION_NONE = "none_positive"
 # Rows per chunk of prediction work: bounds the rows x support-vector kernel
 # blocks held at once when a large X (a map raster) is predicted.
 _CHUNK_ROWS = 256
-# Cells of one dispute-stage kernel buffer: the pairs of one disputed row
-# share a buffer, so its kernels take one exp, while the groups of a batch
-# take one pair per buffer and divide it by one scalar. Both measured faster
-# than the other way round: per-pair numpy calls dominate one row, and a
-# per-column divisor array or strided pair columns slow large groups.
-_PAIR_BUFFER_CELLS = 1 << 12
 
 
 class ModelFormatError(ValueError):
@@ -99,26 +96,55 @@ class PredictionDetail:
 
 class PredictionLayout(NamedTuple):
     """Where each class's support vectors sit among the columns of a
-    prediction chunk's distance buffer, and the per-column numbers that turn
-    the products there into kernel values: O(k x all SVs) numbers, derived
-    from the registry whenever a CilModel is built and never saved."""
+    prediction chunk's distance buffer, and the numbers that turn those
+    columns into class values and dispute decisions: O(k x all SVs)
+    numbers, derived from the registry whenever a CilModel is built and
+    never saved.
+
+    The pair arrays describe the dispute classifiers in sorted key order,
+    each as one segment of (k - 1) x all-SVs columns: the distance columns
+    its kernel reads, its two classes' blocks lower label first as its
+    vectors are stacked, with its -2 s^2 and its coefficients beside them.
+    """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
     sq_norms: np.ndarray  # each column's SV squared norm
     divisors: np.ndarray  # each column's -2 s^2, for its class's width s
     rhos: np.ndarray  # each class's offset, in registry order
-    pair_divisors: dict[tuple[int, int], float]  # each pair's -2 s^2
+    pair_ids: dict[tuple[int, int], int]  # pair key -> its position in sorted key order
+    pair_columns: np.ndarray  # each pair's distance columns, [cols_a | cols_b]
+    pair_divisors: np.ndarray  # the -2 s^2 of each pair, once per pair column
+    pair_coeffs: np.ndarray  # each pair's coefficients, once per pair column
+    pair_starts: np.ndarray  # where each pair's segment starts
+    pair_sizes: np.ndarray  # each pair's segment length, its number of vectors
+    pair_biases: np.ndarray  # each pair's bias
+    pair_labels: np.ndarray  # each pair's (label_a, label_b)
 
     @classmethod
     def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
-        stops = accumulate(m.m for m in classes)
+        stops = list(accumulate(m.m for m in classes))
+        columns = {m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)}
+        keys = sorted(pair_table)
+        pairs = [pair_table[key] for key in keys]
+        sizes = [clf.coeffs.size for clf in pairs]
+        ids = np.arange(stops[-1] if stops else 0)
+        # the leading empty arrays let an empty registry or pair table through
+        pair_columns = np.concatenate([ids[:0], *(ids[columns[lbl]] for key in keys for lbl in key)])
+        if pair_columns.size != sum(sizes):
+            raise ValueError("each pair needs one coefficient per support vector of its two classes")
         return cls(
-            columns={m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)},
-            # the leading empty array lets an empty registry through
+            columns=columns,
             sq_norms=np.concatenate([np.empty(0), *(m.sv_sq_norms for m in classes)]),
             divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
-            pair_divisors={key: _divisor(clf.width) for key, clf in pair_table.items()},
+            pair_ids={key: i for i, key in enumerate(keys)},
+            pair_columns=pair_columns,
+            pair_divisors=np.repeat([_divisor(clf.width) for clf in pairs], sizes),
+            pair_coeffs=np.concatenate([np.empty(0), *(clf.coeffs for clf in pairs)]),
+            pair_starts=np.cumsum([0, *sizes])[:-1],
+            pair_sizes=np.array(sizes, dtype=int),
+            pair_biases=np.array([clf.bias for clf in pairs], dtype=float),
+            pair_labels=np.array(keys, dtype=int).reshape(-1, 2),
         )
 
 
@@ -235,10 +261,15 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
     all-SVs buffer that becomes the squared distances in place, one exp of
     it divided by each column's class divisor, and one product with each
     class's alphas. Then one dispute(model, d2, values, possible) call per
-    set of candidate classes: d2 holds the rows of the distance buffer
-    that the call settles (model.layout.columns gives each class's
-    columns), and values their class-value dicts; the call returns a
-    (label, votes) for each of those rows.
+    set of candidate classes, which settles every disputed row of the chunk
+    with those candidates: d2 holds those rows of the distance buffer
+    (model.layout gives each class's and each pair's columns), and values
+    their class-value dicts; the call returns a (label, votes) for each of
+    those rows.
+
+    numpy multiplies a one-row chunk by the alphas with a dot kernel and a
+    larger chunk with gemv, which round differently: a row's class values
+    can differ in the last bits with the number of rows in its chunk.
     """
     if not model.classes:
         raise ValueError("no classes registered")
@@ -290,50 +321,52 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
             yield PredictionDetail(*row)
 
 
-def _batches(pairs: list[PairwiseClassifier], budget: int):
-    """Consecutive runs of the pairs whose kernel blocks hold at most budget
-    columns together, or single wider pairs; each pair comes with its
-    columns in its run."""
-    batch, stop = [], 0
-    for clf in pairs:
-        if batch and stop + clf.coeffs.size > budget:
-            yield batch
-            batch, stop = [], 0
-        batch.append((clf, slice(stop, stop + clf.coeffs.size)))
-        stop += clf.coeffs.size
-    if batch:
-        yield batch
-
-
 def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]], possible):
     """1vs1 votes among the possible classes; a vote tie goes to the larger
     one-class value, then to the smaller label.
 
-    A pair's distance block is its two classes' blocks side by side, lower
-    label first, as its vectors are stacked. Consecutive pairs share one
-    buffer of their blocks, in pair order, as many as keep it within
-    _PAIR_BUFFER_CELLS cells (or one wider pair), and the buffer becomes
-    their kernels in place."""
-    layout, keys = model.layout, list(combinations(possible, 2))
-    pairs = [model.pair_table[key] for key in keys]
-    blocks = {lbl: d2[:, layout.columns[lbl]] for lbl in possible}
-    decisions = []
-    for batch in _batches(pairs, _PAIR_BUFFER_CELLS // d2.shape[0]):
-        E = np.concatenate([blocks[lbl] for clf, _ in batch for lbl in (clf.label_a, clf.label_b)], axis=1)
-        # numpy divides by one scalar per pair faster than by a per-column array
-        for clf, cols in batch:
-            E[:, cols] /= layout.pair_divisors[clf.label_a, clf.label_b]
-        np.exp(E, out=E)
-        decisions += [E[:, cols] @ clf.coeffs for clf, cols in batch]
-    decisions = np.concatenate(decisions).reshape(len(pairs), -1)
-    decisions += np.array([clf.bias for clf in pairs])[:, None]
-    pair_labels = np.array(keys)
-    votes = [dict.fromkeys(possible, 0) for _ in values]
-    for winners in np.where(decisions > 0.0, pair_labels[:, :1], pair_labels[:, 1:]).tolist():
-        for row_votes, winner in zip(votes, winners):
-            row_votes[winner] += 1
+    Settles the group's rows in a fixed number of numpy calls, whatever the
+    number of pairs. The group's pairs are every pair when every class is
+    possible (the whole none region), one span for two classes, or else the
+    spans of combinations(possible, 2) in the layout's pair arrays, laid
+    end to end. One gather takes each pair's distance columns, [cols_a |
+    cols_b], from d2; one divide by the per-column divisors, one exp and
+    one multiply by the coefficients turn them into kernel terms, and one
+    reduceat sums each pair's segment before the biases are added. A
+    decision is thus a segment sum, not a BLAS dot, and may differ from
+    one in the last bits."""
+    layout = model.layout
+    if len(possible) == len(layout.columns):
+        pairs, cols, starts = slice(None), slice(None), layout.pair_starts
+    elif len(possible) == 2:  # one pair, one span
+        i = layout.pair_ids[possible]
+        start = int(layout.pair_starts[i])
+        pairs, cols, starts = slice(i, i + 1), slice(start, start + int(layout.pair_sizes[i])), [0]
+    else:
+        # the spans of the group's pairs, in sorted key order as
+        # combinations gives them, laid end to end
+        pairs = np.array([layout.pair_ids[key] for key in combinations(possible, 2)])
+        sizes = layout.pair_sizes[pairs]
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        cols = np.repeat(layout.pair_starts[pairs] - starts, sizes)
+        cols += np.arange(stops[-1])
+    E = np.take(d2, layout.pair_columns[cols], axis=1)
+    E /= layout.pair_divisors[cols]
+    np.exp(E, out=E)
+    E *= layout.pair_coeffs[cols]
+    decisions = np.add.reduceat(E, starts, axis=1)
+    decisions += layout.pair_biases[pairs]
+    labels = layout.pair_labels[pairs]
+    # each row's winners as positions in possible, offset by the row, so one
+    # bincount gives every row's votes
+    rows, n = len(values), len(possible)
+    winners = np.searchsorted(possible, np.where(decisions > 0.0, labels[:, 0], labels[:, 1]))
+    winners += np.arange(0, rows * n, n)[:, None]
+    counts = np.bincount(winners.ravel(), minlength=rows * n).reshape(rows, n)
     settled = []
-    for row_votes, row_values in zip(votes, values):
+    for row_votes, row_values in zip(counts.tolist(), values):
+        row_votes = dict(zip(possible, row_votes))
         top = max(row_votes.values())
         tied = [lbl for lbl, v in row_votes.items() if v == top]
         if len(tied) > 1:
@@ -354,12 +387,19 @@ def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail
     """Full per-class values, region and votes for each row of X, in order.
 
     Computed a chunk at a time as the iterator is consumed, so memory stays
-    bounded on large X; invalid input raises at the first item."""
+    bounded on large X; invalid input raises at the first item. A row's
+    class values may differ in the last bits from predict_detail's for the
+    same row (a one-row chunk is multiplied with a dot kernel, a larger one
+    with gemv), so compare them with a tolerance, not byte for byte."""
     return _details(model, X, _vote_dispute)
 
 
 def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
-    """Full per-class values, region, and votes behind a prediction."""
+    """Full per-class values, region, and votes behind a prediction.
+
+    The row is a chunk of its own, multiplied with a dot kernel rather than
+    gemv, so its class values may differ in the last bits from the values
+    predict_details gives the same row among others."""
     return next(_details(model, np.asarray(x, dtype=float).reshape(1, -1), _vote_dispute))
 
 

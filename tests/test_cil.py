@@ -366,22 +366,32 @@ class TestSharedDistances:
 
     @staticmethod
     def _layout_bytes(layout):
-        return (
-            layout.columns, layout.sq_norms.tobytes(), layout.divisors.tobytes(),
-            layout.rhos.tobytes(), layout.pair_divisors,
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in layout
         )
 
-    @staticmethod
-    def _derived_layout_bytes(model):
+    @classmethod
+    def _derived_layout_bytes(cls, model):
         """The prediction layout computed from the registry alone."""
         stops = np.cumsum([m.m for m in model.classes]).tolist()
-        return (
-            {m.class_label: slice(stop - m.m, stop) for m, stop in zip(model.classes, stops)},
-            np.concatenate([(m.support_vectors * m.support_vectors).sum(axis=1) for m in model.classes]).tobytes(),
-            np.concatenate([np.full(m.m, -2.0 * m.width * m.width) for m in model.classes]).tobytes(),
-            np.array([m.rho for m in model.classes]).tobytes(),
-            {key: -2.0 * clf.width * clf.width for key, clf in model.pair_table.items()},
-        )
+        columns = {m.class_label: slice(stop - m.m, stop) for m, stop in zip(model.classes, stops)}
+        keys = sorted(model.pair_table)
+        pairs = [model.pair_table[key] for key in keys]
+        sizes = [p.coeffs.size for p in pairs]
+        return cls._layout_bytes(cil.PredictionLayout(
+            columns=columns,
+            sq_norms=np.concatenate([(m.support_vectors * m.support_vectors).sum(axis=1) for m in model.classes]),
+            divisors=np.concatenate([np.full(m.m, -2.0 * m.width * m.width) for m in model.classes]),
+            rhos=np.array([m.rho for m in model.classes]),
+            pair_ids={key: i for i, key in enumerate(keys)},
+            pair_columns=np.concatenate([np.r_[columns[a], columns[b]] for a, b in keys]),
+            pair_divisors=np.concatenate([np.full(p.coeffs.size, -2.0 * p.width * p.width) for p in pairs]),
+            pair_coeffs=np.concatenate([p.coeffs for p in pairs]),
+            pair_starts=np.array([0, *np.cumsum(sizes)[:-1]]),
+            pair_sizes=np.array(sizes),
+            pair_biases=np.array([p.bias for p in pairs]),
+            pair_labels=np.array(keys),
+        ))
 
     def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
         model, train, _ = blob_model_and_split
@@ -401,8 +411,11 @@ class TestSharedDistances:
         layout = other.layout
         object.__setattr__(other, "layout", layout._replace(
             sq_norms=np.zeros_like(layout.sq_norms), divisors=np.ones_like(layout.divisors),
-            pair_divisors=dict.fromkeys(layout.pair_divisors, 1.0),
+            pair_columns=layout.pair_columns[::-1].copy(), pair_divisors=np.ones_like(layout.pair_divisors),
+            pair_coeffs=np.zeros_like(layout.pair_coeffs), pair_biases=np.ones_like(layout.pair_biases),
+            pair_labels=layout.pair_labels[:, ::-1].copy(),
         ))
+        assert self._layout_bytes(other.layout) != self._derived_layout_bytes(model)
         assert [cil.class_payload(m) for m in other.classes] == [cil.class_payload(m) for m in model.classes]
         cil.save(model, tmp_path / "a.json")
         cil.save(other, tmp_path / "b.json")
@@ -416,6 +429,40 @@ class TestSharedDistances:
         assert self._layout_bytes(replace(fresh).layout) == self._derived_layout_bytes(model)
         grown = cil.add_class(fresh, 9, train.rows_of(0) + 40.0)
         assert self._layout_bytes(grown.layout) == self._derived_layout_bytes(grown)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 12), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_pair_segments(self, k, d, seed):
+        """Each pair's segment of the layout's pair arrays holds the columns
+        of its stacked vectors, its coefficients and its divisor; the
+        segments follow sorted key order and cover the arrays."""
+        model = random_registry(np.random.default_rng(seed), k, d)
+        layout = model.layout
+        svs = np.vstack([m.support_vectors for m in model.classes])
+        assert list(layout.pair_ids) == sorted(model.pair_table)
+        stop = 0
+        for key, i in layout.pair_ids.items():
+            clf = model.pair_table[key]
+            assert (layout.pair_starts[i], layout.pair_sizes[i]) == (stop, clf.coeffs.size)
+            span = slice(stop, stop + clf.coeffs.size)
+            assert np.array_equal(svs[layout.pair_columns[span]], clf.vectors)
+            assert layout.pair_coeffs[span].tobytes() == clf.coeffs.tobytes()
+            assert np.all(layout.pair_divisors[span] == -2.0 * clf.width * clf.width)
+            assert layout.pair_biases[i] == clf.bias
+            assert tuple(layout.pair_labels[i].tolist()) == key
+            stop = span.stop
+        assert stop == layout.pair_columns.size == (k - 1) * svs.shape[0]
+        for name in ("pair_divisors", "pair_coeffs"):
+            assert getattr(layout, name).shape == layout.pair_columns.shape
+
+    def test_pair_needs_a_coefficient_per_vector(self):
+        # one short pair would shift every later pair's segment
+        model = random_registry(np.random.default_rng(0), 3, 2)
+        key = min(model.pair_table)
+        clf = model.pair_table[key]
+        short = replace(clf, vectors=clf.vectors[:-1], coeffs=clf.coeffs[:-1])
+        with pytest.raises(ValueError, match="one coefficient per support vector"):
+            replace(model, pair_table={**model.pair_table, key: short})
 
 
 def assert_same_details(got, want):
@@ -432,12 +479,16 @@ def assert_same_details(got, want):
 
 class TestFusedPrediction:
     """The fused chunk path gives what per-class decision_values and
-    per-pair predict_pair calls gave (tests/oracles.py::reference_details),
-    bit for bit."""
+    per-pair predict_pair calls gave (tests/oracles.py::reference_details):
+    class values bit for bit, and equal votes, labels and regions. A pair's
+    decision is a segment sum here and a BLAS dot there, so it may differ
+    in the last bits, which moves no vote unless it lies that close to 0."""
 
     @settings(max_examples=40, deadline=None)
     @given(
-        k=st.integers(2, 8),
+        # 12 classes: a none-region row votes over 66 pairs, and
+        # multi-region rows take subsets of the pair table
+        k=st.integers(2, 12),
         d=st.integers(1, 5),
         n=st.integers(1, 600),  # crosses the 256-row chunk boundary
         seed=st.integers(0, 2**32 - 1),
@@ -451,6 +502,19 @@ class TestFusedPrediction:
             assert_same_details([cil.predict_detail(model, x)], reference_details(model, x[None, :]))
         want = [dt.label for dt in reference_details(model, X, nearest_sv=True)]
         assert cil.ocsvm_nn_labels(model, X).tolist() == want
+
+    def test_wide_table_one_row_votes(self):
+        """One-row predict_detail over 10 classes (45 pairs), on rows of
+        every region and of candidate sets of many sizes."""
+        rng = np.random.default_rng(3)
+        model = random_registry(rng, 10, 2)
+        X = raw_probes(rng, model, 200)
+        details = [cil.predict_detail(model, x) for x in X]
+        sizes = {len(dt.possible) for dt in details if dt.region == cil.REGION_MULTI}
+        assert {cil.REGION_NONE, cil.REGION_UNIQUE} <= {dt.region for dt in details}
+        assert {2, 3, 4, 5, 6, 7} <= sizes
+        for dt, x in zip(details, X):
+            assert_same_details([dt], reference_details(model, x[None, :]))
 
     @settings(max_examples=30, deadline=None)
     @given(
