@@ -17,7 +17,6 @@ from .cil import (
     load,
     new_model,
     ocsvm_nn_labels,
-    ocsvm_nn_predict,
     predict,
     predict_detail,
     predict_details,
@@ -36,9 +35,9 @@ from .dataset import (
     stratified_split,
 )
 from .geometry import BoundaryPartition, WidthSelection, beps_partition, select_width
-from .kernels import GramMatrix, KernelWidth, candidate_widths, gaussian, gram
-from .ocsvm import OcsvmModel, train_ocsvm
-from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
+from .kernels import GramMatrix, KernelWidth, candidate_widths, gram
+from .ocsvm import OcsvmModel
+from .pairwise import CvConfig, PairwiseClassifier, train_pair
 from .smo import DualSolution, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
 __version__ = "0.1.0"

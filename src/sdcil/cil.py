@@ -15,20 +15,21 @@ of numpy calls per chunk plus one product per class on each side; the
 per-model column layout (CilModel.layout) is derived from the registry and
 never saved. The dispute stage settles all disputed rows of a chunk that
 share their candidate classes together, in a fixed number of numpy calls
-whatever the number of pairs. A dispute classifier's vectors are its two
-classes' support vectors, lower label first, so its distance columns are
-the two class blocks side by side. The layout lays every pair out as one
-segment of a (k - 1) x all-SVs table, in sorted key order: the columns it
-reads, its -2 s^2 and its coefficients. A group gathers its pairs'
-segments from its rows' distances in one call, turns them into kernel
-terms with one divide, one exp and one multiply, sums each segment with
-one reduceat, and counts every row's votes with one bincount.
+whatever the number of pairs. A dispute classifier holds coefficients
+only; they follow its two classes' support vectors, lower label first, so
+its distance columns are the two class blocks side by side. The layout
+lays every pair out as one segment of a (k - 1) x all-SVs table, in sorted
+key order: the columns it reads, its -2 s^2 and its coefficients. A group
+gathers its pairs' segments from its rows' distances in one call, turns
+them into kernel terms with one divide, one exp and one multiply, sums
+each segment with one reduceat, and counts every row's votes with one
+bincount.
 
 A saved model (format version 2) stores each support vector once, in its
-class, and load() stacks a dispute classifier's vectors from its two
-classes. Version-1 files also stored them in every pair entry; load() still
-reads them when those vectors are the stacked class support vectors, as
-every version-1 writer made them.
+class, as the model in memory does. Version-1 files also stored every
+pair's vectors; load() still reads them when those vectors are the stacked
+class support vectors, as every version-1 writer made them, and drops the
+copy.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .geometry import (
     default_k_neighbors,
     select_width,
 )
-from .kernels import candidate_widths, check_width, squared_norms
+from .kernels import candidate_widths, check_width, kernel_from_sqdist, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel
-from .pairwise import CvConfig, PairwiseClassifier, predict_pair, train_pair
+from .pairwise import CvConfig, PairwiseClassifier, train_pair
 from .smo import BOX_SLACK, SolverConfig
 
 FORMAT_VERSION = 2
@@ -104,7 +105,9 @@ class PredictionLayout(NamedTuple):
     The pair arrays describe the dispute classifiers in sorted key order,
     each as one segment of (k - 1) x all-SVs columns: the distance columns
     its kernel reads, its two classes' blocks lower label first as its
-    vectors are stacked, with its -2 s^2 and its coefficients beside them.
+    coefficients follow them, with its -2 s^2 and its coefficients beside
+    them. Building it raises ValueError unless each pair's coefficients are
+    a 1-D array of one value per support vector of its two classes.
     """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
@@ -126,19 +129,23 @@ class PredictionLayout(NamedTuple):
         columns = {m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)}
         keys = sorted(pair_table)
         pairs = [pair_table[key] for key in keys]
-        sizes = [clf.coeffs.size for clf in pairs]
         ids = np.arange(stops[-1] if stops else 0)
-        # the leading empty arrays let an empty registry or pair table through
-        pair_columns = np.concatenate([ids[:0], *(ids[columns[lbl]] for key in keys for lbl in key)])
-        if pair_columns.size != sum(sizes):
-            raise ValueError("each pair needs one coefficient per support vector of its two classes")
+        segments = [np.concatenate((ids[columns[a]], ids[columns[b]])) for a, b in keys]
+        for key, clf, cols in zip(keys, pairs, segments):
+            if clf.coeffs.shape != cols.shape:
+                raise ValueError(
+                    f"pair {key} needs one coefficient per support vector of its two classes, "
+                    f"a 1-D array of {cols.size}; got shape {clf.coeffs.shape}"
+                )
+        sizes = [cols.size for cols in segments]
         return cls(
             columns=columns,
             sq_norms=np.concatenate([np.empty(0), *(m.sv_sq_norms for m in classes)]),
             divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
             pair_ids={key: i for i, key in enumerate(keys)},
-            pair_columns=pair_columns,
+            # the leading empty arrays let an empty registry or pair table through
+            pair_columns=np.concatenate([ids[:0], *segments]),
             pair_divisors=np.repeat([_divisor(clf.width) for clf in pairs], sizes),
             pair_coeffs=np.concatenate([np.empty(0), *(clf.coeffs for clf in pairs)]),
             pair_starts=np.cumsum([0, *sizes])[:-1],
@@ -181,7 +188,7 @@ class CilModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CilModel):
             return NotImplemented
-        return to_json_dict(self) == to_json_dict(other)
+        return _to_json_dict(self) == _to_json_dict(other)
 
 
 def new_model(config: CilConfig | None = None, scaler: Scaler | None = None) -> CilModel:
@@ -414,11 +421,6 @@ def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
     return np.array([d.label for d in _details(model, X, _nearest_sv_dispute)], dtype=int)
 
 
-def ocsvm_nn_predict(model: CilModel, x: np.ndarray) -> int:
-    """Prediction with disputes resolved by the class of the nearest SV."""
-    return int(ocsvm_nn_labels(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 # --- baselines ---------------------------------------------------------------
 
 
@@ -441,38 +443,50 @@ def knn_predict(train: LabeledDataset, x: np.ndarray, k: int = 1) -> int:
 
 @dataclass(frozen=True)
 class BatchSvm:
-    """1vs1 table trained on full class data (non-incremental baseline)."""
+    """1vs1 table trained on full class data (non-incremental baseline).
 
-    labels: tuple[int, ...]
+    Each class's training rows are kept once; a pair's coefficients follow
+    its two classes' rows, lower label first."""
+
+    rows: dict[int, np.ndarray]  # label -> its training rows
     pairs: dict[tuple[int, int], PairwiseClassifier]
 
 
 def train_batch_svm(train: LabeledDataset, cv: CvConfig, cfg: SolverConfig | None = None) -> BatchSvm:
     cfg = cfg or SolverConfig()
-    labels = train.class_ids
+    rows = {a: train.rows_of(a) for a in train.class_ids}
     pairs = {}
-    for a, b in combinations(labels, 2):
-        pairs[(a, b)] = train_pair(train.rows_of(a), a, train.rows_of(b), b, cv, cfg)
-    return BatchSvm(labels=tuple(labels), pairs=pairs)
+    for a, b in combinations(rows, 2):
+        pairs[(a, b)] = train_pair(rows[a], a, rows[b], b, cv, cfg)
+    return BatchSvm(rows=rows, pairs=pairs)
 
 
 def batch_svm_classify(svm: BatchSvm, X: np.ndarray) -> np.ndarray:
     """Majority vote over all pairs for each row of X; ties go to the
-    smallest label."""
+    smallest label.
+
+    Per chunk of rows, one squared-distance block per class; a pair's
+    kernel is its two classes' blocks side by side, as in the SD-CIL
+    dispute stage."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    labels = np.array(sorted(svm.labels))  # ascending, so argmax keeps the smallest on a tie
+    labels = np.array(sorted(svm.rows))  # ascending, so argmax keeps the smallest on a tie
+    norms = {lbl: squared_norms(rows) for lbl, rows in svm.rows.items()}
     votes = np.zeros((X.shape[0], labels.size), dtype=int)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
+        Xs = X[start:start + _CHUNK_ROWS]
+        xx = squared_norms(Xs)
+        d2 = {lbl: squared_distances(Xs, rows, xx=xx, yy=norms[lbl]) for lbl, rows in svm.rows.items()}
         for clf in svm.pairs.values():
-            votes[chunk] += predict_pair(clf, X[chunk])[:, None] == labels
+            K = kernel_from_sqdist(np.hstack((d2[clf.label_a], d2[clf.label_b])), clf.width)
+            winners = np.where(K @ clf.coeffs + clf.bias > 0.0, clf.label_a, clf.label_b)
+            votes[start:start + Xs.shape[0]] += winners[:, None] == labels
     return labels[np.argmax(votes, axis=1)]
 
 
 # --- persistence -------------------------------------------------------------
 
 
-def class_entry(m: OcsvmModel) -> dict:
+def _class_entry(m: OcsvmModel) -> dict:
     return {
         "label": int(m.class_label),
         "nu": float(m.nu),
@@ -485,7 +499,7 @@ def class_entry(m: OcsvmModel) -> dict:
     }
 
 
-def pair_entry(p: PairwiseClassifier) -> dict:
+def _pair_entry(p: PairwiseClassifier) -> dict:
     return {
         "a": int(p.label_a),
         "b": int(p.label_b),
@@ -501,11 +515,11 @@ def pair_entry(p: PairwiseClassifier) -> dict:
 
 def class_payload(m: OcsvmModel) -> bytes:
     """Canonical bytes of one class entry, for byte-identity checks."""
-    return json.dumps(class_entry(m), sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(_class_entry(m), sort_keys=True, separators=(",", ":")).encode()
 
 
 def pair_payload(p: PairwiseClassifier) -> bytes:
-    return json.dumps(pair_entry(p), sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(_pair_entry(p), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _config_from_entry(e: dict) -> CilConfig:
@@ -521,7 +535,7 @@ def _config_from_entry(e: dict) -> CilConfig:
     return CilConfig(**{**e, "cv": CvConfig(**cv), "solver": SolverConfig(**e["solver"])})
 
 
-def to_json_dict(model: CilModel) -> dict:
+def _to_json_dict(model: CilModel) -> dict:
     scaler = model.scaler
     return {
         "format_version": FORMAT_VERSION,
@@ -532,8 +546,8 @@ def to_json_dict(model: CilModel) -> dict:
             "std": [float(v) for v in scaler.std],
             "constant_columns": list(scaler.constant_columns),
         },
-        "classes": [class_entry(m) for m in model.classes],
-        "pairs": [pair_entry(model.pair_table[k]) for k in sorted(model.pair_table)],
+        "classes": [_class_entry(m) for m in model.classes],
+        "pairs": [_pair_entry(model.pair_table[k]) for k in sorted(model.pair_table)],
         "config": asdict(model.config),
     }
 
@@ -541,7 +555,7 @@ def to_json_dict(model: CilModel) -> dict:
 def save(model: CilModel, path: str | Path) -> None:
     """Write the registry as versioned JSON; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_json_dict(model), f, indent=1)
+        json.dump(_to_json_dict(model), f, indent=1)
         f.write("\n")
 
 
@@ -569,10 +583,9 @@ def _ocsvm_from_entry(e: dict, version: int) -> OcsvmModel:
 
 def _pair_from_entry(e: dict, version: int, svs: dict[int, np.ndarray]) -> PairwiseClassifier:
     a, b = int(e["a"]), int(e["b"])
-    vectors = np.vstack((svs[a], svs[b]))
     # a version-1 entry repeats its vectors; any other copy than the
     # stacked class SVs is damage, and the copy is not kept
-    if version == 1 and not np.array_equal(np.array(e["vectors"], dtype=float), vectors):
+    if version == 1 and not np.array_equal(np.array(e["vectors"], dtype=float), np.vstack((svs[a], svs[b]))):
         raise ValueError(
             "a pair's vectors must be the support vectors of its two classes, "
             f"lower label first (pair {(a, b)})"
@@ -580,7 +593,6 @@ def _pair_from_entry(e: dict, version: int, svs: dict[int, np.ndarray]) -> Pairw
     return PairwiseClassifier(
         label_a=a,
         label_b=b,
-        vectors=vectors,
         coeffs=np.array(e["coeffs"], dtype=float),
         bias=float(e["bias"]),
         width=float(e["width"]),
@@ -604,7 +616,9 @@ def load(path: str | Path) -> CilModel:
 
     A version-1 file also holds each pair's vectors; it loads only when they
     are the stacked support vectors of the pair's two classes, lower label
-    first, and its classes and pairs load with converged=None (unknown)."""
+    first, and its classes and pairs load with converged=None (unknown).
+    Building the model checks that each pair has one coefficient per
+    support vector of its two classes."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -652,10 +666,9 @@ def load(path: str | Path) -> CilModel:
         svs = {m.class_label: m.support_vectors for m in classes}
         pairs = {key: _pair_from_entry(e, version, svs) for key, e in entries.items()}
         bad = [f"class {m.class_label}" for m in classes if m.m == 0 or m.sv_alphas.shape != (m.m,)]
-        bad += [f"pair {k}" for k, clf in pairs.items() if clf.coeffs.shape != clf.vectors.shape[:1]]
         if bad:
             raise ModelFormatError(
-                f"malformed model file {path}: need one coefficient per stored vector "
+                f"malformed model file {path}: need one alpha per support vector "
                 f"and at least one support vector per class ({', '.join(bad)})"
             )
         bad = [

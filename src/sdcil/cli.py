@@ -190,11 +190,7 @@ def run_trials(
             for m, rs in results.items()}
 
 
-def evaluate_method(ds, dataset_name, method, **kw) -> EvalReport:
-    return run_trials(ds, dataset_name, (method,), **kw)[method]
-
-
-def write_report_csv(reports: list[EvalReport], path) -> None:
+def _write_report_csv(reports: list[EvalReport], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["method", "dataset", "trial", "seed", "accuracy",
@@ -284,9 +280,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = load_csv(args.data)
     name = Path(args.data).stem
-    rep = evaluate_method(
-        ds, name, args.method, trials=args.trials, base_seed=args.seed, nu=args.nu
-    )
+    rep = run_trials(ds, name, (args.method,), trials=args.trials, base_seed=args.seed, nu=args.nu)[args.method]
     print(rep.summary())
     for i, t in enumerate(rep.trials):
         print(
@@ -295,7 +289,7 @@ def cmd_evaluate(args) -> int:
             f"train={t.train_seconds:.2f}s"
         )
     if args.out:
-        write_report_csv([rep], args.out)
+        _write_report_csv([rep], args.out)
         print(f"report -> {args.out}")
     return EXIT_OK
 
@@ -389,7 +383,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sdcil", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -448,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, cil.ModelFormatError, ValueError) as e:

@@ -83,17 +83,6 @@ def squared_distances(
     return d2
 
 
-def gaussian(x: np.ndarray, y: np.ndarray, s: KernelWidth) -> float:
-    """Gaussian kernel between two vectors: exp(-||x-y||^2 / (2 s^2))."""
-    s = check_width(s)
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * s * s)))
-
-
 def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth) -> np.ndarray:
     """Kernel values exp(-d2 / (2 s^2)) from precomputed squared distances;
     kernel_from_sqdist(squared_distances(X, Y), s) is the rectangular kernel
@@ -122,7 +111,7 @@ def gram(X: np.ndarray, s: KernelWidth) -> GramMatrix:
     return gram_from_sqdist(d2, s)
 
 
-def median_pairwise_distance(X: np.ndarray) -> float:
+def _median_pairwise_distance(X: np.ndarray) -> float:
     """Median Euclidean distance over row pairs, subsampled for large n."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -146,7 +135,7 @@ def candidate_widths(X: np.ndarray, count: int = 30) -> list[KernelWidth]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    d_med = median_pairwise_distance(X)
+    d_med = _median_pairwise_distance(X)
     if d_med <= 0.0:
         raise ValueError("all rows identical: median pairwise distance is zero")
     lo, hi = _GRID_LO * d_med, _GRID_HI * d_med

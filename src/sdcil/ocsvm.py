@@ -1,20 +1,21 @@
-"""Per-class one-class SVM: training and decision values.
+"""Per-class one-class SVM: the model built from a dual solution.
 
 A trained model keeps only the rows with nonzero dual coefficients (the
 support vectors); everything needed at predict time is (SVs, alphas, rho,
-width). The SVs' squared norms are derived from them when a model is built
-and kept beside them for the distance computation; they are not saved.
+width), and its decision value at x is sum_i alpha_i k(sv_i, x) - rho. The
+SVs' squared norms are derived from them when a model is built and kept
+beside them for the distance computation; they are not saved. Training
+(geometry.select_width) and prediction (cil) live with their callers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelWidth, check_width, gram, kernel_from_sqdist, squared_distances, squared_norms
-from .smo import DualSolution, SolverConfig, solve_ocsvm_dual
+from .kernels import KernelWidth, squared_norms
+from .smo import DualSolution
 
 # Dual coefficients at or below this are treated as zero and dropped.
 SV_THRESHOLD = 1e-8
@@ -48,31 +49,6 @@ class OcsvmModel:
         return self.support_vectors.shape[1]
 
 
-def train_ocsvm(
-    X_class: np.ndarray,
-    nu: float,
-    s: KernelWidth,
-    cfg: SolverConfig,
-    class_label: int = 0,
-) -> OcsvmModel:
-    """Train a one-class SVM on one class's rows at kernel width s.
-
-    A non-converged solve still yields a model, flagged so callers can
-    reject it.
-    """
-    X = np.asarray(X_class, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need an n x d matrix with n >= 2")
-    s = check_width(s)
-    if not NU_SOFT_RANGE[0] <= nu <= NU_SOFT_RANGE[1]:
-        warnings.warn(
-            f"nu={nu} outside the usual [{NU_SOFT_RANGE[0]}, {NU_SOFT_RANGE[1]}] range",
-            stacklevel=2,
-        )
-    sol = solve_ocsvm_dual(gram(X, s), nu, cfg)
-    return model_from_solution(X, nu, s, sol, class_label)
-
-
 def model_from_solution(
     X: np.ndarray, nu: float, s: KernelWidth, sol: DualSolution, class_label: int = 0
 ) -> OcsvmModel:
@@ -91,13 +67,3 @@ def model_from_solution(
         converged=bool(sol.converged),
     )
 
-
-def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """Sum of alpha_i * k(sv_i, x) minus rho, for each row x of X.
-
-    Positive means inside the learned support."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.d:
-        raise ValueError(f"dimension mismatch: model expects d={model.d}, got {X.shape[1]}")
-    d2 = squared_distances(X, model.support_vectors, yy=model.sv_sq_norms)
-    return kernel_from_sqdist(d2, model.width) @ model.sv_alphas - model.rho

@@ -3,7 +3,9 @@
 Each classifier is a soft-margin Gaussian-kernel binary SVM over the pooled
 support vectors of the two classes, with (C, s) picked by stratified
 cross-validated grid search. The lower class id sits on the positive side
-of the decision function.
+of the decision function. A classifier keeps no vectors of its own: its
+coefficients follow its two classes' vectors stacked lower label first, so
+whoever holds those vectors (the registry's class models) evaluates it.
 
 Within each (width, fold) of the grid the costs are solved in ascending
 order, each solve starting from the previous cost's alphas (alpha seeding):
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    GramMatrix, KernelWidth, candidate_widths, gram_from_sqdist, kernel_from_sqdist, squared_distances,
-)
+from .kernels import GramMatrix, KernelWidth, candidate_widths, gram_from_sqdist, squared_distances
 from .smo import SolverConfig, solve_binary_dual
 
 DEFAULT_COST_GRID = tuple(2.0 ** e for e in range(-3, 8))
@@ -53,34 +53,19 @@ class CvConfig:
 
 @dataclass(frozen=True)
 class PairwiseClassifier:
+    """A trained dispute classifier. Its decision at x is
+    sum_i coeffs_i k(v_i, x) + bias, where v is label_a's vectors followed
+    by label_b's; positive favors label_a."""
+
     label_a: int  # a < b; positive decision side
     label_b: int
-    vectors: np.ndarray  # m x d pooled training vectors
-    coeffs: np.ndarray  # m, alpha_i * y_i
+    coeffs: np.ndarray  # alpha_i * y_i, one per vector of a, then of b
     bias: float
     width: KernelWidth
     cost: float
     cv_accuracy: float
     train_accuracy: float
     converged: bool | None  # the refit's solve; None when unknown (a version-1 file)
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-
-def decision_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
-    """Raw decision values for the rows of X; positive favors label_a."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != clf.d:
-        raise ValueError(f"dimension mismatch: classifier expects d={clf.d}, got {X.shape[1]}")
-    return kernel_from_sqdist(squared_distances(X, clf.vectors), clf.width) @ clf.coeffs + clf.bias
-
-
-def predict_pair(clf: PairwiseClassifier, X: np.ndarray) -> np.ndarray:
-    """label_a for each row of X with a strictly positive decision, else
-    label_b."""
-    return np.where(decision_pair(clf, X) > 0.0, clf.label_a, clf.label_b)
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -119,6 +104,7 @@ def train_pair(
     two of the smaller class. Accuracy ties prefer smaller C, then smaller
     width. Each fold solve after the smallest cost starts from the previous
     cost's alphas. The winner is refit on the full pool from a cold start.
+    The classifier keeps the refit's coefficients, not the pooled vectors.
     """
     if label_a == label_b:
         raise ValueError("pair labels must differ")
@@ -196,7 +182,6 @@ def train_pair(
     return PairwiseClassifier(
         label_a=int(label_a),
         label_b=int(label_b),
-        vectors=X,
         coeffs=coeffs,
         bias=float(sol.offset),
         width=float(s_win),

@@ -8,10 +8,13 @@ uphill (O'Donoghue & Candes 2015), and is off for steps below 1e-10.
 Iteration cap 10^5 with an early exit once the iterate stops moving at
 floating-point resolution.
 
-`reference_smo` and `reference_details` are the exceptions: copies of the
-package's SMO loop as first merged and of its prediction path before the
-fused kernel passes, kept so that faster code can be held to the same
-floating-point results.
+The rest are references that package code is held to: `gaussian`, the
+kernel from its definition; `class_values` and `pair_decisions`, one class
+model's values and one dispute classifier's decisions, each a kernel block
+times its coefficients; `reference_smo`, the package's SMO loop as first
+merged; `reference_details`, its prediction path before the fused kernel
+passes; and `reference_batch_svm`, the batch-SVM baseline with one stacked
+kernel product per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from sdcil import cil
-from sdcil.kernels import kernel_from_sqdist, squared_distances, squared_norms
+from sdcil.kernels import check_width, kernel_from_sqdist, squared_distances, squared_norms
 from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN
 
 MAX_ITERS = 100_000
@@ -35,6 +38,39 @@ _STALL_RUNS = 50
 # exceeds _STALL_TOL, so that the stall exit never trips (2 of criterion 2's
 # 100 instances ran to the iteration cap with momentum at every step)
 _PLAIN_TOL = 1e-10
+
+
+def gaussian(x: np.ndarray, y: np.ndarray, s: float) -> float:
+    """Gaussian kernel between two vectors: exp(-||x-y||^2 / (2 s^2))."""
+    s = check_width(s)
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    d2 = float(np.sum((x - y) ** 2))
+    return float(np.exp(-d2 / (2.0 * s * s)))
+
+
+def class_values(model, Xs: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
+    """sum_i alpha_i k(sv_i, x) - rho for each row x of Xs (scaled space);
+    xx, when given, is squared_norms(Xs)."""
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+    d2 = squared_distances(Xs, model.support_vectors, xx=xx)
+    return kernel_from_sqdist(d2, model.width) @ model.sv_alphas - model.rho
+
+
+def pair_decisions(clf, d2_a: np.ndarray, d2_b: np.ndarray) -> np.ndarray:
+    """A dispute classifier's decisions for rows whose squared distances to
+    its two classes' vectors are d2_a and d2_b; positive favors label_a."""
+    return kernel_from_sqdist(np.concatenate((d2_a, d2_b), axis=1), clf.width) @ clf.coeffs + clf.bias
+
+
+def registry_pair_decisions(model, key: tuple[int, int], Xs: np.ndarray) -> np.ndarray:
+    """pair_decisions of model.pair_table[key] for the rows of Xs (scaled
+    space), on the support vectors of the model's two classes."""
+    return pair_decisions(
+        model.pair_table[key], *(squared_distances(Xs, model.class_model(lbl).support_vectors) for lbl in key)
+    )
 
 
 def project_capped_simplex(v: np.ndarray, cap: float, total: float = 1.0) -> np.ndarray:
@@ -179,9 +215,9 @@ def reference_details(model, X, nearest_sv: bool = False) -> list:
     cil.ocsvm_nn_labels) as computed before the fused kernel passes.
 
     Per chunk of cil._CHUNK_ROWS rows: one squared-distance block and one
-    decision_values computation per class; then, per set of candidate
-    classes, one predict_pair computation per dispute classifier on its two
-    classes' blocks side by side, or the class of the nearest support
+    class_values computation per class; then, per set of candidate
+    classes, one pair_decisions computation per dispute classifier on its
+    two classes' blocks side by side, or the class of the nearest support
     vector. Pins the fused path's class values bit for bit (numpy
     multiplies a one-row block with a dot kernel and a larger one with
     gemv, so the chunks must match), and its votes, labels and regions for
@@ -199,10 +235,7 @@ def reference_details(model, X, nearest_sv: bool = False) -> list:
             m.class_label: squared_distances(Xs, m.support_vectors, xx=xx, yy=squared_norms(m.support_vectors))
             for m in model.classes
         }
-        columns = [
-            (kernel_from_sqdist(blocks[m.class_label], m.width) @ m.sv_alphas - m.rho).tolist()
-            for m in model.classes
-        ]
+        columns = [class_values(m, Xs, xx).tolist() for m in model.classes]
         rows, disputes = [], {}
         for i, row in enumerate(zip(*columns)):
             values = dict(zip(labels, row))
@@ -228,8 +261,7 @@ def reference_details(model, X, nearest_sv: bool = False) -> list:
 def _reference_vote(model, possible, values, d2):
     votes = [dict.fromkeys(possible, 0) for _ in values]
     for a, b in combinations(possible, 2):
-        clf = model.pair_table[(a, b)]
-        decision = kernel_from_sqdist(np.concatenate((d2[a], d2[b]), axis=1), clf.width) @ clf.coeffs + clf.bias
+        decision = pair_decisions(model.pair_table[(a, b)], d2[a], d2[b])
         for row_votes, winner in zip(votes, np.where(decision > 0.0, a, b).tolist()):
             row_votes[winner] += 1
     settled = []
@@ -241,3 +273,20 @@ def _reference_vote(model, possible, values, d2):
             tied = [lbl for lbl in tied if row_values[lbl] == best]
         settled.append((min(tied), row_votes))
     return settled
+
+
+def reference_batch_svm(svm, X) -> np.ndarray:
+    """cil.batch_svm_classify as it was while each pair kept its stacked
+    training rows: one kernel product per pair over the stacked rows of
+    its two classes, lower label first, then a majority vote whose ties go
+    to the smallest label."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    labels = np.array(sorted(svm.rows))
+    votes = np.zeros((X.shape[0], labels.size), dtype=int)
+    for start in range(0, X.shape[0], cil._CHUNK_ROWS):
+        chunk = slice(start, start + cil._CHUNK_ROWS)
+        for clf in svm.pairs.values():
+            vectors = np.vstack((svm.rows[clf.label_a], svm.rows[clf.label_b]))
+            decision = kernel_from_sqdist(squared_distances(X[chunk], vectors), clf.width) @ clf.coeffs + clf.bias
+            votes[chunk] += np.where(decision > 0.0, clf.label_a, clf.label_b)[:, None] == labels
+    return labels[np.argmax(votes, axis=1)]

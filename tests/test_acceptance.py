@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, fast_config, train_cil
-from oracles import pgd_binary_objective, pgd_ocsvm_objective
+from oracles import pgd_binary_objective, pgd_ocsvm_objective, registry_pair_decisions
 from sdcil import cil
 from sdcil.cli import run_trials
 from sdcil.dataset import (
@@ -24,8 +24,7 @@ from sdcil.dataset import (
 )
 from sdcil.geometry import beps_partition, default_k_neighbors, select_width
 from sdcil.kernels import candidate_widths, gram
-from sdcil.ocsvm import train_ocsvm
-from sdcil.pairwise import decision_pair
+from sdcil.ocsvm import model_from_solution
 from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -136,7 +135,9 @@ class TestCriterion3NuProperty:
                 continue
             X = rng.normal(size=(n, int(rng.integers(2, 6))))
             s = float(rng.uniform(0.3, 5.0))
-            m = train_ocsvm(X, nu, s, SolverConfig(kkt_tolerance=1e-5, seed=checked))
+            # the path select_width trains a class through
+            sol = solve_ocsvm_dual(gram(X, s), nu, SolverConfig(kkt_tolerance=1e-5, seed=checked))
+            m = model_from_solution(X, nu, s, sol)
             if not m.converged:
                 continue
             C = 1.0 / (nu * n)
@@ -272,7 +273,7 @@ class TestCriterion8Persistence:
                     worst = max(worst, abs(d1.ocsvm_values[lbl] - d2.ocsvm_values[lbl]))
             Xs = model.scaler.transform(probes)
             for key in model.pair_table:
-                drift = decision_pair(model.pair_table[key], Xs) - decision_pair(loaded.pair_table[key], Xs)
+                drift = registry_pair_decisions(model, key, Xs) - registry_pair_decisions(loaded, key, Xs)
                 worst = max(worst, float(np.max(np.abs(drift))))
             assert worst < 1e-12, f"{tag}: worst decision drift {worst:.2e}"
         report("criterion 8 (persistence)", True,

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import V1_MODEL, fast_config, train_cil
-from oracles import reference_details
+from oracles import class_values, pair_decisions, reference_batch_svm, reference_details, registry_pair_decisions
 from sdcil import cil
 from sdcil.dataset import (
     DataError,
@@ -18,10 +19,12 @@ from sdcil.dataset import (
     fit_standardize,
     load_uci,
     make_toy,
+    make_waveform,
     stratified_split,
 )
-from sdcil.ocsvm import OcsvmModel, decision_values
-from sdcil.pairwise import CvConfig, PairwiseClassifier, predict_pair
+from sdcil.kernels import squared_distances
+from sdcil.ocsvm import OcsvmModel
+from sdcil.pairwise import CvConfig, PairwiseClassifier
 from sdcil.smo import SolverConfig
 
 
@@ -127,14 +130,10 @@ class TestAddClass:
 class TestPredict:
     def test_unique_positive_shortcut(self, blob_model_and_split):
         model, train, _ = blob_model_and_split
-        from sdcil.ocsvm import decision_values
-
         for label in model.labels:
             # the deepest training point of the class is positive only there
             rows = train.rows_of(label)
-            own = model.class_model(label)
-            std_rows = model.scaler.transform(rows)
-            x = rows[int(np.argmax(decision_values(own, std_rows)))]
+            x = rows[int(np.argmax([d.ocsvm_values[label] for d in cil.predict_details(model, rows)]))]
             detail = cil.predict_detail(model, x)
             assert detail.region == cil.REGION_UNIQUE
             assert detail.label == label
@@ -152,7 +151,8 @@ class TestPredict:
         grid = np.column_stack(
             [rng.uniform(-1, 3.5, 4000), rng.uniform(-2, 2, 4000)]
         )
-        wants = predict_pair(model.pair_table[(0, 1)], model.scaler.transform(grid)).tolist()
+        decisions = registry_pair_decisions(model, (0, 1), model.scaler.transform(grid))
+        wants = np.where(decisions > 0.0, 0, 1).tolist()
         hits = 0
         for detail, want in zip(cil.predict_details(model, grid), wants):
             if detail.region == cil.REGION_MULTI and len(detail.possible) == 2:
@@ -183,8 +183,6 @@ class TestPredict:
         all classes are possible); each pair classifier is a constant whose
         sign hands one vote to each class.
         """
-        from sdcil.ocsvm import OcsvmModel
-        from sdcil.pairwise import PairwiseClassifier
 
         def one_sv(label, dist):
             return OcsvmModel(
@@ -197,7 +195,6 @@ class TestPredict:
         def const_pair(a, b, bias):
             return PairwiseClassifier(
                 label_a=a, label_b=b,
-                vectors=np.array([[0.0, 0.0], [1.0, 0.0]]),
                 coeffs=np.zeros(2), bias=bias, width=1.0, cost=1.0,
                 cv_accuracy=1.0, train_accuracy=1.0, converged=True,
             )
@@ -231,7 +228,7 @@ class TestPredict:
     @pytest.mark.parametrize("fn", [
         cil.predict,
         cil.predict_detail,
-        cil.ocsvm_nn_predict,
+        pytest.param(lambda model, x: cil.ocsvm_nn_labels(model, x[None, :]), id="ocsvm_nn_labels"),
         # the bad row comes second: the whole matrix is checked before any row is returned
         pytest.param(
             lambda model, x: next(cil.predict_details(model, np.vstack([np.zeros(2), x]))),
@@ -273,8 +270,7 @@ class TestPredict:
 
 def random_registry(rng, k: int, d: int) -> cil.CilModel:
     """k classes with random SVs, registered in random label order, and a
-    pair per class pair whose vectors stack its classes' SVs, lower label
-    first, as add_class builds them."""
+    pair per class pair with one coefficient per SV of its two classes."""
     labels = [int(v) for v in rng.choice(50, size=k, replace=False)]
     classes = []
     for label in labels:
@@ -288,18 +284,29 @@ def random_registry(rng, k: int, d: int) -> cil.CilModel:
             width=float(rng.uniform(0.5, 3.0)),
             nu=0.2, train_count=5 * m, converged=True,
         ))
-    svs = {m.class_label: m.support_vectors for m in classes}
+    sizes = {m.class_label: m.m for m in classes}
     pairs = {}
     for a, b in combinations(sorted(labels), 2):
-        vectors = np.vstack((svs[a], svs[b]))
         pairs[(a, b)] = PairwiseClassifier(
-            label_a=a, label_b=b, vectors=vectors,
-            coeffs=rng.uniform(-1.0, 1.0, vectors.shape[0]), bias=float(rng.uniform(-0.3, 0.3)),
+            label_a=a, label_b=b,
+            coeffs=rng.uniform(-1.0, 1.0, sizes[a] + sizes[b]), bias=float(rng.uniform(-0.3, 0.3)),
             width=float(rng.uniform(0.5, 3.0)), cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
             converged=True,
         )
     scaler = Scaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2.0, d))
     return cil.CilModel(config=fast_config(), scaler=scaler, classes=tuple(classes), pair_table=pairs)
+
+
+def segment(layout: cil.PredictionLayout, key) -> slice:
+    """Pair key's span of the layout's pair arrays."""
+    i = layout.pair_ids[key]
+    return slice(layout.pair_starts[i], layout.pair_starts[i] + layout.pair_sizes[i])
+
+
+def stacked_columns(layout: cil.PredictionLayout, key) -> list[int]:
+    """The distance columns of pair key's two classes' SVs, lower label
+    first, which its coefficients follow."""
+    return [col for lbl in key for col in range(layout.columns[lbl].start, layout.columns[lbl].stop)]
 
 
 def raw_probes(rng, model: cil.CilModel, n: int) -> np.ndarray:
@@ -339,10 +346,12 @@ class TestSharedDistances:
         blocks = [Xs[i:i + cil._CHUNK_ROWS] for i in range(0, n, cil._CHUNK_ROWS)]
         for m in model.classes:
             got = np.array([dt.ocsvm_values[m.class_label] for dt in details])
-            want = np.concatenate([decision_values(m, block) for block in blocks])
+            want = np.concatenate([class_values(m, block) for block in blocks])
             assert got.tobytes() == want.tobytes()
 
-        winners = {key: predict_pair(p, Xs) for key, p in model.pair_table.items()}
+        winners = {
+            (a, b): np.where(registry_pair_decisions(model, (a, b), Xs) > 0.0, a, b) for a, b in model.pair_table
+        }
         for i, dt in enumerate(details):
             if len(dt.possible) == 1:
                 assert dt.votes == {}
@@ -395,7 +404,7 @@ class TestSharedDistances:
 
     def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
         model, train, _ = blob_model_and_split
-        assert all(set(cil.class_entry(m)) == {
+        assert all(set(json.loads(cil.class_payload(m))) == {
             "label", "nu", "width", "rho", "sv_matrix", "sv_alphas", "train_count", "converged",
         } for m in model.classes)
         assert self._layout_bytes(model.layout) == self._derived_layout_bytes(model)
@@ -433,9 +442,10 @@ class TestSharedDistances:
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(1, 12), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_pair_segments(self, k, d, seed):
-        """Each pair's segment of the layout's pair arrays holds the columns
-        of its stacked vectors, its coefficients and its divisor; the
-        segments follow sorted key order and cover the arrays."""
+        """Each pair's segment of the layout's pair arrays holds its two
+        classes' distance columns, lower label first, its coefficients and
+        its divisor; the segments follow sorted key order and cover the
+        arrays."""
         model = random_registry(np.random.default_rng(seed), k, d)
         layout = model.layout
         svs = np.vstack([m.support_vectors for m in model.classes])
@@ -445,7 +455,8 @@ class TestSharedDistances:
             clf = model.pair_table[key]
             assert (layout.pair_starts[i], layout.pair_sizes[i]) == (stop, clf.coeffs.size)
             span = slice(stop, stop + clf.coeffs.size)
-            assert np.array_equal(svs[layout.pair_columns[span]], clf.vectors)
+            assert span == segment(layout, key)
+            assert layout.pair_columns[span].tolist() == stacked_columns(layout, key)
             assert layout.pair_coeffs[span].tobytes() == clf.coeffs.tobytes()
             assert np.all(layout.pair_divisors[span] == -2.0 * clf.width * clf.width)
             assert layout.pair_biases[i] == clf.bias
@@ -459,10 +470,36 @@ class TestSharedDistances:
         # one short pair would shift every later pair's segment
         model = random_registry(np.random.default_rng(0), 3, 2)
         key = min(model.pair_table)
-        clf = model.pair_table[key]
-        short = replace(clf, vectors=clf.vectors[:-1], coeffs=clf.coeffs[:-1])
+        short = replace(model.pair_table[key], coeffs=model.pair_table[key].coeffs[:-1])
         with pytest.raises(ValueError, match="one coefficient per support vector"):
             replace(model, pair_table={**model.pair_table, key: short})
+
+    def test_each_pair_checked_alone(self, blob_model_and_split, tmp_path):
+        """One pair with an extra coefficient and the next with one too few
+        keep the total right; each pair is still rejected, in memory and
+        in a file, as is a coefficient array that is not 1-D."""
+        model, _, _ = blob_model_and_split
+        first, second = sorted(model.pair_table)[:2]
+        p, q = model.pair_table[first], model.pair_table[second]
+        shifted = {
+            **model.pair_table,
+            first: replace(p, coeffs=np.append(p.coeffs, 0.0)),
+            second: replace(q, coeffs=q.coeffs[:-1]),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"pair {first} needs one coefficient per support vector")):
+            cil.CilModel(config=model.config, scaler=model.scaler, classes=model.classes, pair_table=shifted)
+        with pytest.raises(ValueError, match="1-D"):
+            replace(model, pair_table={**model.pair_table, first: replace(p, coeffs=p.coeffs[None, :])})
+
+        path = tmp_path / "m.json"
+        cil.save(model, path)
+        raw = json.loads(path.read_text())
+        entries = {(e["a"], e["b"]): e for e in raw["pairs"]}
+        entries[first]["coeffs"].append(0.0)
+        entries[second]["coeffs"].pop()
+        path.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="one coefficient per support vector"):
+            cil.load(path)
 
 
 def assert_same_details(got, want):
@@ -537,13 +574,18 @@ class TestFusedPrediction:
                 assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
 
 
+def nn_label(model, x) -> int:
+    """ocsvm_nn_labels for one raw-space row."""
+    return int(cil.ocsvm_nn_labels(model, x[None, :])[0])
+
+
 class TestOcsvmNn:
     def test_agrees_on_unique_positive(self, blob_model_and_split):
         model, train, test = blob_model_and_split
         for x in test.features:
             detail = cil.predict_detail(model, x)
             if detail.region == cil.REGION_UNIQUE:
-                assert cil.ocsvm_nn_predict(model, x) == detail.label
+                assert nn_label(model, x) == detail.label
 
     def test_dispute_goes_to_nearest_sv_class(self, blob_model_and_split):
         model, train, _ = blob_model_and_split
@@ -554,7 +596,7 @@ class TestOcsvmNn:
             for m in model.classes
         }
         want = min(sorted(dists), key=lambda l: dists[l])
-        assert cil.ocsvm_nn_predict(model, x) == want
+        assert nn_label(model, x) == want
 
     def test_batch_matches_single_row(self, blob_model_and_split):
         model, train, _ = blob_model_and_split
@@ -563,7 +605,7 @@ class TestOcsvmNn:
         regions = [d.region for d in cil.predict_details(model, X)]
         assert regions.count(cil.REGION_UNIQUE) < len(regions)  # disputes are settled too
         labels = cil.ocsvm_nn_labels(model, X)
-        assert labels.tolist() == [cil.ocsvm_nn_predict(model, x) for x in X]
+        assert labels.tolist() == [nn_label(model, x) for x in X]
 
 
 class TestKnn:
@@ -605,7 +647,8 @@ class TestBatchSvm:
         assert len(svm.pairs) == 1
         clf = svm.pairs[(0, 1)]
         Xt = scaler.transform(test.features[test.labels != 2])
-        assert np.array_equal(cil.batch_svm_classify(svm, Xt), predict_pair(clf, Xt))
+        decisions = pair_decisions(clf, squared_distances(Xt, svm.rows[0]), squared_distances(Xt, svm.rows[1]))
+        assert np.array_equal(cil.batch_svm_classify(svm, Xt), np.where(decisions > 0.0, 0, 1))
 
     def test_output_in_registered_labels(self, blob_model_and_split):
         _, train, _ = blob_model_and_split
@@ -615,6 +658,20 @@ class TestBatchSvm:
         out = cil.batch_svm_classify(svm, rng.uniform(-10, 10, size=(50, 2)))
         assert out.shape == (50,)
         assert set(out.tolist()) <= {0, 1, 2}
+
+    def test_matches_stacked_reference(self):
+        """One distance block per class, each pair's kernel from two blocks
+        side by side, labels rows as one stacked product per pair did, on a
+        waveform split (iris trials: test_batch_svm_iris_benchmark_band)."""
+        train, test = stratified_split(make_waveform(n=450, seed=3), SplitSpec(0.7, seed=3))
+        scaler, std = fit_standardize(train)
+        svm = cil.train_batch_svm(std, fast_config().cv)
+        assert set(svm.rows) == {0, 1, 2}
+        for a, b in svm.pairs:
+            assert svm.pairs[(a, b)].coeffs.size == len(svm.rows[a]) + len(svm.rows[b])
+        Xt = scaler.transform(test.features)  # 135 rows, and 300 more: two chunks
+        Xt = np.vstack([Xt, np.random.default_rng(0).normal(scale=2.0, size=(300, Xt.shape[1]))])
+        assert np.array_equal(cil.batch_svm_classify(svm, Xt), reference_batch_svm(svm, Xt))
 
     def test_one_shot_convenience(self):
         train, _ = blob_split(npc=30)
@@ -813,7 +870,10 @@ class TestPersistence:
         } for e in raw["pairs"])
         loaded = cil.load(p)
         for key, clf in model.pair_table.items():
-            assert loaded.pair_table[key].vectors.tobytes() == clf.vectors.tobytes()
+            # a pair holds coefficients only, which follow its two classes'
+            # SVs: the layout reads their distance columns side by side
+            layout = loaded.layout
+            assert layout.pair_columns[segment(layout, key)].tolist() == stacked_columns(layout, key)
             assert loaded.pair_table[key].coeffs.tobytes() == clf.coeffs.tobytes()
 
     @pytest.mark.parametrize("flag", [False, None])
@@ -851,8 +911,13 @@ class TestPersistence:
         # version 1 did not record convergence
         assert all(m.converged is None for m in model.classes)
         assert all(clf.converged is None for clf in model.pair_table.values())
+        # each pair's stored vectors are what its distance columns read
+        svs = np.vstack([m.support_vectors for m in model.classes])
+        layout = model.layout
         for e in raw["pairs"]:
-            assert model.pair_table[(e["a"], e["b"])].vectors.tolist() == e["vectors"]
+            key = (e["a"], e["b"])
+            assert svs[layout.pair_columns[segment(layout, key)]].tolist() == e["vectors"]
+            assert model.pair_table[key].coeffs.tolist() == e["coeffs"]
 
     def test_v1_file_resaves_as_current_version(self, tmp_path):
         v1 = cil.load(V1_MODEL)
@@ -917,5 +982,7 @@ def test_batch_svm_iris_benchmark_band():
         scaler, std = fit_standardize(train)
         svm = cil.train_batch_svm(std, cv, SolverConfig())
         Xt = scaler.transform(test.features)
-        accs.append(np.mean(cil.batch_svm_classify(svm, Xt) == test.labels))
+        labels = cil.batch_svm_classify(svm, Xt)
+        assert np.array_equal(labels, reference_batch_svm(svm, Xt))
+        accs.append(np.mean(labels == test.labels))
     assert abs(100 * np.mean(accs) - 96.89) <= 3.0

@@ -243,11 +243,8 @@ class TestMap:
     def test_deep_centroid_cell(self, model_path, blobs_csv):
         model = cil.load(model_path)
         ds = load_csv(blobs_csv)
-        from sdcil.ocsvm import decision_values
-
         rows = ds.rows_of(0)
-        deep = rows[int(np.argmax(decision_values(model.class_model(0),
-                                                  model.scaler.transform(rows))))]
+        deep = rows[int(np.argmax([d.ocsvm_values[0] for d in cil.predict_details(model, rows)]))]
         labels, _, xs, ys = map_grid(model, (deep[0] - .1, deep[0] + .1, deep[1] - .1, deep[1] + .1), (3, 3))
         assert labels[1, 1] == 0
 

@@ -180,7 +180,7 @@ class TestSelectWidth:
     def test_hull_vertices_covered_on_blobs(self):
         from scipy.spatial import ConvexHull
 
-        from sdcil.ocsvm import decision_values
+        from oracles import class_values
 
         rng = np.random.default_rng(8)
         X = rng.normal(size=(150, 2)) * 0.8
@@ -188,7 +188,7 @@ class TestSelectWidth:
         sel = select_width(X, 0.2, candidate_widths(X, 20), part, CFG)
         hull = ConvexHull(X)
         sv_rows = set(map(tuple, sel.model.support_vectors))
-        inside = decision_values(sel.model, X[hull.vertices]) > 0.0
+        inside = class_values(sel.model, X[hull.vertices]) > 0.0
         covered = sum(
             bool(ins) or tuple(X[v]) in sv_rows for ins, v in zip(inside, hull.vertices)
         )

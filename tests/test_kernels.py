@@ -3,19 +3,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import gaussian
 from sdcil.kernels import (
     GramMatrix,
+    _median_pairwise_distance,
     candidate_widths,
     check_width,
-    gaussian,
     gram,
     kernel_from_sqdist,
-    median_pairwise_distance,
     squared_distances,
 )
 
 
 class TestGaussian:
+    """The kernel from its definition (tests/oracles.py), which the Gram and
+    rectangular kernel tests below take as their reference."""
+
     def test_zero_distance_is_one(self):
         x = np.array([1.5, -2.0, 3.0])
         assert gaussian(x, x, 0.7) == 1.0
@@ -156,7 +159,7 @@ class TestCandidateWidths:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(800, 2))
         assert candidate_widths(X, 5) == candidate_widths(X, 5)
-        assert median_pairwise_distance(X) == median_pairwise_distance(X)
+        assert _median_pairwise_distance(X) == _median_pairwise_distance(X)
 
 
 def test_gram_matrix_is_frozen_value():

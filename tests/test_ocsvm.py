@@ -3,11 +3,24 @@ import pytest
 
 from sdcil import cil
 from sdcil.geometry import beps_partition, default_k_neighbors, select_width
-from sdcil.kernels import candidate_widths
-from sdcil.ocsvm import OcsvmModel, decision_values, train_ocsvm
-from sdcil.smo import BOUND_MARGIN, SolverConfig
+from sdcil.kernels import candidate_widths, gram
+from sdcil.ocsvm import OcsvmModel, model_from_solution
+from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_ocsvm_dual
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
+
+
+def train_ocsvm(X, nu, s, cfg):
+    """One one-class solve at width s, built into a model as select_width
+    builds its winner."""
+    return model_from_solution(X, nu, s, solve_ocsvm_dual(gram(X, s), nu, cfg))
+
+
+def decision_values(model, X):
+    """The model's class values for the rows of X, through cil's prediction
+    path on a registry of this class alone (no scaler)."""
+    registry = cil.CilModel(config=cil.CilConfig(), classes=(model,))
+    return np.array([d.ocsvm_values[model.class_label] for d in cil.predict_details(registry, np.atleast_2d(X))])
 
 
 def disk_points(n=200, seed=0):
@@ -32,7 +45,6 @@ def disk_model():
 
 
 class TestTrainOcsvm:
-    @pytest.mark.filterwarnings("ignore:nu=0.5")
     def test_two_symmetric_points(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = train_ocsvm(X, 0.5, 1.0, CFG)
@@ -65,11 +77,16 @@ class TestTrainOcsvm:
     def test_nu_warning_outside_usual_range(self):
         X = disk_points(30, seed=4)
         with pytest.warns(UserWarning, match="nu=0.6"):
-            train_ocsvm(X, 0.6, 1.0, CFG)
+            cil.add_class(cil.new_model(), 0, X, nu=0.6)
 
     def test_needs_two_rows(self):
-        with pytest.raises(ValueError):
-            train_ocsvm(np.array([[1.0, 2.0]]), 1.0, 1.0, CFG)
+        # a class's one-class SVM is trained by add_class, which needs 3
+        # rows for the edge partition; the width grid alone needs 2
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="at least 3"):
+                cil.add_class(cil.new_model(), 0, disk_points(n), nu=1.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            candidate_widths(np.array([[1.0, 2.0]]))
 
 
 class TestDecisionValue:
@@ -143,7 +160,6 @@ class TestPredictOne:
 
 
 class TestSvFraction:
-    @pytest.mark.filterwarnings("ignore:nu=0.5")
     def test_two_point_model(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = train_ocsvm(X, 0.5, 1.0, CFG)

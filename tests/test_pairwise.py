@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from sdcil import pairwise
+from oracles import pair_decisions
+from sdcil import cil, pairwise
 from sdcil.cil import pair_payload
-from sdcil.kernels import gram
-from sdcil.pairwise import (
-    CvConfig,
-    PairwiseClassifier,
-    decision_pair,
-    predict_pair,
-    train_pair,
-)
+from sdcil.kernels import gram, squared_distances
+from sdcil.ocsvm import OcsvmModel
+from sdcil.pairwise import CvConfig, PairwiseClassifier, train_pair
 from sdcil.smo import SolverConfig
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
@@ -22,6 +18,30 @@ def two_blobs(n=40, gap=6.0, seed=0):
     a = rng.normal(size=(n, 2))
     b = rng.normal(size=(n, 2)) + np.array([gap, 0.0])
     return a, b
+
+
+def decision_pair(clf, svs, X):
+    """clf's decisions on the rows of X (tests/oracles.py reference); svs
+    maps each of its labels to the vectors it was trained on."""
+    X = np.atleast_2d(X)
+    return pair_decisions(clf, squared_distances(X, svs[clf.label_a]), squared_distances(X, svs[clf.label_b]))
+
+
+def predict_pair(clf, svs, X):
+    """clf's labels for the rows of X through cil's dispute stage: a
+    registry of its two classes whose class models claim no row, so that
+    every row is settled by clf alone."""
+    classes = tuple(
+        OcsvmModel(
+            class_label=label, support_vectors=svs[label], sv_alphas=np.full(len(svs[label]), 1.0 / len(svs[label])),
+            rho=2.0, width=1.0, nu=1.0, train_count=len(svs[label]), converged=True,
+        )  # class values lie in (-2, -1]
+        for label in (clf.label_a, clf.label_b)
+    )
+    model = cil.CilModel(config=cil.CilConfig(), classes=classes, pair_table={(clf.label_a, clf.label_b): clf})
+    details = list(cil.predict_details(model, np.atleast_2d(X)))
+    assert all(d.region == cil.REGION_NONE for d in details)
+    return np.array([d.label for d in details])
 
 
 class TestTrainPair:
@@ -37,15 +57,16 @@ class TestTrainPair:
         a = rng.normal(size=(30, 2)) + np.array([2.0, 1.0])
         b = -a  # mirror through the origin with labels swapped
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        assert abs(decision_pair(clf, np.zeros((1, 2)))[0]) <= 0.1
+        assert abs(decision_pair(clf, {0: a, 1: b}, np.zeros((1, 2)))[0]) <= 0.1
 
     def test_mirrored_instance_antisymmetric_labels(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(30, 2)) + np.array([2.0, 1.0])
         b = -a
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        off = np.abs(decision_pair(clf, a[:10])) > 0.05  # off the boundary
-        assert np.all(predict_pair(clf, a[:10])[off] != predict_pair(clf, -a[:10])[off])
+        svs = {0: a, 1: b}
+        off = np.abs(decision_pair(clf, svs, a[:10])) > 0.05  # off the boundary
+        assert np.all(predict_pair(clf, svs, a[:10])[off] != predict_pair(clf, svs, -a[:10])[off])
 
     def test_singleton_grid_chosen_without_search(self):
         a, b = two_blobs(20)
@@ -57,8 +78,9 @@ class TestTrainPair:
         a, b = two_blobs(15)
         clf = train_pair(a, 7, b, 2, CV, CFG)
         assert (clf.label_a, clf.label_b) == (2, 7)
-        # class 7's vectors are on the negative side now
-        assert set(predict_pair(clf, a[:5]).tolist()) == {7}
+        # class 7's vectors are on the negative side now, and last in the
+        # coefficient order
+        assert set(predict_pair(clf, {7: a, 2: b}, a[:5]).tolist()) == {7}
 
     def test_too_few_vectors(self):
         a, b = two_blobs(5)
@@ -73,7 +95,7 @@ class TestTrainPair:
     def test_leave_one_out_on_tiny_sets(self):
         a, b = two_blobs(3, seed=9)
         clf = train_pair(a[:3], 0, b[:2], 1, CvConfig(folds=5, cost_grid=(8.0,), width_grid=(1.0,)), CFG)
-        assert clf.vectors.shape[0] == 5
+        assert clf.coeffs.shape == (5,)
         assert 0.0 <= clf.cv_accuracy <= 1.0
 
     def test_reproducible_given_seed(self):
@@ -120,7 +142,7 @@ class TestTrainPair:
     def test_train_accuracy_recomputable(self):
         a, b = two_blobs(20, seed=12)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        dec = gram(clf.vectors, clf.width).values @ clf.coeffs + clf.bias
+        dec = gram(np.vstack([a, b]), clf.width).values @ clf.coeffs + clf.bias
         y = np.concatenate([np.ones(20), -np.ones(20)])
         agree = np.mean(np.where(dec > 0, 1.0, -1.0) == y)
         assert agree == pytest.approx(clf.train_accuracy, abs=1e-12)
@@ -130,26 +152,26 @@ class TestPredictPair:
     def test_training_vector_of_class_a(self):
         a, b = two_blobs(30, seed=1)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        assert predict_pair(clf, np.vstack([a[:1], b[:1]])).tolist() == [0, 1]
+        assert predict_pair(clf, {0: a, 1: b}, np.vstack([a[:1], b[:1]])).tolist() == [0, 1]
 
     def test_exact_zero_goes_to_label_b(self):
         clf = PairwiseClassifier(
             label_a=0, label_b=1,
-            vectors=np.array([[0.0, 0.0], [1.0, 1.0]]),
             coeffs=np.array([0.0, 0.0]),
             bias=0.0, width=1.0, cost=1.0, cv_accuracy=1.0, train_accuracy=1.0, converged=True,
         )
-        assert decision_pair(clf, np.array([[5.0, 5.0]]))[0] == 0.0
-        assert predict_pair(clf, np.array([[5.0, 5.0]]))[0] == 1
+        svs = {0: np.array([[0.0, 0.0]]), 1: np.array([[1.0, 1.0]])}
+        assert decision_pair(clf, svs, np.array([[5.0, 5.0]]))[0] == 0.0
+        assert predict_pair(clf, svs, np.array([[5.0, 5.0]]))[0] == 1
 
     def test_pure_function(self):
         a, b = two_blobs(15, seed=2)
         clf = train_pair(a, 0, b, 1, CV, CFG)
         X = np.array([[0.3, -0.7], [1.0, 2.0]])
-        assert len({tuple(predict_pair(clf, X).tolist()) for _ in range(5)}) == 1
+        assert len({tuple(predict_pair(clf, {0: a, 1: b}, X).tolist()) for _ in range(5)}) == 1
 
     def test_dimension_mismatch(self):
         a, b = two_blobs(10, seed=3)
         clf = train_pair(a, 0, b, 1, CV, CFG)
         with pytest.raises(ValueError, match="dimension"):
-            predict_pair(clf, np.zeros((2, 5)))
+            predict_pair(clf, {0: a, 1: b}, np.zeros((2, 5)))
