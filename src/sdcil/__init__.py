@@ -20,6 +20,7 @@ from .cil import (
     predict,
     predict_detail,
     predict_details,
+    predict_labels,
     save,
     train_batch_svm,
 )

@@ -7,23 +7,35 @@ the support vectors are extracted. Prediction first asks every class model;
 a single positive answer decides immediately, otherwise the dispute
 classifiers of the candidate classes vote.
 
-Every prediction entry point is a view of one batched path, _details, which
-takes rows in chunks and works on each chunk in two fused stages. The class
-stage writes one product per class into one rows x all-SVs buffer and turns
-it in place into squared distances and kernel values, with a fixed number
-of numpy calls per chunk plus one product per class on each side; the
-per-model column layout (CilModel.layout) is derived from the registry and
-never saved. The dispute stage settles all disputed rows of a chunk that
-share their candidate classes together, in a fixed number of numpy calls
-whatever the number of pairs. A dispute classifier holds coefficients
-only; they follow its two classes' support vectors, lower label first, so
-its distance columns are the two class blocks side by side. The layout
-lays every pair out as one segment of a (k - 1) x all-SVs table, in sorted
-key order: the columns it reads, its -2 s^2 and its coefficients. A group
-gathers its pairs' segments from its rows' distances in one call, turns
-them into kernel terms with one divide, one exp and one multiply, sums
-each segment with one reduceat, and counts every row's votes with one
-bincount.
+Prediction runs on one batched path, _details, which takes rows in chunks
+and yields each chunk's results as plain columns: labels, region codes,
+candidate classes, class-value rows and vote counts. Batch callers
+(predict_labels, ocsvm_nn_labels and through them the CLI) read the label
+and region columns; predict_details and predict_detail are the only views
+that build a PredictionDetail per row. Each chunk works in two fused
+stages. The class stage writes one product per class into one rows x
+all-SVs buffer and turns it in place into squared distances and kernel
+values, with a fixed number of numpy calls per chunk plus one product per
+class on each side; the per-model column layout (CilModel.layout) is
+derived from the registry and never saved. The dispute stage settles all
+disputed rows of a chunk that share their candidate classes together, in
+a fixed number of numpy calls whatever the number of pairs. A dispute
+classifier holds coefficients only; they follow its two classes' support
+vectors, lower label first, so its distance columns are the two class
+blocks side by side. The layout lays every pair out as one segment of a
+(k - 1) x all-SVs table, in sorted key order: the columns it reads, its
+-2 s^2 and its coefficients. A group gathers its pairs' segments from its
+rows' distances in one call, turns them into kernel terms with one divide,
+one exp and one multiply, sums each segment with one reduceat, and counts
+every row's votes with one bincount.
+
+What is left per row is lean Python: the region loop collects each row's
+positive classes, and the vote tail settles a row with one max and one
+count on its vote counts, reading class values only on a vote tie. A
+vectorised tail (numpy masks for the regions, an argmax for the votes)
+costs tens of microseconds in call overhead on a one-row chunk, more than
+the whole Python tail of that row, and one-row predict_detail is the
+latency path.
 
 A saved model (format version 2) stores each support vector once, in its
 class, as the model in memory does. Version-1 files also stored every
@@ -38,7 +50,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate, combinations
 from pathlib import Path
@@ -64,6 +76,9 @@ FORMAT_VERSION = 2
 REGION_UNIQUE = "unique_positive"
 REGION_MULTI = "multi_positive"
 REGION_NONE = "none_positive"
+# a region code, as the prediction columns and the map rasters hold it, is
+# the region's position here
+REGIONS = (REGION_UNIQUE, REGION_MULTI, REGION_NONE)
 
 # Rows per chunk of prediction work: bounds the rows x support-vector kernel
 # blocks held at once when a large X (a map raster) is predicted.
@@ -106,11 +121,14 @@ class PredictionLayout(NamedTuple):
     each as one segment of (k - 1) x all-SVs columns: the distance columns
     its kernel reads, its two classes' blocks lower label first as its
     coefficients follow them, with its -2 s^2 and its coefficients beside
-    them. Building it raises ValueError unless each pair's coefficients are
-    a 1-D array of one value per support vector of its two classes.
+    them. Building it raises ValueError unless the pair table holds exactly
+    one pair per two registered classes, and each pair's coefficients are a
+    1-D array of one value per support vector of its two classes.
     """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
+    positions: dict[int, int]  # label -> its position in registry order
+    sorted_labels: tuple[int, ...]  # the candidates of a row no class claims
     sq_norms: np.ndarray  # each column's SV squared norm
     divisors: np.ndarray  # each column's -2 s^2, for its class's width s
     rhos: np.ndarray  # each class's offset, in registry order
@@ -125,6 +143,16 @@ class PredictionLayout(NamedTuple):
 
     @classmethod
     def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
+        sorted_labels = tuple(sorted(m.class_label for m in classes))
+        # a missing pair would silently drop a vote, and an unknown label
+        # has no columns to read
+        expected = set(combinations(sorted_labels, 2))
+        if pair_table.keys() != expected:
+            raise ValueError(
+                "pair table does not match the classes "
+                f"(missing {sorted(expected - pair_table.keys())}, "
+                f"unexpected {sorted(pair_table.keys() - expected)})"
+            )
         stops = list(accumulate(m.m for m in classes))
         columns = {m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)}
         keys = sorted(pair_table)
@@ -140,6 +168,8 @@ class PredictionLayout(NamedTuple):
         sizes = [cols.size for cols in segments]
         return cls(
             columns=columns,
+            positions={label: i for i, label in enumerate(columns)},
+            sorted_labels=sorted_labels,
             sq_norms=np.concatenate([np.empty(0), *(m.sv_sq_norms for m in classes)]),
             divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
@@ -260,18 +290,29 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
     return add_class_detailed(model, label, X_class, nu)[0]
 
 
-def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDetail]:
-    """Yield one PredictionDetail per row of X, in order.
+def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ...]]:
+    """Yield the predictions for the rows of X as plain columns, one tuple
+    per chunk of _CHUNK_ROWS rows, in order, with one entry per row in each
+    column:
 
-    Per chunk of _CHUNK_ROWS rows: the rows' squared norms once, one
-    product with each class's support vectors, written into one rows x
-    all-SVs buffer that becomes the squared distances in place, one exp of
-    it divided by each column's class divisor, and one product with each
-    class's alphas. Then one dispute(model, d2, values, possible) call per
-    set of candidate classes, which settles every disputed row of the chunk
-    with those candidates: d2 holds those rows of the distance buffer
+    - labels, the predicted class ids;
+    - region codes, the regions' positions in REGIONS;
+    - possible, the candidate classes as an ascending tuple;
+    - values, the class values as a list in registry order;
+    - votes, the vote counts as a list in possible's order, or None where
+      no vote was taken.
+
+    Per chunk: the rows' squared norms once, one product with each class's
+    support vectors, written into one rows x all-SVs buffer that becomes
+    the squared distances in place, one exp of it divided by each column's
+    class divisor, and one product with each class's alphas. The region
+    loop then only collects each row's positive classes: one positive
+    decides the row, and a row no class claims shares the layout's tuple
+    of every label. Last, one dispute(model, d2, values, possible) call per
+    set of candidate classes settles every disputed row of the chunk with
+    those candidates: d2 holds those rows of the distance buffer
     (model.layout gives each class's and each pair's columns), and values
-    their class-value dicts; the call returns a (label, votes) for each of
+    their class-value lists; the call returns a (label, votes) for each of
     those rows.
 
     numpy multiplies a one-row chunk by the alphas with a dot kernel and a
@@ -289,7 +330,8 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
     # X.flat does not copy a large X into Python floats first
     if not all(map(math.isfinite, X.flat)):
         raise DataError("input contains NaN or Inf values")
-    scaler, labels, layout = model.scaler, model.labels, model.layout
+    scaler, layout = model.scaler, model.layout
+    labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages
     # for each chunk would cost more than the arithmetic on them
     d2_buffer = np.empty((min(X.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
@@ -312,23 +354,34 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[PredictionDeta
         np.exp(np.divide(d2, layout.divisors, out=K), out=K)
         values = np.array([K[:, cols] @ m.sv_alphas for m, cols in zip(model.classes, layout.columns.values())])
         values -= layout.rhos[:, None]
-        rows, disputes = [], {}  # rows: [label, region, possible, values, votes]
-        for i, row in enumerate(zip(*values.tolist())):
-            row_values = dict(zip(labels, row))
-            positive = [lbl for lbl, v in row_values.items() if v > 0.0]
-            region = REGION_UNIQUE if len(positive) == 1 else REGION_MULTI if positive else REGION_NONE
-            possible = tuple(sorted(positive or row_values))
+        rows = values.T.tolist()
+        regions, candidates, disputes = [], [], {}
+        for i, row in enumerate(rows):
+            # max, one call, passes over a row no class claims, which is
+            # most rows of a map
+            if max(row) > 0.0:
+                positive = [lbl for lbl, v in zip(labels, row) if v > 0.0]
+                if len(positive) == 1:
+                    regions.append(0)
+                    candidates.append(tuple(positive))
+                    continue
+                possible = tuple(sorted(positive))
+                regions.append(1)
+            else:
+                possible = everyone
+                regions.append(2)
+            candidates.append(possible)
             if len(possible) > 1:
                 disputes.setdefault(possible, []).append(i)
-            rows.append([possible[0], region, possible, row_values, {}])
+        winners = [possible[0] for possible in candidates]
+        votes = [None] * len(rows)
         for possible, idx in disputes.items():
-            for i, (label, votes) in zip(idx, dispute(model, d2[idx], [rows[i][3] for i in idx], possible)):
-                rows[i][0], rows[i][4] = label, votes
-        for row in rows:
-            yield PredictionDetail(*row)
+            for i, (label, counts) in zip(idx, dispute(model, d2[idx], [rows[i] for i in idx], possible)):
+                winners[i], votes[i] = label, counts
+        yield winners, regions, candidates, rows, votes
 
 
-def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]], possible):
+def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], possible):
     """1vs1 votes among the possible classes; a vote tie goes to the larger
     one-class value, then to the smaller label.
 
@@ -341,7 +394,12 @@ def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]
     one multiply by the coefficients turn them into kernel terms, and one
     reduceat sums each pair's segment before the biases are added. A
     decision is thus a segment sum, not a BLAS dot, and may differ from
-    one in the last bits."""
+    one in the last bits.
+
+    Returns (label, vote counts in possible's order) per row. The tail is
+    lean Python: one max and one count on a row's counts settle it, and
+    its class values (a row of values, in registry order) are read only on
+    a vote tie."""
     layout = model.layout
     if len(possible) == len(layout.columns):
         pairs, cols, starts = slice(None), slice(None), layout.pair_starts
@@ -371,23 +429,51 @@ def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]
     winners = np.searchsorted(possible, np.where(decisions > 0.0, labels[:, 0], labels[:, 1]))
     winners += np.arange(0, rows * n, n)[:, None]
     counts = np.bincount(winners.ravel(), minlength=rows * n).reshape(rows, n)
+    positions = layout.positions
     settled = []
-    for row_votes, row_values in zip(counts.tolist(), values):
-        row_votes = dict(zip(possible, row_votes))
-        top = max(row_votes.values())
-        tied = [lbl for lbl, v in row_votes.items() if v == top]
-        if len(tied) > 1:
-            best = max(row_values[lbl] for lbl in tied)
-            tied = [lbl for lbl in tied if row_values[lbl] == best]
-        settled.append((min(tied), row_votes))
+    for row_counts, row_values in zip(counts.tolist(), values):
+        top = max(row_counts)
+        if row_counts.count(top) == 1:
+            settled.append((possible[row_counts.index(top)], row_counts))
+        else:
+            # possible is ascending and max keeps the first of equal
+            # values, so a value tie goes to the smaller label
+            tied = [lbl for lbl, c in zip(possible, row_counts) if c == top]
+            settled.append((max(tied, key=lambda lbl: row_values[positions[lbl]]), row_counts))
     return settled
 
 
-def _nearest_sv_dispute(model: CilModel, d2: np.ndarray, values: list[dict[int, float]], possible):
+def _nearest_sv_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], possible):
     dists = [np.min(d2[:, model.layout.columns[lbl]], axis=1) for lbl in possible]
     # possible is sorted ascending and argmin keeps the first minimum, so a
     # distance tie goes to the smaller label
-    return [(possible[j], {}) for j in np.argmin(dists, axis=0).tolist()]
+    return [(possible[j], None) for j in np.argmin(dists, axis=0).tolist()]
+
+
+def _labels(model: CilModel, X: np.ndarray, dispute) -> tuple[np.ndarray, np.ndarray]:
+    labels, regions = [], []
+    for chunk_labels, chunk_regions, *_ in _details(model, X, dispute):
+        labels += chunk_labels
+        regions += chunk_regions
+    return np.array(labels, dtype=int), np.array(regions, dtype=np.uint8)
+
+
+def predict_labels(model: CilModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted class id and region code (the region's position in
+    REGIONS, as uint8) for each row of X, with no per-row objects."""
+    return _labels(model, X, _vote_dispute)
+
+
+def _detail(
+    labels: Iterable[int], label: int, region: int, possible: tuple[int, ...],
+    values: list[float], votes: list[int] | None,
+) -> PredictionDetail:
+    """One row of _details' columns as a PredictionDetail; labels are the
+    class ids in registry order."""
+    return PredictionDetail(
+        label, REGIONS[region], possible, dict(zip(labels, values)),
+        {} if votes is None else dict(zip(possible, votes)),
+    )
 
 
 def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail]:
@@ -398,7 +484,10 @@ def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail
     class values may differ in the last bits from predict_detail's for the
     same row (a one-row chunk is multiplied with a dot kernel, a larger one
     with gemv), so compare them with a tolerance, not byte for byte."""
-    return _details(model, X, _vote_dispute)
+    labels = model.layout.columns
+    for chunk in _details(model, X, _vote_dispute):
+        for row in zip(*chunk):
+            yield _detail(labels, *row)
 
 
 def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
@@ -407,7 +496,12 @@ def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
     The row is a chunk of its own, multiplied with a dot kernel rather than
     gemv, so its class values may differ in the last bits from the values
     predict_details gives the same row among others."""
-    return next(_details(model, np.asarray(x, dtype=float).reshape(1, -1), _vote_dispute))
+    # unpacking runs the generator to its end, which costs less on this
+    # latency path than closing it half-way as next() would leave it
+    ((label,), (region,), (possible,), (values,), (votes,)), = _details(
+        model, np.asarray(x, dtype=float).reshape(1, -1), _vote_dispute
+    )
+    return _detail(model.layout.columns, label, region, possible, values, votes)
 
 
 def predict(model: CilModel, x: np.ndarray) -> int:
@@ -418,7 +512,7 @@ def predict(model: CilModel, x: np.ndarray) -> int:
 def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
     """Predicted class id for each row of X, with disputes resolved by the
     class of the nearest SV."""
-    return np.array([d.label for d in _details(model, X, _nearest_sv_dispute)], dtype=int)
+    return _labels(model, X, _nearest_sv_dispute)[0]
 
 
 # --- baselines ---------------------------------------------------------------
@@ -584,8 +678,9 @@ def _ocsvm_from_entry(e: dict, version: int) -> OcsvmModel:
 def _pair_from_entry(e: dict, version: int, svs: dict[int, np.ndarray]) -> PairwiseClassifier:
     a, b = int(e["a"]), int(e["b"])
     # a version-1 entry repeats its vectors; any other copy than the
-    # stacked class SVs is damage, and the copy is not kept
-    if version == 1 and not np.array_equal(np.array(e["vectors"], dtype=float), np.vstack((svs[a], svs[b]))):
+    # stacked class SVs is damage, and the copy is not kept. A pair of an
+    # unknown class is left to the pair-table check, which names it.
+    if version == 1 and {a, b} <= svs.keys() and not np.array_equal(np.array(e["vectors"], dtype=float), np.vstack((svs[a], svs[b]))):
         raise ValueError(
             "a pair's vectors must be the support vectors of its two classes, "
             f"lower label first (pair {(a, b)})"
@@ -617,8 +712,9 @@ def load(path: str | Path) -> CilModel:
     A version-1 file also holds each pair's vectors; it loads only when they
     are the stacked support vectors of the pair's two classes, lower label
     first, and its classes and pairs load with converged=None (unknown).
-    Building the model checks that each pair has one coefficient per
-    support vector of its two classes."""
+    Building the model checks that the pair table holds one pair per two
+    classes, and that each pair has one coefficient per support vector of
+    its two classes."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -655,13 +751,6 @@ def load(path: str | Path) -> CilModel:
             raise ModelFormatError(
                 f"malformed model file {path}: pair table lists "
                 f"{sorted(key for key, n in listed.items() if n > 1)} more than once"
-            )
-        expected = set(combinations(sorted(m.class_label for m in classes), 2))
-        if entries.keys() != expected:
-            raise ModelFormatError(
-                f"malformed model file {path}: pair table does not match the classes "
-                f"(missing {sorted(expected - entries.keys())}, "
-                f"unexpected {sorted(entries.keys() - expected)})"
             )
         svs = {m.class_label: m.support_vectors for m in classes}
         pairs = {key: _pair_from_entry(e, version, svs) for key, e in entries.items()}

@@ -144,11 +144,9 @@ def run_trials(
         need_cil = bool({"sdcil", "ocsvm-nn"} & set(methods))
         if need_cil:
             model, fit_s, per_class_s = _fit_cil(train, config, nu)
-            regions = {cil.REGION_UNIQUE: 0, cil.REGION_MULTI: 0, cil.REGION_NONE: 0}
-            correct_vote = 0
-            for detail, y_true in zip(cil.predict_details(model, test.features), test.labels):
-                regions[detail.region] += 1
-                correct_vote += detail.label == y_true
+            labels, regions = cil.predict_labels(model, test.features)
+            unique_pos, multi_pos, none_pos = np.bincount(regions, minlength=len(cil.REGIONS)).tolist()
+            correct_vote = int(np.sum(labels == test.labels))
             correct_nn = 0
             if "ocsvm-nn" in methods:
                 correct_nn = int(np.sum(cil.ocsvm_nn_labels(model, test.features) == test.labels))
@@ -157,9 +155,7 @@ def run_trials(
                     results[m].append(
                         TrialResult(
                             seed=seed, accuracy=float(correct) / test.n,
-                            unique_pos=regions[cil.REGION_UNIQUE],
-                            multi_pos=regions[cil.REGION_MULTI],
-                            none_pos=regions[cil.REGION_NONE],
+                            unique_pos=unique_pos, multi_pos=multi_pos, none_pos=none_pos,
                             train_seconds=fit_s, add_class_seconds=per_class_s,
                         )
                     )
@@ -268,12 +264,17 @@ def cmd_predict(args) -> int:
         X = ds.features
     elif X.shape[1] != d:
         raise DataError(f"model expects {d} features, file has {X.shape[1]} columns")
-    preds = [detail.label for detail in cil.predict_details(model, X)]
-    for p in preds:
+    preds, regions = cil.predict_labels(model, X)
+    for p in preds.tolist():
         print(p)
     if ds is not None:
-        acc = float(np.mean(np.array(preds) == ds.labels))
+        acc = float(np.mean(preds == ds.labels))
         print(f"accuracy: {100 * acc:.2f} percent on {ds.n} rows", file=sys.stderr)
+    unique, multi, none = np.bincount(regions, minlength=len(cil.REGIONS)).tolist()
+    # a multi row has two candidates or more, and so has a none row once
+    # two classes are registered
+    voted = multi + none if len(model.classes) > 1 else 0
+    print(f"regions: {unique} unique, {multi} multi, {none} none; {voted} rows voted", file=sys.stderr)
     return EXIT_OK
 
 
@@ -303,19 +304,18 @@ def _write_pgm(path, grid: np.ndarray, maxval: int) -> None:
 
 
 def map_grid(model: cil.CilModel, bounds, res) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Label and region rasters over cell centers; top row is ymax."""
+    """Label and region rasters over cell centers; top row is ymax. A region
+    cell holds the region's position in cil.REGIONS."""
     xmin, xmax, ymin, ymax = bounds
     w, h = res
     xs = xmin + (np.arange(w) + 0.5) * (xmax - xmin) / w
     ys = ymax - (np.arange(h) + 0.5) * (ymax - ymin) / h
     gx, gy = np.meshgrid(xs, ys)
-    region_code = {cil.REGION_UNIQUE: 0, cil.REGION_MULTI: 1, cil.REGION_NONE: 2}
-    details = cil.predict_details(model, np.column_stack([gx.ravel(), gy.ravel()]))
-    cells = np.array([(d.label, region_code[d.region]) for d in details]).reshape(h, w, 2)
+    labels, regions = cil.predict_labels(model, np.column_stack([gx.ravel(), gy.ravel()]))
     # the narrowest integer types that hold the values: a caller that keeps
     # many rasters (perfbench keeps every one) holds a fraction of int64's bytes
     label_type = np.result_type(*map(np.min_scalar_type, (min(model.labels), max(model.labels))))
-    return cells[..., 0].astype(label_type), cells[..., 1].astype(np.uint8), xs, ys
+    return labels.reshape(h, w).astype(label_type), regions.reshape(h, w), xs, ys
 
 
 def cmd_map(args) -> int:

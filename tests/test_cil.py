@@ -1,20 +1,19 @@
 import json
 import re
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V1_MODEL, fast_config, train_cil
+from conftest import V1_MODEL, fast_config, random_registry, train_cil
 from oracles import class_values, pair_decisions, reference_batch_svm, reference_details, registry_pair_decisions
 from sdcil import cil
 from sdcil.dataset import (
     DataError,
     LabeledDataset,
-    Scaler,
     SplitSpec,
     fit_standardize,
     load_uci,
@@ -176,18 +175,23 @@ class TestPredict:
             assert cil.predict(model, x) == cil.predict_detail(model, x).label
 
     @staticmethod
-    def _tie_model(sv_dists):
-        """3-class model whose pairwise votes tie 1:1:1 at the origin.
+    def _tie_model(sv_dists, labels=(0, 1, 2), order=(0, 1, 2), center=(0.0, 0.0), wins=(True, False, True)):
+        """3-class model whose pairwise votes are fixed, by default a 1:1:1
+        tie, at center (the origin by default).
 
-        Each class is one far-away SV (decision at origin is negative, so
-        all classes are possible); each pair classifier is a constant whose
-        sign hands one vote to each class.
+        Class labels[i] is one SV at center + (sv_dists[i], 0), far enough
+        away that its decision at center is negative, so all classes are
+        possible; classes at equal distances share their SV and so their
+        class value exactly. The classes register in the given order of
+        positions in labels. Each pair classifier is a constant: wins[j]
+        hands the vote of the j-th pair in sorted key order to its smaller
+        label. The default wins make the cycle 0 > 1 > 2 > 0.
         """
 
         def one_sv(label, dist):
             return OcsvmModel(
                 class_label=label,
-                support_vectors=np.array([[dist, 0.0]]),
+                support_vectors=np.array([[center[0] + dist, center[1]]]),
                 sv_alphas=np.array([1.0]),
                 rho=0.5, width=1.0, nu=1.0, train_count=1, converged=True,
             )
@@ -201,13 +205,60 @@ class TestPredict:
 
         return cil.CilModel(
             config=fast_config(),
-            classes=tuple(one_sv(lbl, d) for lbl, d in enumerate(sv_dists)),
+            classes=tuple(one_sv(labels[i], sv_dists[i]) for i in order),
             pair_table={
-                (0, 1): const_pair(0, 1, 1.0),   # vote 0
-                (1, 2): const_pair(1, 2, 1.0),   # vote 1
-                (0, 2): const_pair(0, 2, -1.0),  # vote 2
+                (a, b): const_pair(a, b, 1.0 if a_wins else -1.0)
+                for (a, b), a_wins in zip(combinations(sorted(labels), 2), wins)
             },
         )
+
+    # wins for the sorted pairs (a, b), (a, c), (b, c) that make a cycle:
+    # a > b > c > a, and the other way round
+    CYCLES = ((True, False, True), (False, True, False))
+
+    @pytest.mark.parametrize("step", ["votes", "value", "label"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_tie_break_steps(self, step, data):
+        """Most votes, then the larger class value, then the smaller label:
+        each draw is built so that the named step decides it, over random
+        labels, registration orders, SV distances and positions, and the
+        batch and per-row paths agree with the reference."""
+        labels = data.draw(st.lists(st.integers(0, 60), min_size=3, max_size=3, unique=True))
+        order = data.draw(st.permutations(range(3)))
+        center = data.draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+        near, far = data.draw(st.sampled_from([(3.0, 3.5), (3.0, 4.0), (3.5, 4.0)]))
+        if step == "votes":
+            wins = data.draw(st.sampled_from([w for w in product((True, False), repeat=3) if w not in self.CYCLES]))
+            dists = data.draw(st.lists(st.sampled_from([near, far]), min_size=3, max_size=3))
+        else:
+            # a vote tie; then one nearest class, or two or three that share
+            # the nearest SV and so tie on class value too
+            wins = data.draw(st.sampled_from(self.CYCLES))
+            nearest = 1 if step == "value" else data.draw(st.integers(2, 3))
+            dists = data.draw(st.permutations([near] * nearest + [far] * (3 - nearest)))
+        model = self._tie_model(dists, labels, order, center, wins)
+        X = np.tile(center, (data.draw(st.integers(1, 300)), 1))
+
+        want = reference_details(model, X)
+        assert_same_details(cil.predict_details(model, X), want)
+        assert_same_details([cil.predict_detail(model, X[0])], reference_details(model, X[:1]))
+
+        votes = dict.fromkeys(sorted(labels), 0)
+        for (a, b), a_wins in zip(combinations(sorted(labels), 2), wins):
+            votes[a if a_wins else b] += 1
+        closest = [lbl for lbl, dist in zip(labels, dists) if dist == min(dists)]
+        if step == "votes":
+            expected = max(votes, key=votes.get)
+            assert sorted(votes.values()) == [0, 1, 2]
+        else:
+            expected = min(closest)
+            assert sorted(votes.values()) == [1, 1, 1]
+            assert (len(closest) == 1) == (step == "value")
+        for detail in want:
+            assert detail.region == cil.REGION_NONE
+            assert detail.votes == votes
+            assert detail.label == expected
 
     def test_vote_tie_breaks_by_largest_decision_value(self):
         # class 1's SV is closest, so its decision value at the origin wins
@@ -266,35 +317,6 @@ class TestPredict:
             assert b.ocsvm_values.keys() == one.ocsvm_values.keys()
             for lbl, v in one.ocsvm_values.items():
                 assert abs(b.ocsvm_values[lbl] - v) <= 1e-12
-
-
-def random_registry(rng, k: int, d: int) -> cil.CilModel:
-    """k classes with random SVs, registered in random label order, and a
-    pair per class pair with one coefficient per SV of its two classes."""
-    labels = [int(v) for v in rng.choice(50, size=k, replace=False)]
-    classes = []
-    for label in labels:
-        m = int(rng.integers(1, 9))
-        alphas = rng.uniform(0.1, 1.0, m)
-        classes.append(OcsvmModel(
-            class_label=label,
-            support_vectors=rng.normal(size=(m, d)) + 2.0 * rng.normal(size=d),
-            sv_alphas=alphas,
-            rho=float(rng.uniform(0.05, 0.5) * alphas.sum()),
-            width=float(rng.uniform(0.5, 3.0)),
-            nu=0.2, train_count=5 * m, converged=True,
-        ))
-    sizes = {m.class_label: m.m for m in classes}
-    pairs = {}
-    for a, b in combinations(sorted(labels), 2):
-        pairs[(a, b)] = PairwiseClassifier(
-            label_a=a, label_b=b,
-            coeffs=rng.uniform(-1.0, 1.0, sizes[a] + sizes[b]), bias=float(rng.uniform(-0.3, 0.3)),
-            width=float(rng.uniform(0.5, 3.0)), cost=1.0, cv_accuracy=1.0, train_accuracy=1.0,
-            converged=True,
-        )
-    scaler = Scaler(mean=rng.normal(size=d), std=rng.uniform(0.5, 2.0, d))
-    return cil.CilModel(config=fast_config(), scaler=scaler, classes=tuple(classes), pair_table=pairs)
 
 
 def segment(layout: cil.PredictionLayout, key) -> slice:
@@ -389,6 +411,8 @@ class TestSharedDistances:
         sizes = [p.coeffs.size for p in pairs]
         return cls._layout_bytes(cil.PredictionLayout(
             columns=columns,
+            positions={m.class_label: i for i, m in enumerate(model.classes)},
+            sorted_labels=tuple(sorted(model.labels)),
             sq_norms=np.concatenate([(m.support_vectors * m.support_vectors).sum(axis=1) for m in model.classes]),
             divisors=np.concatenate([np.full(m.m, -2.0 * m.width * m.width) for m in model.classes]),
             rhos=np.array([m.rho for m in model.classes]),
@@ -720,18 +744,35 @@ class TestPersistence:
         with pytest.raises(cil.ModelFormatError, match="format_version"):
             cil.load(p)
 
-    @pytest.mark.parametrize("damage", ["missing", "unregistered"])
+    @pytest.mark.parametrize("damage", ["missing", "unregistered", "unregistered-v1"])
     def test_pair_table_must_match_classes(self, blob_model_and_split, tmp_path, damage):
-        model, _, _ = blob_model_and_split
+        """A pair table without a pair, or with a pair that names a label no
+        class has, is rejected when the model is built in memory and when
+        it is loaded, from either format version, with the missing and
+        unexpected keys named."""
+        model = cil.load(V1_MODEL) if damage.endswith("v1") else blob_model_and_split[0]
+        first = min(model.pair_table)
+        table = {key: clf for key, clf in model.pair_table.items() if key != first}
+        unexpected = []
+        if damage.startswith("unregistered"):
+            unexpected = [(first[0], 7)]
+            table[unexpected[0]] = replace(model.pair_table[first], label_b=7)
+        message = re.escape(f"pair table does not match the classes (missing [{first}], unexpected {unexpected})")
+        with pytest.raises(ValueError, match=message):
+            cil.CilModel(config=model.config, scaler=model.scaler, classes=model.classes, pair_table=table)
+
         p = tmp_path / "m.json"
-        cil.save(model, p)
-        raw = json.loads(p.read_text())
+        if damage.endswith("v1"):
+            raw = json.loads(V1_MODEL.read_text())
+        else:
+            cil.save(model, p)
+            raw = json.loads(p.read_text())
         if damage == "missing":
             del raw["pairs"][0]
         else:
             raw["pairs"][0]["b"] = 7
         p.write_text(json.dumps(raw))
-        with pytest.raises(cil.ModelFormatError, match="pair table"):
+        with pytest.raises(cil.ModelFormatError, match=message):
             cil.load(p)
 
     @pytest.mark.parametrize("source", ["v1", "v2"])

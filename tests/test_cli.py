@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import V1_MODEL
+from conftest import V1_MODEL, random_registry
 from sdcil import cil
 from sdcil.cli import EXIT_INPUT, EXIT_OK, EvalReport, TrialResult, main, map_grid
-from sdcil.dataset import load_csv, make_toy, save_csv
+from sdcil.dataset import LabeledDataset, load_csv, make_toy, save_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -116,6 +116,40 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_OK
         err = capsys.readouterr().err
         assert "accuracy" in err
+
+    @pytest.mark.parametrize("order", [None, "0"])
+    def test_reports_region_mix(self, tmp_path, capsys, order):
+        """One stderr line gives the unique, multi and none counts and the
+        number of rows the dispute vote settled; stdout holds the labels."""
+        # three overlapping blobs, so that some rows are claimed twice
+        rng = np.random.default_rng(0)
+        y = np.repeat([0, 1, 2], 40)
+        centers = np.array([(0.0, 0.0), (2.2, 0.0), (1.1, 1.9)])
+        ds = LabeledDataset(features=centers[y] + rng.normal(size=(y.size, 2)), labels=y)
+        save_csv(ds, tmp_path / "train.csv")
+        model_p = tmp_path / "m.json"
+        run("train", tmp_path / "train.csv", "--out", model_p, *(["--order", order] if order else []))
+        model = cil.load(model_p)
+        rows = rng.uniform(ds.features.min(axis=0) - 3, ds.features.max(axis=0) + 3, (300, 2))
+        data = tmp_path / "rows.csv"
+        with open(data, "w", newline="") as f:
+            csv.writer(f).writerows([[repr(float(v)) for v in row] for row in rows])
+        capsys.readouterr()
+        assert run("predict", model_p, data) == EXIT_OK
+        out, err = capsys.readouterr()
+        details = list(cil.predict_details(model, rows))
+        assert out.split() == [str(d.label) for d in details]
+        counts = {region: sum(d.region == region for d in details) for region in cil.REGIONS}
+        voted = sum(bool(d.votes) for d in details)
+        if order is None:  # three classes: every region occurs and is voted on
+            assert min(counts.values()) > 0
+            assert voted == counts[cil.REGION_MULTI] + counts[cil.REGION_NONE]
+        else:  # one class: nothing to vote on
+            assert voted == 0 and counts[cil.REGION_NONE] > 0
+        assert err.splitlines() == [
+            f"regions: {counts[cil.REGION_UNIQUE]} unique, {counts[cil.REGION_MULTI]} multi, "
+            f"{counts[cil.REGION_NONE]} none; {voted} rows voted"
+        ]
 
     def test_missing_pair_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
@@ -239,6 +273,31 @@ class TestMap:
             c = int(rng.integers(0, res[0]))
             detail = cil.predict_detail(model, np.array([xs[c], ys[r]]))
             assert labels[r, c] == detail.label
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_rasters_agree_with_predict_detail(self, k):
+        """Both rasters, cell by cell, over a grid of several prediction
+        chunks that holds every region: the label raster holds per-row
+        predict_detail's label and the region raster its region code, in
+        the narrowest types."""
+        # seed 2 gives unique, multi and none cells for every k here
+        model = random_registry(np.random.default_rng(2), k, 2)
+        svs = model.scaler.inverse(np.vstack([m.support_vectors for m in model.classes]))
+        lo, hi = svs.min(axis=0), svs.max(axis=0)
+        pad = 0.25 * (hi - lo)
+        res = (30, 20)
+        assert res[0] * res[1] > cil._CHUNK_ROWS
+        labels, regions, xs, ys = map_grid(model, (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]), res)
+        # labels below 256: one byte each, like the region codes
+        assert max(model.labels) < 256
+        assert (labels.dtype, regions.dtype) == (np.uint8, np.uint8)
+        assert labels.shape == regions.shape == (res[1], res[0])
+        assert set(np.unique(regions).tolist()) == {0, 1, 2}
+        code = {cil.REGION_UNIQUE: 0, cil.REGION_MULTI: 1, cil.REGION_NONE: 2}
+        for r, y in enumerate(ys):
+            for c, x in enumerate(xs):
+                detail = cil.predict_detail(model, np.array([x, y]))
+                assert (labels[r, c], regions[r, c]) == (detail.label, code[detail.region])
 
     def test_deep_centroid_cell(self, model_path, blobs_csv):
         model = cil.load(model_path)
