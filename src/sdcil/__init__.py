@@ -13,7 +13,7 @@ from .cil import (
     PredictionDetail,
     add_class,
     batch_svm_classify,
-    knn_predict,
+    knn_labels,
     load,
     new_model,
     ocsvm_nn_labels,

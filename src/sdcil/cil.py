@@ -121,9 +121,10 @@ class PredictionLayout(NamedTuple):
     each as one segment of (k - 1) x all-SVs columns: the distance columns
     its kernel reads, its two classes' blocks lower label first as its
     coefficients follow them, with its -2 s^2 and its coefficients beside
-    them. Building it raises ValueError unless the pair table holds exactly
-    one pair per two registered classes, and each pair's coefficients are a
-    1-D array of one value per support vector of its two classes.
+    them. Building it raises ValueError unless every class label is listed
+    once, the pair table holds exactly one pair per two registered classes,
+    and each pair's coefficients are a 1-D array of one value per support
+    vector of its two classes.
     """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
@@ -144,6 +145,9 @@ class PredictionLayout(NamedTuple):
     @classmethod
     def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
         sorted_labels = tuple(sorted(m.class_label for m in classes))
+        repeated = sorted(label for label, n in Counter(sorted_labels).items() if n > 1)
+        if repeated:
+            raise ValueError(f"the registry lists classes {repeated} more than once")
         # a missing pair would silently drop a vote, and an unknown label
         # has no columns to read
         expected = set(combinations(sorted_labels, 2))
@@ -170,7 +174,7 @@ class PredictionLayout(NamedTuple):
             columns=columns,
             positions={label: i for i, label in enumerate(columns)},
             sorted_labels=sorted_labels,
-            sq_norms=np.concatenate([np.empty(0), *(m.sv_sq_norms for m in classes)]),
+            sq_norms=np.concatenate([np.empty(0), *(squared_norms(m.support_vectors) for m in classes)]),
             divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
             pair_ids={key: i for i, key in enumerate(keys)},
@@ -236,7 +240,8 @@ def add_class_detailed(
     Trains the class's one-class SVM (width picked per the SV-fraction
     filter) and one dispute classifier against each already-registered
     class, using stored support vectors only. The class needs at least 3
-    rows, because the edge partition needs 2 neighbours per row. The input
+    rows, because the edge partition needs 2 neighbours per row, and rows
+    holding NaN or Inf raise DataError before any training. The input
     registry is never modified; on any failure it is returned unchanged to
     the caller by virtue of never being touched.
     """
@@ -244,6 +249,7 @@ def add_class_detailed(
     if label in model.labels:
         raise ValueError(f"class {label} already registered")
     X = np.atleast_2d(np.asarray(X_class, dtype=float))
+    _require_finite(X)
     if X.shape[0] < 3:
         raise ValueError(
             "need at least 3 samples to add a class (the edge partition needs 2 neighbours per row)"
@@ -290,6 +296,13 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
     return add_class_detailed(model, label, X_class, nu)[0]
 
 
+def _require_finite(X: np.ndarray) -> None:
+    # math.isfinite beats a numpy reduction several-fold on one short row;
+    # X.flat does not copy a large X into Python floats first
+    if not all(map(math.isfinite, X.flat)):
+        raise DataError("input contains NaN or Inf values")
+
+
 def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ...]]:
     """Yield the predictions for the rows of X as plain columns, one tuple
     per chunk of _CHUNK_ROWS rows, in order, with one entry per row in each
@@ -326,10 +339,7 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
         raise ValueError(f"need an n x d matrix of rows, got shape {X.shape}")
     if X.shape[1] != model.classes[0].d:
         raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
-    # math.isfinite beats a numpy reduction several-fold on one short row;
-    # X.flat does not copy a large X into Python floats first
-    if not all(map(math.isfinite, X.flat)):
-        raise DataError("input contains NaN or Inf values")
+    _require_finite(X)
     scaler, layout = model.scaler, model.layout
     labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages
@@ -518,21 +528,28 @@ def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
 # --- baselines ---------------------------------------------------------------
 
 
-def knn_predict(train: LabeledDataset, x: np.ndarray, k: int = 1) -> int:
-    """k-nearest-neighbor vote; vote ties go to the closest tied class."""
+def knn_labels(train: LabeledDataset, X: np.ndarray, k: int = 1) -> np.ndarray:
+    """k-nearest-neighbor vote for each row of X; vote ties go to the
+    closest tied class."""
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in [1, {train.n}]")
-    x = np.asarray(x, dtype=float).ravel()
-    dists = np.linalg.norm(train.features - x[None, :], axis=1)
-    order = np.argsort(dists, kind="stable")[:k]
-    nbr_labels = train.labels[order]
-    labels, counts = np.unique(nbr_labels, return_counts=True)
-    top = counts.max()
-    tied = set(labels[counts == top].tolist())
-    for lbl in nbr_labels:  # nearest-first scan
-        if int(lbl) in tied:
-            return int(lbl)
-    raise AssertionError("unreachable")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape[0], dtype=int)
+    # rows per chunk: about 2**17 floats (1 MB) in each difference block;
+    # larger blocks leave the cache and run slower
+    step = max(1, (1 << 17) // train.features.size)
+    for start in range(0, X.shape[0], step):
+        Xs = X[start:start + step]
+        # norms of differences, not squared_distances, which rounds
+        # differently and could reorder near-equal neighbours
+        dists = np.linalg.norm(train.features[None] - Xs[:, None], axis=2)
+        for i, row in enumerate(np.argsort(dists, axis=1, kind="stable")[:, :k], start):
+            nbr_labels = train.labels[row].tolist()
+            counts = Counter(nbr_labels)
+            top = max(counts.values())
+            # the nearest-first scan finds the closest of the tied classes
+            out[i] = next(lbl for lbl in nbr_labels if counts[lbl] == top)
+    return out
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,39 @@ def _try_float(token: str) -> float | None:
         return None
 
 
+def _read_csv(path: Path, labeled: bool) -> tuple[np.ndarray, list[str]]:
+    """The feature rows of a CSV file as an n x d matrix, and each row's
+    last cell; the feature cells are all but the last when labeled.
+
+    Blank rows are dropped, a first row whose feature cells are not all
+    numeric is a header, and every row must have the first row's columns.
+    """
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = [row for row in csv.reader(f) if row and any(t.strip() for t in row)]
+    if not rows:
+        raise DataError(f"empty file: {path}")
+    stop = -1 if labeled else None  # where the feature cells end
+    ncol = len(rows[0])
+    first_data = 1 if any(_try_float(t) is None for t in rows[0][:stop]) else 0
+    if first_data == len(rows):
+        raise DataError(f"{path}: header only, no data rows")
+
+    feats: list[list[float]] = []
+    for lineno, row in enumerate(rows[first_data:], start=first_data + 1):
+        if len(row) != ncol:
+            raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(row)}")
+        vals = [_try_float(t.strip()) for t in row[:stop]]
+        if None in vals:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value {row[vals.index(None)]!r}")
+        feats.append(vals)
+    X = np.array(feats, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise DataError(f"{path}: features contain NaN or Inf values")
+    return X, [row[-1].strip() for row in rows[first_data:]]
+
+
 def load_csv(path: str | Path) -> LabeledDataset:
     """Load a labeled CSV file whose last column is the label.
 
@@ -121,33 +154,7 @@ def load_csv(path: str | Path) -> LabeledDataset:
     Row order is preserved.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row and any(t.strip() for t in row)]
-    if not rows:
-        raise DataError(f"empty file: {path}")
-
-    # A header is any first row whose feature cells are not all numeric.
-    ncol = len(rows[0])
-    first_data = 1 if any(_try_float(t) is None for t in rows[0][:-1]) else 0
-    if first_data == len(rows):
-        raise DataError(f"{path}: header only, no data rows")
-
-    feats: list[list[float]] = []
-    raw_labels: list[str] = []
-    for lineno, row in enumerate(rows[first_data:], start=first_data + 1):
-        if len(row) != ncol:
-            raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(row)}")
-        vals = []
-        for tok in row[:-1]:
-            v = _try_float(tok.strip())
-            if v is None:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value {tok!r}")
-            vals.append(v)
-        feats.append(vals)
-        raw_labels.append(row[-1].strip())
-
+    X, raw_labels = _read_csv(path, labeled=True)
     ids: dict[str, int] = {}
     for tok in raw_labels:
         if tok not in ids:
@@ -155,33 +162,14 @@ def load_csv(path: str | Path) -> LabeledDataset:
     y = np.array([ids[tok] for tok in raw_labels], dtype=int)
     names = {v: k for k, v in ids.items()}
     try:
-        return LabeledDataset(features=np.array(feats, dtype=float), labels=y, label_names=names)
+        return LabeledDataset(features=X, labels=y, label_names=names)
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
 
 def load_features_csv(path: str | Path) -> np.ndarray:
     """Load a features-only CSV (every column numeric, optional header)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row and any(t.strip() for t in row)]
-    if not rows:
-        raise DataError(f"empty file: {path}")
-    start = 1 if any(_try_float(t) is None for t in rows[0]) else 0
-    if start == len(rows):
-        raise DataError(f"{path}: header only, no data rows")
-    feats = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        vals = [_try_float(t.strip()) for t in row]
-        if any(v is None for v in vals):
-            raise DataError(f"{path}:{lineno}: non-numeric feature value")
-        feats.append(vals)
-    X = np.array(feats, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataError(f"{path}: features contain NaN or Inf")
-    return X
+    return _read_csv(Path(path), labeled=False)[0]
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:

@@ -2,19 +2,18 @@
 
 A trained model keeps only the rows with nonzero dual coefficients (the
 support vectors); everything needed at predict time is (SVs, alphas, rho,
-width), and its decision value at x is sum_i alpha_i k(sv_i, x) - rho. The
-SVs' squared norms are derived from them when a model is built and kept
-beside them for the distance computation; they are not saved. Training
-(geometry.select_width) and prediction (cil) live with their callers.
+width), and its decision value at x is sum_i alpha_i k(sv_i, x) - rho.
+Training (geometry.select_width) and prediction (cil) live with their
+callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelWidth, squared_norms
+from .kernels import KernelWidth
 from .smo import DualSolution
 
 # Dual coefficients at or below this are treated as zero and dropped.
@@ -34,11 +33,6 @@ class OcsvmModel:
     nu: float
     train_count: int
     converged: bool | None  # None when unknown (a version-1 file)
-    # squared_norms(support_vectors), derived whenever a model is built
-    sv_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sv_sq_norms", squared_norms(self.support_vectors))
 
     @property
     def m(self) -> int:

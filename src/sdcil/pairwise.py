@@ -18,7 +18,7 @@ grid, never on the order in which classes arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,16 +79,6 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _fit_predict_fold(
-    K_tr: np.ndarray, K_va: np.ndarray, y_tr: np.ndarray, C: float, width: float,
-    cfg: SolverConfig, start: np.ndarray | None,
-) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Validation predictions, convergence and alphas of one fold solve."""
-    sol = solve_binary_dual(GramMatrix(values=K_tr, width=width), y_tr, C, cfg, start=start)
-    dec = K_va @ (sol.alphas * y_tr) + sol.offset
-    return np.where(dec > 0.0, 1.0, -1.0), sol.converged, sol.alphas
-
-
 def train_pair(
     sv_a: np.ndarray,
     label_a: int,
@@ -99,12 +89,12 @@ def train_pair(
 ) -> PairwiseClassifier:
     """Grid-search and train the dispute classifier for one class pair.
 
-    Stratified k-fold CV on the pooled vectors, with folds capped at the
-    smaller class size and leave-one-out when any fold would hold fewer than
-    two of the smaller class. Accuracy ties prefer smaller C, then smaller
-    width. Each fold solve after the smallest cost starts from the previous
-    cost's alphas. The winner is refit on the full pool from a cold start.
-    The classifier keeps the refit's coefficients, not the pooled vectors.
+    Stratified k-fold CV on the pooled vectors, leave-one-out when any fold
+    would hold fewer than two of the smaller class. Accuracy ties prefer
+    smaller C, then smaller width. Each fold solve after the smallest cost
+    starts from the previous cost's alphas. The winner is refit on the full
+    pool from a cold start. The classifier keeps the refit's coefficients,
+    not the pooled vectors.
     """
     if label_a == label_b:
         raise ValueError("pair labels must differ")
@@ -128,7 +118,7 @@ def train_pair(
     costs = tuple(sorted(float(c) for c in cv.cost_grid))
 
     if n_small >= 2 * cv.folds:
-        folds = min(cv.folds, n_small)
+        folds = cv.folds
         fold_of = _fold_assignment(y, folds, cv.seed)
     else:
         folds = n  # leave-one-out
@@ -137,14 +127,14 @@ def train_pair(
     d2 = squared_distances(X)
     np.fill_diagonal(d2, 0.0)
 
-    # the fold index sets depend on neither width nor C; a fold with no
-    # validation rows or a one-class training side is skipped
+    # the fold index sets depend on neither width nor C. Each fold has both
+    # classes on each side: a stratified fold gets at least 2 rows of each
+    # class, and leave-one-out takes one row from sides of at least 2.
     fold_sets = []
     for f in range(folds):
         va = np.nonzero(fold_of == f)[0]
         tr = np.nonzero(fold_of != f)[0]
-        if va.size and np.unique(y[tr]).size == 2:
-            fold_sets.append((np.ix_(tr, tr), np.ix_(va, tr), y[tr], y[va]))
+        fold_sets.append((np.ix_(tr, tr), np.ix_(va, tr), y[tr], y[va]))
 
     best = None  # (accuracy, C, s)
     any_converged = False
@@ -155,21 +145,19 @@ def train_pair(
             K_tr, K_va = Kv[tr_tr], Kv[va_tr]
             alphas = None  # costs ascend, so each solve seeds the next
             for C, accs in zip(costs, fold_acc):
-                pred, conv, alphas = _fit_predict_fold(K_tr, K_va, y_tr, C, s, cfg, alphas)
-                any_converged = any_converged or conv
-                accs.append(float(np.mean(pred == y_va)))
+                sol = solve_binary_dual(GramMatrix(values=K_tr, width=s), y_tr, C, cfg, start=alphas)
+                alphas = sol.alphas
+                any_converged = any_converged or sol.converged
+                dec = K_va @ (alphas * y_tr) + sol.offset
+                accs.append(float(np.mean(np.where(dec > 0.0, 1.0, -1.0) == y_va)))
         for C, accs in zip(costs, fold_acc):
-            acc = float(np.mean(accs)) if accs else 0.0
+            acc = float(np.mean(accs))
             # ties prefer smaller C, then smaller width
             if best is None or acc > best[0] or (acc == best[0] and (C, s) < (best[1], best[2])):
                 best = (acc, C, s)
 
     cv_accuracy, C_win, s_win = best
-    final_cfg = SolverConfig(
-        kkt_tolerance=cfg.kkt_tolerance,
-        max_passes=cfg.resolve_max_passes(n) * _FINAL_PASS_BOOST,
-        seed=cfg.seed,
-    )
+    final_cfg = replace(cfg, max_passes=cfg.resolve_max_passes(n) * _FINAL_PASS_BOOST)
     K = gram_from_sqdist(d2, s_win)
     sol = solve_binary_dual(K, y, C_win, final_cfg)
     if not sol.converged and not any_converged:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -77,6 +78,19 @@ class TestAddClass:
         m = train_cil(train)
         with pytest.raises(ValueError, match="already registered"):
             cil.add_class(m, 0, train.rows_of(0), 0.2)
+
+    @pytest.mark.parametrize("n", [30, 600])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_class_rows_rejected_first(self, n, bad):
+        # at 600 rows the bad row is one that the width grid's 500-row
+        # median subsample skips
+        X = np.random.default_rng(n).normal(size=(n, 2))
+        skipped = set(range(n)) - set(np.linspace(0, n - 1, 500).astype(int).tolist())
+        X[min(skipped) if skipped else 3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no training step runs, so none warns
+            with pytest.raises(DataError, match="NaN or Inf"):
+                cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
 
     def test_failure_leaves_registry_untouched(self):
         train, _ = blob_split()
@@ -389,12 +403,6 @@ class TestSharedDistances:
             for lbl, v in before.ocsvm_values.items():
                 assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
 
-    def test_sv_norms_are_derived(self, blob_model_and_split):
-        model, _, _ = blob_model_and_split
-        for m in model.classes:
-            assert m.sv_sq_norms.tobytes() == (m.support_vectors * m.support_vectors).sum(axis=1).tobytes()
-            assert "sv_sq_norms" not in repr(m)
-
     @staticmethod
     def _layout_bytes(layout):
         return tuple(
@@ -433,14 +441,9 @@ class TestSharedDistances:
         } for m in model.classes)
         assert self._layout_bytes(model.layout) == self._derived_layout_bytes(model)
         assert "layout" not in repr(model)
-        # norms and a prediction layout that no longer match the registry
-        # change no saved or compared byte
-        damaged = []
-        for m in model.classes:
-            copy = replace(m)
-            object.__setattr__(copy, "sv_sq_norms", np.zeros(m.m))
-            damaged.append(copy)
-        other = replace(model, classes=tuple(damaged))
+        # a prediction layout that no longer matches the registry changes no
+        # saved or compared byte
+        other = replace(model)
         layout = other.layout
         object.__setattr__(other, "layout", layout._replace(
             sq_norms=np.zeros_like(layout.sq_norms), divisors=np.ones_like(layout.divisors),
@@ -637,28 +640,36 @@ class TestKnn:
         train, _ = blob_split()
         scaler, std = fit_standardize(train)
         for i in (0, 10, 50):
-            assert cil.knn_predict(std, std.features[i], k=1) == std.labels[i]
+            assert cil.knn_labels(std, std.features[i], k=1).tolist() == [std.labels[i]]
 
     def test_k_equals_n_majority(self):
         X = np.arange(20.0).reshape(10, 2)
         y = np.array([0] * 6 + [1] * 4)
         ds = LabeledDataset(features=X, labels=y)
-        assert cil.knn_predict(ds, np.array([100.0, 100.0]), k=10) == 0
+        assert cil.knn_labels(ds, np.array([[100.0, 100.0]]), k=10).tolist() == [0]
 
     def test_k_bounds(self):
         ds = LabeledDataset(features=np.zeros((3, 1)) + np.arange(3)[:, None], labels=np.array([0, 1, 0]))
         with pytest.raises(ValueError):
-            cil.knn_predict(ds, np.zeros(1), k=0)
+            cil.knn_labels(ds, np.zeros((1, 1)), k=0)
         with pytest.raises(ValueError):
-            cil.knn_predict(ds, np.zeros(1), k=4)
+            cil.knn_labels(ds, np.zeros((1, 1)), k=4)
+
+    def test_chunks_match_one_row_at_a_time(self):
+        # 5,000 two-column training rows put 13 test rows in a chunk
+        rng = np.random.default_rng(5)
+        ds = LabeledDataset(features=rng.normal(size=(5000, 2)), labels=rng.integers(0, 3, 5000))
+        X = rng.normal(size=(120, 2))
+        for k in (1, 4):
+            rows = [cil.knn_labels(ds, x, k=k)[0] for x in X]
+            assert cil.knn_labels(ds, X, k=k).tolist() == rows
 
     def test_vote_tie_goes_to_closest_tied_class(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 1, 0])
         ds = LabeledDataset(features=X, labels=y)
         # k=2 around x=0.4: neighbors are labels 0 (d=.4) and 1 (d=.6): tie -> nearest
-        assert cil.knn_predict(ds, np.array([0.4]), k=2) == 0
-        assert cil.knn_predict(ds, np.array([0.6]), k=2) == 1
+        assert cil.knn_labels(ds, np.array([[0.4], [0.6]]), k=2).tolist() == [0, 1]
 
 
 class TestBatchSvm:
@@ -786,6 +797,20 @@ class TestPersistence:
         raw["pairs"].append(dict(raw["pairs"][0], bias=5.0))
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match=r"lists \[\(0, 1\)\] more than once"):
+            cil.load(p)
+
+    def test_class_listed_twice(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        message = r"the registry lists classes \[0\] more than once"
+        with pytest.raises(ValueError, match=message):
+            cil.CilModel(config=model.config, scaler=model.scaler,
+                         classes=model.classes + (model.classes[0],), pair_table=model.pair_table)
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["classes"].append(raw["classes"][0])
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match=message):
             cil.load(p)
 
     @pytest.mark.parametrize("entries", ["classes", "pairs"])
@@ -1008,9 +1033,7 @@ def test_knn_iris_benchmark_band():
         train, test = stratified_split(ds, SplitSpec(0.7, seed=seed))
         scaler, std = fit_standardize(train)
         Xt = scaler.transform(test.features)
-        accs.append(
-            np.mean([cil.knn_predict(std, x, 1) == y for x, y in zip(Xt, test.labels)])
-        )
+        accs.append(np.mean(cil.knn_labels(std, Xt, 1) == test.labels))
     assert abs(100 * np.mean(accs) - 95.78) <= 3.0
 
 

@@ -108,6 +108,17 @@ class TestAddClass:
         assert run("add-class", model_p, newcls, "--label", "2", "--nu", "0.5") == EXIT_INPUT
         assert "at least 3 samples" in capsys.readouterr().err
 
+    def test_short_row_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p, "--order", "0,1")
+        rows = [[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)]
+        rows[4] = rows[4][:1]
+        newcls = tmp_path / "short.csv"
+        with open(newcls, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        assert run("add-class", model_p, newcls, "--label", "2") == EXIT_INPUT
+        assert "short.csv:5: expected 2 columns, got 1" in capsys.readouterr().err
+
 
 class TestPredictCmd:
     def test_labeled_file_reports_accuracy(self, blobs_csv, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import pair_decisions
 from sdcil import cil, pairwise
@@ -138,6 +140,45 @@ class TestTrainPair:
             for prev, cur in zip(run, run[1:]):
                 assert cur[1].tobytes() == prev[2].tobytes()
         assert refit[0] == clf.cost and refit[1] is None and refit[3] == 40
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_a=st.integers(2, 12), n_b=st.integers(2, 12), folds=st.integers(2, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_fold_is_solved(self, n_a, n_b, folds, seed):
+        # (folds, or n for leave-one-out) x costs grid solves and one refit;
+        # every solve sees both classes, and the folds' validation rows
+        # partition the pool
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(n_a, 2)), rng.normal(size=(n_b, 2)) + np.array([3.0, 0.0])
+        cv = CvConfig(folds=folds, cost_grid=(0.5, 8.0), width_grid=(2.0,), seed=seed)
+        calls = []
+        solve = pairwise.solve_binary_dual
+
+        def recording(K, y, C, cfg, start=None):
+            calls.append((K.values.copy(), y.copy()))
+            return solve(K, y, C, cfg, start=start)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairwise, "solve_binary_dual", recording)
+            train_pair(a, 0, b, 1, cv, CFG)
+        n = n_a + n_b
+        expected_folds = folds if min(n_a, n_b) >= 2 * folds else n
+        *grid, refit = calls
+        assert len(grid) == expected_folds * 2 and refit[1].size == n
+        assert all(set(y.tolist()) == {-1.0, 1.0} for _, y in calls)
+        # a fold's training rows are the pool rows whose Gram values its
+        # block holds; off-diagonal kernel values of random points differ
+        full = gram(np.vstack([a, b]), 2.0).values
+        validation = []
+        for K_tr, _ in grid[::2]:  # both costs of a fold share its rows
+            tr = []
+            for row in K_tr:
+                matches = [i for i in range(n) if np.isin(row, full[i]).all()]
+                assert len(matches) == 1
+                tr.append(matches[0])
+            assert K_tr.tobytes() == full[np.ix_(tr, tr)].tobytes()
+            validation += sorted(set(range(n)) - set(tr))
+        assert sorted(validation) == list(range(n))
 
     def test_train_accuracy_recomputable(self):
         a, b = two_blobs(20, seed=12)
