@@ -101,7 +101,7 @@ class CilConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionDetail:
     label: int
     region: str
@@ -241,15 +241,16 @@ def add_class_detailed(
     filter) and one dispute classifier against each already-registered
     class, using stored support vectors only. The class needs at least 3
     rows, because the edge partition needs 2 neighbours per row, and rows
-    holding NaN or Inf raise DataError before any training. The input
-    registry is never modified; on any failure it is returned unchanged to
-    the caller by virtue of never being touched.
+    holding NaN or Inf, or overflowing to them when scaled, raise DataError
+    before any training. The input registry is never modified; on any
+    failure it is returned unchanged to the caller by virtue of never being
+    touched.
     """
     label = int(label)
     if label in model.labels:
         raise ValueError(f"class {label} already registered")
     X = np.atleast_2d(np.asarray(X_class, dtype=float))
-    _require_finite(X)
+    _require_finite(X, X)
     if X.shape[0] < 3:
         raise ValueError(
             "need at least 3 samples to add a class (the edge partition needs 2 neighbours per row)"
@@ -266,6 +267,7 @@ def add_class_detailed(
 
     scaler = model.scaler if model.scaler is not None else Scaler.identity(X.shape[1])
     Xs = scaler.transform(X)
+    _require_finite(X, Xs)
 
     k = cfg.k_neighbors if cfg.k_neighbors is not None else default_k_neighbors(Xs.shape[0])
     part = beps_partition(Xs, k, cfg.side_threshold)
@@ -296,10 +298,15 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
     return add_class_detailed(model, label, X_class, nu)[0]
 
 
-def _require_finite(X: np.ndarray) -> None:
+def _require_finite(X: np.ndarray, Xs: np.ndarray) -> None:
+    """DataError unless Xs, the scaled rows of X, are all finite: X holds
+    NaN or Inf, or a finite row overflowed when scaled. A non-finite value
+    stays non-finite when scaled, so Xs alone decides."""
     # math.isfinite beats a numpy reduction several-fold on one short row;
-    # X.flat does not copy a large X into Python floats first
-    if not all(map(math.isfinite, X.flat)):
+    # .flat does not copy a large array into Python floats first
+    if not all(map(math.isfinite, Xs.flat)):
+        if all(map(math.isfinite, X.flat)):
+            raise DataError("input overflows to Inf or NaN when scaled")
         raise DataError("input contains NaN or Inf values")
 
 
@@ -339,17 +346,17 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
         raise ValueError(f"need an n x d matrix of rows, got shape {X.shape}")
     if X.shape[1] != model.classes[0].d:
         raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
-    _require_finite(X)
-    scaler, layout = model.scaler, model.layout
+    # the whole matrix, scaled, is checked before any row is returned
+    X_scaled = X if model.scaler is None else model.scaler.transform(X)
+    _require_finite(X, X_scaled)
+    layout = model.layout
     labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages
     # for each chunk would cost more than the arithmetic on them
     d2_buffer = np.empty((min(X.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
     K_buffer = np.empty_like(d2_buffer)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
-        Xs = X[start:start + _CHUNK_ROWS]
-        if scaler is not None:
-            Xs = scaler.transform(Xs)
+        Xs = X_scaled[start:start + _CHUNK_ROWS]
         d2, K = d2_buffer[:Xs.shape[0]], K_buffer[:Xs.shape[0]]
         # one product per class, never one stacked product: a class's
         # values must not depend on which other classes are registered

@@ -119,13 +119,16 @@ def _read_csv(path: Path, labeled: bool) -> tuple[np.ndarray, list[str]]:
 
     Blank rows are dropped, a first row whose feature cells are not all
     numeric is a header, and every row must have the first row's columns.
+    An error names the file line the row ends on.
     """
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row and any(t.strip() for t in row)]
-    if not rows:
+        reader = csv.reader(f)
+        numbered = [(reader.line_num, row) for row in reader if row and any(t.strip() for t in row)]
+    if not numbered:
         raise DataError(f"empty file: {path}")
+    linenos, rows = zip(*numbered)
     stop = -1 if labeled else None  # where the feature cells end
     ncol = len(rows[0])
     first_data = 1 if any(_try_float(t) is None for t in rows[0][:stop]) else 0
@@ -133,7 +136,7 @@ def _read_csv(path: Path, labeled: bool) -> tuple[np.ndarray, list[str]]:
         raise DataError(f"{path}: header only, no data rows")
 
     feats: list[list[float]] = []
-    for lineno, row in enumerate(rows[first_data:], start=first_data + 1):
+    for lineno, row in zip(linenos[first_data:], rows[first_data:]):
         if len(row) != ncol:
             raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(row)}")
         vals = [_try_float(t.strip()) for t in row[:stop]]

@@ -16,7 +16,20 @@ Wagstaff, KDD 2000): any feasible a, such as the solution of the same
 problem at a smaller C, which stays feasible as the box grows. The gradient
 is recomputed from it, and a zero start gives exactly the cold solve.
 
-One iteration of the shared loop costs a few numpy calls. The index sets
+The loop itself runs in C: _smo_loop.c, called through ctypes. It makes the
+numpy loop's picks with the same float64 operations in the same order, so
+both loops give byte-equal alphas, gradients, iteration counts and
+violations. It is compiled on the first solve, never on import, with
+`cc -O2 -ffp-contract=off -fPIC -shared` (or $CC): no -ffast-math, no
+-march=native and no fused multiply-add, each of which would change the
+rounding. The library is cached in $XDG_CACHE_HOME/sdcil or ~/.cache/sdcil,
+named by the sha256 of the source and the flags, and written atomically;
+a cached file that does not load is rebuilt. When neither directory can
+hold it, it is built in a private temporary directory, which is removed
+once the library is loaded. With no compiler, a failed build or a library
+that will not load, the numpy loop runs instead.
+
+One iteration of the numpy loop costs a few numpy calls. The index sets
 I_up and I_low are built once, as penalty vectors added to the gradient
 term, and a step updates only the two entries it moved. The gradient update
 reads the contiguous rows K_i and K_j rather than the strided columns, so K
@@ -25,7 +38,16 @@ must be exactly symmetric; kernels.gram builds it so.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +59,11 @@ BOUND_MARGIN = 1e-8
 
 # Floor for the curvature term K_ii + K_jj - 2 K_ij of a working pair.
 _CURVATURE_FLOOR = 1e-12
+
+# The C loop's source and its compiler flags; both name the cached library.
+_LOOP_SOURCE = Path(__file__).with_name("_smo_loop.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120.0
 
 # Relative slack on the dual box and on y'a for a point the solver produced:
 # its last step may round an alpha an ulp or so past a bound, and its steps
@@ -77,7 +104,20 @@ class DualSolution:
 def _smo(
     Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
-    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p.
+    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p,
+    with the C loop, or with the numpy loop when the C loop cannot be built
+    or loaded. Both have _numpy_smo's contract and give the same bytes."""
+    loop = _compiled_loop()
+    if loop is None:
+        return _numpy_smo(Kv, y, C, alpha, G, cfg)
+    return _compiled_smo(loop, Kv, y, C, alpha, G, cfg)
+
+
+def _numpy_smo(
+    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+) -> tuple[int, float]:
+    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p,
+    in numpy.
 
     Kv must be exactly symmetric: the gradient update reads rows of Kv where
     the update formula has columns. alpha and G are updated in place. Returns
@@ -138,6 +178,114 @@ def _smo(
     alpha[:] = a
     G[:] = -y * r
     return it, violation
+
+
+def _compiled_smo(
+    loop, Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+) -> tuple[int, float]:
+    """_numpy_smo through the C loop from _compiled_loop, with its contract.
+
+    The loop reads raw addresses, so Kv, y and alpha are copied unless they
+    are C-contiguous float64 already, and alpha and G are written back in
+    place."""
+    n = y.shape[0]
+    K = np.ascontiguousarray(Kv, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    a = np.ascontiguousarray(alpha, dtype=np.float64)
+    if n == 0 or K.shape != (n, n) or a.shape != (n,) or G.shape != (n,):
+        raise ValueError(f"need n >= 1, an n x n Gram matrix and n-vectors; got {K.shape}, {a.shape}, {G.shape}")
+    r = -y * G
+    up, low = np.empty(n), np.empty(n)
+    violation = ctypes.c_double()
+    it = loop(
+        K.ctypes.data, y.ctypes.data, a.ctypes.data, r.ctypes.data, up.ctypes.data, low.ctypes.data,
+        n, float(C), cfg.resolve_max_passes(n), cfg.kkt_tolerance, BOUND_MARGIN, _CURVATURE_FLOOR,
+        ctypes.byref(violation),
+    )
+    if a is not alpha:
+        alpha[:] = a
+    G[:] = -y * r
+    return it, violation.value
+
+
+@functools.cache
+def _compiled_loop():
+    """The C loop's entry point, built on the first call; None when there is
+    no compiler, the build fails or the library will not load.
+
+    The library is kept in the cache directory, and a cached file that will
+    not load is rebuilt. Without a usable cache directory it is built in a
+    private temporary directory, removed once the library is loaded."""
+    try:
+        name = _library_name(_LOOP_SOURCE.read_bytes())
+    except OSError:
+        return None
+    cache = _cache_dir()
+    if cache is not None:
+        path = cache / name
+        loop = _load(path) if path.exists() else None
+        if loop is None and _build(path):
+            loop = _load(path)
+        if loop is not None:
+            return loop
+    with tempfile.TemporaryDirectory(prefix="sdcil-") as tmp:
+        path = Path(tmp) / name
+        return _load(path) if _build(path) else None
+
+
+def _library_name(source: bytes) -> str:
+    """The cached library's file name: the sha256 of the source and flags."""
+    return f"smo_loop-{hashlib.sha256(source + ' '.join(_CFLAGS).encode()).hexdigest()}.so"
+
+
+def _cache_dir() -> Path | None:
+    """$XDG_CACHE_HOME/sdcil or ~/.cache/sdcil, created if need be; None when
+    neither is an absolute path or the directory cannot be made."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base) / "sdcil"
+    if not path.is_absolute():
+        return None
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return None
+    return path
+
+
+def _build(path: Path) -> bool:
+    """Compile the C loop into path, atomically: the compiler writes a
+    temporary file beside it, which os.replace moves into place."""
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".build-", dir=path.parent)
+        os.close(fd)
+    except OSError:
+        return False
+    try:
+        cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", tmp, str(_LOOP_SOURCE)]
+        subprocess.run(
+            cmd, check=True, timeout=_BUILD_TIMEOUT_S,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        os.replace(tmp, path)
+        return True
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return False
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load(path: Path):
+    """The sdcil_smo function of the library at path, or None when it will
+    not load."""
+    try:
+        loop = ctypes.CDLL(str(path)).sdcil_smo
+    except (OSError, AttributeError):
+        return None
+    pointer, double, long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+    loop.argtypes = [pointer] * 6 + [long, double, long, double, double, double, pointer]
+    loop.restype = long
+    return loop
 
 
 def _bias(y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray) -> float:

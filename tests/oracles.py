@@ -174,8 +174,9 @@ def pgd_binary_objective(K: np.ndarray, y: np.ndarray, C: float, iters: int = MA
 def reference_smo(Kv, y, C, alpha, G, cfg):
     """The SMO loop as first merged, one masked selection per iteration.
 
-    Pins `smo._smo` bit for bit: from the same start point both must return
-    the same alpha, G, iteration count and violation.
+    Pins both loops of `smo._smo`, the C loop and the numpy loop, bit for
+    bit: from the same start point each must return the same alpha, G,
+    iteration count and violation.
     """
     pos = y > 0
     r = -y * G

@@ -33,6 +33,33 @@ def blob_split(seed=0, npc=80):
     return stratified_split(ds, SplitSpec(0.7, seed=seed))
 
 
+@pytest.fixture(scope="module")
+def constant_column_model():
+    """A 3-class blobs model whose third feature is 0 in every training
+    row, so the scaler floors its std at 1e-12 and a finite 1e300 there
+    scales to Inf; and its training set."""
+    train, _ = blob_split()
+    train = LabeledDataset(
+        features=np.column_stack([train.features, np.zeros(train.n)]),
+        labels=train.labels, label_names=train.label_names,
+    )
+    return train_cil(train), train
+
+
+# every prediction entry point, called on the registry and one row x
+ROW_ENTRY_POINTS = [
+    cil.predict,
+    cil.predict_detail,
+    pytest.param(lambda model, x: cil.ocsvm_nn_labels(model, x[None, :]), id="ocsvm_nn_labels"),
+    pytest.param(lambda model, x: cil.predict_labels(model, x[None, :]), id="predict_labels"),
+    # the bad row comes second: the whole matrix is checked before any row is returned
+    pytest.param(
+        lambda model, x: next(cil.predict_details(model, np.vstack([np.zeros_like(x), x]))),
+        id="predict_details",
+    ),
+]
+
+
 class TestNewModel:
     def test_empty_registry(self):
         m = cil.new_model(fast_config())
@@ -91,6 +118,14 @@ class TestAddClass:
             warnings.simplefilter("error")  # no training step runs, so none warns
             with pytest.raises(DataError, match="NaN or Inf"):
                 cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_overflowing_when_scaled_rejected(self, constant_column_model):
+        model, train = constant_column_model
+        X = train.rows_of(2).copy()
+        X[3, 2] = 1e300
+        with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
+            cil.add_class(model, 3, X, 0.2)
 
     def test_failure_leaves_registry_untouched(self):
         train, _ = blob_split()
@@ -290,20 +325,18 @@ class TestPredict:
         assert detail.label == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("fn", [
-        cil.predict,
-        cil.predict_detail,
-        pytest.param(lambda model, x: cil.ocsvm_nn_labels(model, x[None, :]), id="ocsvm_nn_labels"),
-        # the bad row comes second: the whole matrix is checked before any row is returned
-        pytest.param(
-            lambda model, x: next(cil.predict_details(model, np.vstack([np.zeros(2), x]))),
-            id="predict_details",
-        ),
-    ])
+    @pytest.mark.parametrize("fn", ROW_ENTRY_POINTS)
     def test_non_finite_input_rejected(self, blob_model_and_split, fn, bad):
         model, _, _ = blob_model_and_split
-        with pytest.raises(DataError, match="NaN or Inf"):
+        with pytest.raises(DataError, match="NaN or Inf values"):
             fn(model, np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("fn", ROW_ENTRY_POINTS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_overflowing_when_scaled_rejected(self, constant_column_model, fn):
+        model, _ = constant_column_model
+        with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
+            fn(model, np.array([0.0, 0.0, 1e300]))
 
     def test_dimension_mismatch(self, blob_model_and_split):
         model, _, _ = blob_model_and_split

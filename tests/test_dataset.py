@@ -68,6 +68,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"ragged\.csv:2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, load, message", [
+        ("x,y\n\n1.0,2.0\n\n3.0\n", load_features_csv, "blank.csv:5: expected 2 columns, got 1"),
+        ("\n1.0,2.0,A\n\n\n1.0,oops,B\n", load_csv, "blank.csv:5: non-numeric feature value 'oops'"),
+    ], ids=["short-row", "non-numeric"])
+    def test_error_names_file_line_after_blank_rows(self, tmp_path, text, load, message):
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as err:
+            load(p)
+        assert str(err.value).endswith(message)
+
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text("1.0,nan,A\n2.0,3.0,B\n")

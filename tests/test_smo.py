@@ -1,11 +1,18 @@
+import os
+import shlex
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_smo
+from sdcil import cil, smo
+from sdcil.cli import EXIT_OK, main
 from sdcil.kernels import GramMatrix, gram, kernel_from_sqdist, squared_distances
-from sdcil.smo import BOUND_MARGIN, SolverConfig, _smo, solve_binary_dual, solve_ocsvm_dual
+from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
 TIGHT = SolverConfig(kkt_tolerance=1e-7)
 
@@ -201,8 +208,43 @@ def test_non_square_gram_rejected(dual):
             solve_binary_dual(K, np.array([1.0, -1.0, 1.0]), 1.0, TIGHT)
 
 
+def compiled_loop():
+    """The C loop; skips when there is no compiler, fails when there is one
+    but the loop did not build or load."""
+    loop = smo._compiled_loop()
+    if loop is None:
+        if shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]):
+            pytest.fail("a C compiler is present, but the C loop did not build or load")
+        pytest.skip("no C compiler")
+    return loop
+
+
+def run_loop(loop, *args):
+    """One of the two SMO loops, by name, on _smo's arguments."""
+    if loop == "numpy":
+        return smo._numpy_smo(*args)
+    return smo._compiled_smo(compiled_loop(), *args)
+
+
+def loop_problem(seed, n):
+    """_smo's arguments for a binary problem from a zero start."""
+    K, y = binary_problem(seed, n)
+    return K.values, y, 4.0, np.zeros(n), -np.ones(n), SolverConfig(kkt_tolerance=1e-5)
+
+
+def solve_bytes(seed):
+    """Every output of one binary and one one-class solve, as bytes."""
+    K, y = binary_problem(seed, 40)
+    out = []
+    for sol in (solve_binary_dual(K, y, 4.0, SolverConfig()), solve_ocsvm_dual(K, 0.3, SolverConfig())):
+        out += [sol.alphas.tobytes(), np.float64(sol.offset).tobytes(), np.float64(sol.objective).tobytes(),
+                sol.iterations, np.float64(sol.kkt_violation).tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
 class TestLoopIdentity:
-    """The SMO loop against the reference copy of the loop as first merged.
+    """Each SMO loop against the reference copy of the loop as first merged.
 
     Same start point, same picks, same rounding: every output is byte-equal.
     """
@@ -216,7 +258,7 @@ class TestLoopIdentity:
         max_passes=st.one_of(st.none(), st.integers(0, 100)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_loop(self, seed, n, log_tol, dual, rows, max_passes):
+    def test_matches_reference_loop(self, loop, seed, n, log_tol, dual, rows, max_passes):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 3))
         if rows != "distinct":
@@ -242,12 +284,107 @@ class TestLoopIdentity:
             alpha = np.zeros(n)
             G = -np.ones(n)
         a_ref, G_ref = alpha.copy(), G.copy()
-        it, violation = _smo(Kv, y, C, alpha, G, cfg)
+        it, violation = run_loop(loop, Kv, y, C, alpha, G, cfg)
         it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
         assert it == it_ref
         assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
         assert alpha.tobytes() == a_ref.tobytes()
         assert G.tobytes() == G_ref.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_arrays(self, loop, layout):
+        # Kv in Fortran order or as a strided view, alpha and G as strided
+        # views: the same bytes as contiguous arrays, written back in place
+        Kv, y, C, alpha, G, cfg = loop_problem(7, 60)
+        want_alpha, want_G = alpha.copy(), G.copy()
+        want = run_loop(loop, Kv, y, C, want_alpha, want_G, cfg)
+        if layout == "fortran":
+            Kv = np.asfortranarray(Kv)
+        else:
+            Kv = np.repeat(Kv, 2, axis=1)[:, ::2]
+        alpha, G = np.repeat(alpha, 3)[::3], np.repeat(G, 3)[::3]
+        assert not (Kv.flags.c_contiguous or alpha.flags.c_contiguous or G.flags.c_contiguous)
+        assert run_loop(loop, Kv, y, C, alpha, G, cfg) == want
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert G.tobytes() == want_G.tobytes()
+
+
+class TestCompiledLoopBuild:
+    """The C loop is built into the cache on the first solve; without it the
+    numpy loop runs, and the solves give the same bytes."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        smo._compiled_loop.cache_clear()
+        yield tmp_path / "sdcil"
+        smo._compiled_loop.cache_clear()
+
+    def library(self, cache):
+        return cache / smo._library_name(smo._LOOP_SOURCE.read_bytes())
+
+    @pytest.mark.parametrize("cc", ["unset", "missing"])
+    def test_no_compiler_uses_numpy_loop(self, cache, monkeypatch, cc):
+        compiled_loop()
+        want = [solve_bytes(seed) for seed in range(3)]
+        smo._compiled_loop.cache_clear()
+        if cc == "unset":
+            monkeypatch.delenv("CC", raising=False)
+        else:
+            monkeypatch.setenv("CC", str(cache / "no-such-cc"))
+        monkeypatch.setenv("PATH", "")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent / "empty"))
+        calls, numpy_smo = [], smo._numpy_smo
+
+        def numpy_loop(*args):
+            calls.append(args[0].shape[0])
+            return numpy_smo(*args)
+
+        monkeypatch.setattr(smo, "_numpy_smo", numpy_loop)
+        assert smo._compiled_loop() is None
+        assert [solve_bytes(seed) for seed in range(3)] == want
+        assert calls == [40, 40] * 3
+        assert list((cache.parent / "empty").rglob("*.so")) == []
+
+    def test_prediction_builds_nothing(self, blob_model_and_split, cache, tmp_path, capsys):
+        # sdcil predict loads a model and predicts: no solve, so no build
+        model, _, test = blob_model_and_split
+        cil.save(model, tmp_path / "m.json")
+        np.savetxt(tmp_path / "rows.csv", test.features, delimiter=",")
+        assert main(["predict", str(tmp_path / "m.json"), str(tmp_path / "rows.csv")]) == EXIT_OK
+        assert smo._compiled_loop.cache_info().misses == 0
+        assert not cache.exists()
+
+    def test_built_once_into_the_cache(self, cache):
+        compiled_loop()
+        assert [p.name for p in cache.iterdir()] == [self.library(cache).name]
+        assert self.library(cache).read_bytes()[:4] == b"\x7fELF"
+
+    @pytest.mark.parametrize("compiler", [True, False])
+    def test_corrupt_cache_rebuilt_or_skipped(self, cache, monkeypatch, compiler):
+        cache.mkdir()
+        self.library(cache).write_bytes(b"not a shared library")
+        if not compiler:
+            monkeypatch.setenv("CC", str(cache / "no-such-cc"))
+            assert smo._compiled_loop() is None
+            return
+        compiled_loop()
+        assert self.library(cache).read_bytes()[:4] == b"\x7fELF"
+        Kv, y, C, alpha, G, cfg = loop_problem(3, 30)
+        a_ref, G_ref = alpha.copy(), G.copy()
+        assert smo._smo(Kv, y, C, alpha, G, cfg) == reference_smo(Kv, y, C, a_ref, G_ref, cfg)
+        assert alpha.tobytes() == a_ref.tobytes() and G.tobytes() == G_ref.tobytes()
+
+    def test_unusable_cache_builds_in_a_temporary_directory(self, cache, monkeypatch):
+        # the cache path is a file, so the cache directory cannot be made;
+        # the temporary directory is gone once the library is loaded
+        cache.parent.joinpath("file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent / "file"))
+        tmp = cache.parent / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        compiled_loop()
+        assert list(tmp.iterdir()) == []
 
 
 def binary_problem(seed, n):
