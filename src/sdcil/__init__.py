@@ -36,7 +36,7 @@ from .dataset import (
     stratified_split,
 )
 from .geometry import BoundaryPartition, WidthSelection, beps_partition, select_width
-from .kernels import GramMatrix, KernelWidth, candidate_widths, gram
+from .kernels import KernelWidth, candidate_widths, gram
 from .ocsvm import OcsvmModel
 from .pairwise import CvConfig, PairwiseClassifier, train_pair
 from .smo import DualSolution, SolverConfig, solve_binary_dual, solve_ocsvm_dual

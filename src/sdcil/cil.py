@@ -37,6 +37,20 @@ costs tens of microseconds in call overhead on a one-row chunk, more than
 the whole Python tail of that row, and one-row predict_detail is the
 latency path.
 
+The paper claims that keeping the old models cuts training time and
+memory against retraining. The time claim holds: the k-th class trains one
+one-class SVM on its own rows and k - 1 pairs on stored support vectors,
+where a batch 1vs1 retrain trains k(k - 1)/2 pairs on all rows
+(tests/test_trace.py counts it: for the fifth of five 30-row classes,
+16,250 kernel cells and 2,198 solver iterations against 180,000 and
+12,775). The memory claim holds only sometimes. A model stores SVs x d
+numbers in its classes and, as every pair holds one coefficient per
+support vector of its two classes, SVs x (k - 1) in its pairs: (SV/n) x
+(1 + (k - 1)/d) times the n x d raw numbers. With few dimensions and many
+classes that exceeds 1: the seed-1 blobs-grow model of the benchmark
+(d = 2, k = 10, 160 SVs of 600 rows) stores 320 + 1,440 = 1,760 numbers
+against 1,200 raw, so the model outgrows its data.
+
 A saved model (format version 2) stores each support vector once, in its
 class, as the model in memory does. Version-1 files also stored every
 pair's vectors; load() still reads them when those vectors are the stacked
@@ -59,13 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataError, LabeledDataset, Scaler
-from .geometry import (
-    DEFAULT_SIDE_THRESHOLD,
-    WidthSelection,
-    beps_partition,
-    default_k_neighbors,
-    select_width,
-)
+from .geometry import DEFAULT_SIDE_THRESHOLD, beps_partition, default_k_neighbors, select_width
 from .kernels import candidate_widths, check_width, kernel_from_sqdist, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel
 from .pairwise import CvConfig, PairwiseClassifier, train_pair
@@ -83,6 +91,12 @@ REGIONS = (REGION_UNIQUE, REGION_MULTI, REGION_NONE)
 # Rows per chunk of prediction work: bounds the rows x support-vector kernel
 # blocks held at once when a large X (a map raster) is predicted.
 _CHUNK_ROWS = 256
+
+# Largest Euclidean norm of a scaled row or a support vector: squared norms
+# and products of such rows stay below 1e300, so no squared distance
+# (xx + yy) - 2P is Inf - Inf, which would make a class value NaN.
+MAX_NORM = 1e150
+_MAX_SQUARED_NORM = MAX_NORM * MAX_NORM
 
 
 class ModelFormatError(ValueError):
@@ -145,6 +159,8 @@ class PredictionLayout(NamedTuple):
     @classmethod
     def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
         sorted_labels = tuple(sorted(m.class_label for m in classes))
+        for label in sorted_labels:
+            _check_label(label)
         repeated = sorted(label for label, n in Counter(sorted_labels).items() if n > 1)
         if repeated:
             raise ValueError(f"the registry lists classes {repeated} more than once")
@@ -189,6 +205,14 @@ class PredictionLayout(NamedTuple):
         )
 
 
+def _check_label(label: int) -> int:
+    """label, or ValueError unless it is an int64, as prediction results and
+    map rasters hold labels."""
+    if not np.iinfo(np.int64).min <= label <= np.iinfo(np.int64).max:
+        raise ValueError(f"class label {label} is outside the int64 range")
+    return label
+
+
 def _divisor(width: float) -> float:
     """-2 s^2, which kernel_from_sqdist divides squared distances by."""
     s = check_width(width)
@@ -231,26 +255,25 @@ def new_model(config: CilConfig | None = None, scaler: Scaler | None = None) -> 
     return CilModel(config=config or CilConfig(), scaler=scaler)
 
 
-def add_class_detailed(
-    model: CilModel, label: int, X_class: np.ndarray, nu: float | None = None
-) -> tuple[CilModel, WidthSelection]:
-    """Register a new class; returns the extended registry plus the width
-    selection diagnostics for the new class.
+def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None = None) -> CilModel:
+    """Register a new class and return the extended registry.
 
     Trains the class's one-class SVM (width picked per the SV-fraction
     filter) and one dispute classifier against each already-registered
-    class, using stored support vectors only. The class needs at least 3
-    rows, because the edge partition needs 2 neighbours per row, and rows
-    holding NaN or Inf, or overflowing to them when scaled, raise DataError
-    before any training. The input registry is never modified; on any
-    failure it is returned unchanged to the caller by virtue of never being
-    touched.
+    class, using stored support vectors only. The label must be an int64
+    and new to the registry, and the class needs at least 3 rows, because
+    the edge partition needs 2 neighbours per row. Rows holding NaN or Inf,
+    or with a norm beyond MAX_NORM when scaled, raise DataError before any
+    training. The input registry is never modified; on any failure it
+    is returned unchanged to the caller by virtue of never being touched.
     """
-    label = int(label)
+    label = _check_label(int(label))
     if label in model.labels:
         raise ValueError(f"class {label} already registered")
     X = np.atleast_2d(np.asarray(X_class, dtype=float))
-    _require_finite(X, X)
+    scaler = model.scaler if model.scaler is not None else Scaler.identity(X.shape[1])
+    Xs = scaler.transform(X)
+    _require_bounded(X, Xs, squared_norms(Xs))
     if X.shape[0] < 3:
         raise ValueError(
             "need at least 3 samples to add a class (the edge partition needs 2 neighbours per row)"
@@ -264,10 +287,6 @@ def add_class_detailed(
             f"nu={nu} outside the usual [{NU_SOFT_RANGE[0]}, {NU_SOFT_RANGE[1]}] range",
             stacklevel=2,
         )
-
-    scaler = model.scaler if model.scaler is not None else Scaler.identity(X.shape[1])
-    Xs = scaler.transform(X)
-    _require_finite(X, Xs)
 
     k = cfg.k_neighbors if cfg.k_neighbors is not None else default_k_neighbors(Xs.shape[0])
     part = beps_partition(Xs, k, cfg.side_threshold)
@@ -284,30 +303,24 @@ def add_class_detailed(
         )
         new_pairs[(clf.label_a, clf.label_b)] = clf
 
-    new_model_ = replace(
-        model,
-        scaler=scaler,
-        classes=model.classes + (new_ocsvm,),
-        pair_table=new_pairs,
-    )
-    return new_model_, sel
+    return replace(model, scaler=scaler, classes=model.classes + (new_ocsvm,), pair_table=new_pairs)
 
 
-def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None = None) -> CilModel:
-    """Register a new class and return the extended registry."""
-    return add_class_detailed(model, label, X_class, nu)[0]
-
-
-def _require_finite(X: np.ndarray, Xs: np.ndarray) -> None:
-    """DataError unless Xs, the scaled rows of X, are all finite: X holds
-    NaN or Inf, or a finite row overflowed when scaled. A non-finite value
-    stays non-finite when scaled, so Xs alone decides."""
-    # math.isfinite beats a numpy reduction several-fold on one short row;
-    # .flat does not copy a large array into Python floats first
-    if not all(map(math.isfinite, Xs.flat)):
-        if all(map(math.isfinite, X.flat)):
+def _require_bounded(X: np.ndarray, Xs: np.ndarray, xx: np.ndarray) -> None:
+    """DataError unless every row of Xs, the scaled rows of X, has a norm
+    within MAX_NORM; xx holds their squared norms. A NaN or Inf value makes
+    its row's squared norm NaN or Inf, so xx alone decides: X holds NaN or
+    Inf, a finite row overflowed when scaled, or it scaled beyond the
+    bound."""
+    # NaN fails the comparison too. One value per row, and Python's map
+    # beats a numpy reduction on the one row of predict_detail; .flat does
+    # not copy a large array into Python floats first
+    if not all(map(_MAX_SQUARED_NORM.__ge__, xx.flat)):
+        if not all(map(math.isfinite, X.flat)):
+            raise DataError("input contains NaN or Inf values")
+        if not all(map(math.isfinite, Xs.flat)):
             raise DataError("input overflows to Inf or NaN when scaled")
-        raise DataError("input contains NaN or Inf values")
+        raise DataError(f"input row norm exceeds {MAX_NORM:g} when scaled")
 
 
 def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ...]]:
@@ -348,7 +361,8 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
         raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
     # the whole matrix, scaled, is checked before any row is returned
     X_scaled = X if model.scaler is None else model.scaler.transform(X)
-    _require_finite(X, X_scaled)
+    xx = squared_norms(X_scaled)
+    _require_bounded(X, X_scaled, xx)
     layout = model.layout
     labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages
@@ -364,7 +378,7 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
             np.matmul(Xs, m.support_vectors.T, out=d2[:, cols])
         # squared_distances' (xx + yy) - 2P clipped at 0, then each class's
         # kernel, all in place
-        np.add(squared_norms(Xs)[:, None], layout.sq_norms, out=K)
+        np.add(xx[start:start + _CHUNK_ROWS, None], layout.sq_norms, out=K)
         d2 *= 2.0
         np.subtract(K, d2, out=d2)
         np.maximum(d2, 0.0, out=d2)
@@ -736,9 +750,10 @@ def load(path: str | Path) -> CilModel:
     A version-1 file also holds each pair's vectors; it loads only when they
     are the stacked support vectors of the pair's two classes, lower label
     first, and its classes and pairs load with converged=None (unknown).
-    Building the model checks that the pair table holds one pair per two
-    classes, and that each pair has one coefficient per support vector of
-    its two classes."""
+    Building the model checks that the labels are int64, the pair table
+    holds one pair per two classes, and each pair has one coefficient per
+    support vector of its two classes. Support vectors must have norms within
+    MAX_NORM, so that no prediction computes Inf - Inf."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -784,23 +799,35 @@ def load(path: str | Path) -> CilModel:
                 f"malformed model file {path}: need one alpha per support vector "
                 f"and at least one support vector per class ({', '.join(bad)})"
             )
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check
+            bad = [f"class {m.class_label}" for m in classes
+                   if not np.all(squared_norms(m.support_vectors) <= _MAX_SQUARED_NORM)]
+        if bad:
+            raise ModelFormatError(
+                f"malformed model file {path}: a support vector's norm exceeds {MAX_NORM:g} "
+                f"({', '.join(bad)})"
+            )
         bad = [
             f"class {m.class_label}" for m in classes
             if not (m.nu > 0 and m.train_count > 0 and np.all(m.sv_alphas > 0)
                     and np.all(m.sv_alphas <= (1 + BOX_SLACK) / (m.nu * m.train_count)))
         ]
+        # a pair's decision sums its kernel terms, each at most a coefficient,
+        # in any order: with 2 x cost x coefficients finite no partial sum
+        # overflows, so none is Inf - Inf
         bad += [
             f"pair {k}" for k, clf in pairs.items()
-            if not np.all(np.abs(clf.coeffs) <= (1 + BOX_SLACK) * clf.cost)
+            if not (np.all(np.abs(clf.coeffs) <= (1 + BOX_SLACK) * clf.cost)
+                    and math.isfinite(2.0 * clf.cost * clf.coeffs.size))
         ]
         if bad:
             raise ModelFormatError(
                 f"malformed model file {path}: coefficients outside the dual box, "
-                f"(0, 1/(nu*train_count)] for a class and [-cost, cost] for a pair "
-                f"({', '.join(bad)})"
+                f"(0, 1/(nu*train_count)] for a class and [-cost, cost] for a pair, "
+                f"whose cost x coefficients must be finite ({', '.join(bad)})"
             )
         return CilModel(config=config, scaler=scaler, classes=classes, pair_table=pairs)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed model file {path}: {e}") from e

@@ -36,8 +36,6 @@ class BoundaryPartition:
 
     edge_indices: np.ndarray
     interior_indices: np.ndarray
-    k_neighbors: int
-    side_threshold: float
 
     @property
     def n(self) -> int:
@@ -121,12 +119,7 @@ def beps_partition(
         side = diffs @ (normal / nn)
         edge[i] = np.mean(side >= 0.0) >= side_threshold
     idx = np.arange(n)
-    return BoundaryPartition(
-        edge_indices=idx[edge],
-        interior_indices=idx[~edge],
-        k_neighbors=k_neighbors,
-        side_threshold=side_threshold,
-    )
+    return BoundaryPartition(edge_indices=idx[edge], interior_indices=idx[~edge])
 
 
 def select_width(
@@ -164,7 +157,7 @@ def select_width(
     records: list[CandidateRecord] = []
     solutions: list[DualSolution] = []
     for s in sorted(float(s) for s in candidates):
-        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s), nu, cfg)
+        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s).values, nu, cfg)
         solutions.append(sol)
         if not sol.converged:
             records.append(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelWidth, candidate_widths, gram_from_sqdist, squared_distances
+from .kernels import KernelWidth, candidate_widths, gram_from_sqdist, squared_distances
 from .smo import SolverConfig, solve_binary_dual
 
 DEFAULT_COST_GRID = tuple(2.0 ** e for e in range(-3, 8))
@@ -145,7 +145,7 @@ def train_pair(
             K_tr, K_va = Kv[tr_tr], Kv[va_tr]
             alphas = None  # costs ascend, so each solve seeds the next
             for C, accs in zip(costs, fold_acc):
-                sol = solve_binary_dual(GramMatrix(values=K_tr, width=s), y_tr, C, cfg, start=alphas)
+                sol = solve_binary_dual(K_tr, y_tr, C, cfg, start=alphas)
                 alphas = sol.alphas
                 any_converged = any_converged or sol.converged
                 dec = K_va @ (alphas * y_tr) + sol.offset
@@ -158,14 +158,14 @@ def train_pair(
 
     cv_accuracy, C_win, s_win = best
     final_cfg = replace(cfg, max_passes=cfg.resolve_max_passes(n) * _FINAL_PASS_BOOST)
-    K = gram_from_sqdist(d2, s_win)
+    K = gram_from_sqdist(d2, s_win).values
     sol = solve_binary_dual(K, y, C_win, final_cfg)
     if not sol.converged and not any_converged:
         raise RuntimeError(
             f"pairwise training diverged for every solve (labels {label_a} vs {label_b})"
         )
     coeffs = sol.alphas * y
-    train_dec = K.values @ coeffs + sol.offset
+    train_dec = K @ coeffs + sol.offset
     train_accuracy = float(np.mean(np.where(train_dec > 0.0, 1.0, -1.0) == y))
     return PairwiseClassifier(
         label_a=int(label_a),

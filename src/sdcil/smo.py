@@ -16,9 +16,15 @@ Wagstaff, KDD 2000): any feasible a, such as the solution of the same
 problem at a smaller C, which stays feasible as the box grows. The gradient
 is recomputed from it, and a zero start gives exactly the cold solve.
 
+Both entry points take the kernel matrix as a plain array. A solve's state
+is the KKT vector r = -y*G of the gradient G = Qa + p: an entry point
+computes r from its start point, the loop picks its pairs from r and
+updates it in place, the offset is read from r, and the objective reads G
+back as -y*r, which is exactly G because y is +-1.
+
 The loop itself runs in C: _smo_loop.c, called through ctypes. It makes the
 numpy loop's picks with the same float64 operations in the same order, so
-both loops give byte-equal alphas, gradients, iteration counts and
+both loops give byte-equal alphas, KKT vectors, iteration counts and
 violations. It is compiled on the first solve, never on import, with
 `cc -O2 -ffp-contract=off -fPIC -shared` (or $CC): no -ffast-math, no
 -march=native and no fused multiply-add, each of which would change the
@@ -50,8 +56,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .kernels import GramMatrix
 
 # Alphas within this margin of a bound count as bound-active when recovering
 # the offset; well below 1/(nu*l) for any dataset in scope.
@@ -102,29 +106,28 @@ class DualSolution:
 
 
 def _smo(
-    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
-    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p,
+    """Minimize from the feasible point alpha, whose KKT vector is r = -y*G,
     with the C loop, or with the numpy loop when the C loop cannot be built
     or loaded. Both have _numpy_smo's contract and give the same bytes."""
     loop = _compiled_loop()
     if loop is None:
-        return _numpy_smo(Kv, y, C, alpha, G, cfg)
-    return _compiled_smo(loop, Kv, y, C, alpha, G, cfg)
+        return _numpy_smo(Kv, y, C, alpha, r, cfg)
+    return _compiled_smo(loop, Kv, y, C, alpha, r, cfg)
 
 
 def _numpy_smo(
-    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+    Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
-    """Minimize from the feasible point alpha, whose gradient is G = Q alpha + p,
+    """Minimize from the feasible point alpha, whose KKT vector is r = -y*G,
     in numpy.
 
     Kv must be exactly symmetric: the gradient update reads rows of Kv where
-    the update formula has columns. alpha and G are updated in place. Returns
-    the iteration count and the final KKT violation: max of r = -y*G over
-    I_up minus min of r over I_low. The loop keeps r rather than G; as y is
-    +-1, r -= t*(K_i - K_j) rounds exactly like G += y*(t*(K_i - K_j))
-    followed by r = -y*G.
+    the update formula has columns. alpha and r are updated in place. Returns
+    the iteration count and the final KKT violation: max of r over I_up
+    minus min of r over I_low. As y is +-1, r -= t*(K_i - K_j) rounds
+    exactly like G += y*(t*(K_i - K_j)) followed by r = -y*G.
 
     I_up and I_low are kept as penalty vectors added to r: -0.0 (the exact
     additive identity, so r + -0.0 is r bit for bit) for a member and an
@@ -139,7 +142,6 @@ def _numpy_smo(
     can_dec = alpha > BOUND_MARGIN
     up = np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
     low = np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
-    r = -y * G
     ri, rj, step = np.empty_like(r), np.empty_like(r), np.empty_like(r)
     a, ys, diag = alpha.tolist(), y.tolist(), Kv.diagonal().tolist()
     tol = cfg.kkt_tolerance
@@ -176,35 +178,35 @@ def _numpy_smo(
         r -= step
         it += 1
     alpha[:] = a
-    G[:] = -y * r
     return it, violation
 
 
 def _compiled_smo(
-    loop, Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray, cfg: SolverConfig
+    loop, Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
     """_numpy_smo through the C loop from _compiled_loop, with its contract.
 
-    The loop reads raw addresses, so Kv, y and alpha are copied unless they
-    are C-contiguous float64 already, and alpha and G are written back in
-    place."""
+    The loop reads raw addresses, so Kv, y, alpha and r are copied unless
+    they are C-contiguous float64 already, and alpha and r are written back
+    in place."""
     n = y.shape[0]
     K = np.ascontiguousarray(Kv, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     a = np.ascontiguousarray(alpha, dtype=np.float64)
-    if n == 0 or K.shape != (n, n) or a.shape != (n,) or G.shape != (n,):
-        raise ValueError(f"need n >= 1, an n x n Gram matrix and n-vectors; got {K.shape}, {a.shape}, {G.shape}")
-    r = -y * G
+    rc = np.ascontiguousarray(r, dtype=np.float64)
+    if n == 0 or K.shape != (n, n) or a.shape != (n,) or rc.shape != (n,):
+        raise ValueError(f"need n >= 1, an n x n Gram matrix and n-vectors; got {K.shape}, {a.shape}, {rc.shape}")
     up, low = np.empty(n), np.empty(n)
     violation = ctypes.c_double()
     it = loop(
-        K.ctypes.data, y.ctypes.data, a.ctypes.data, r.ctypes.data, up.ctypes.data, low.ctypes.data,
+        K.ctypes.data, y.ctypes.data, a.ctypes.data, rc.ctypes.data, up.ctypes.data, low.ctypes.data,
         n, float(C), cfg.resolve_max_passes(n), cfg.kkt_tolerance, BOUND_MARGIN, _CURVATURE_FLOOR,
         ctypes.byref(violation),
     )
     if a is not alpha:
         alpha[:] = a
-    G[:] = -y * r
+    if rc is not r:
+        r[:] = rc
     return it, violation.value
 
 
@@ -288,11 +290,10 @@ def _load(path: Path):
     return loop
 
 
-def _bias(y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray) -> float:
-    """Bias b from the value -y*G that each point's KKT condition suggests:
-    the mean over unbounded support vectors, else the midpoint of the KKT
-    bracket over bound-active points (one-sided if a side is empty)."""
-    r = -y * G
+def _bias(y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray) -> float:
+    """Bias b from the value r = -y*G that each point's KKT condition
+    suggests: the mean over unbounded support vectors, else the midpoint of
+    the KKT bracket over bound-active points (one-sided if a side is empty)."""
     at_zero = alpha <= BOUND_MARGIN
     at_c = alpha >= C - BOUND_MARGIN
     unbounded = ~at_zero & ~at_c
@@ -310,14 +311,12 @@ def _bias(y: np.ndarray, C: float, alpha: np.ndarray, G: np.ndarray) -> float:
     raise RuntimeError("cannot recover offset: no active constraints at all")
 
 
-def _square(K: GramMatrix) -> np.ndarray:
-    Kv = K.values
-    if Kv.ndim != 2 or Kv.shape[0] != Kv.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {Kv.shape}")
-    return Kv
+def _square(K: np.ndarray) -> None:
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"Gram matrix must be square, got shape {K.shape}")
 
 
-def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolution:
+def solve_ocsvm_dual(K: np.ndarray, nu: float, cfg: SolverConfig) -> DualSolution:
     """Solve the one-class dual over the Gram matrix K (square, exactly symmetric).
 
     The start point puts equal mass on ceil(nu*l) points chosen in seeded
@@ -328,8 +327,8 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    Kv = _square(K)
-    l = Kv.shape[0]
+    _square(K)
+    l = K.shape[0]
     if nu * l < 1.0:
         raise ValueError(f"infeasible: nu * l = {nu * l:.3g} < 1")
     C = 1.0 / (nu * l)
@@ -338,13 +337,13 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
     m = int(np.ceil(nu * l))
     alpha = np.zeros(l)
     alpha[order[:m]] = 1.0 / m
-    G = Kv @ alpha
     y = np.ones(l)
-    it, violation = _smo(Kv, y, C, alpha, G, cfg)
+    r = -y * (K @ alpha)
+    it, violation = _smo(K, y, C, alpha, r, cfg)
     return DualSolution(
         alphas=alpha,
-        offset=-_bias(y, C, alpha, G),
-        objective=0.5 * float(alpha @ G),
+        offset=-_bias(y, C, alpha, r),
+        objective=0.5 * float(alpha @ (-y * r)),
         iterations=it,
         converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),
@@ -352,7 +351,7 @@ def solve_ocsvm_dual(K: GramMatrix, nu: float, cfg: SolverConfig) -> DualSolutio
 
 
 def solve_binary_dual(
-    K: GramMatrix, y: np.ndarray, C: float, cfg: SolverConfig, start: np.ndarray | None = None
+    K: np.ndarray, y: np.ndarray, C: float, cfg: SolverConfig, start: np.ndarray | None = None
 ) -> DualSolution:
     """Solve the soft-margin binary dual over the Gram matrix K (square, exactly
     symmetric).
@@ -366,9 +365,9 @@ def solve_binary_dual(
     recovered like rho: mean of y_t - f_t over unbounded support vectors,
     else the KKT-bracket midpoint over bound-active points.
     """
-    Kv = _square(K)
+    _square(K)
     y = np.asarray(y, dtype=float).ravel()
-    n = Kv.shape[0]
+    n = K.shape[0]
     if y.shape[0] != n:
         raise ValueError("label vector length must match Gram size")
     if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
@@ -385,12 +384,12 @@ def solve_binary_dual(
         raise ValueError(f"start leaves the box [0, C={C}]")
     if abs(float(y @ alpha)) > BOX_SLACK * float(alpha.sum()):
         raise ValueError("start violates y'a = 0")
-    G = y * (Kv @ (alpha * y)) - 1.0
-    it, violation = _smo(Kv, y, C, alpha, G, cfg)
+    r = -y * (y * (K @ (alpha * y)) - 1.0)
+    it, violation = _smo(K, y, C, alpha, r, cfg)
     return DualSolution(
         alphas=alpha,
-        offset=_bias(y, C, alpha, G),
-        objective=0.5 * float(alpha @ G) - 0.5 * float(np.sum(alpha)),
+        offset=_bias(y, C, alpha, r),
+        objective=0.5 * float(alpha @ (-y * r)) - 0.5 * float(np.sum(alpha)),
         iterations=it,
         converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),

@@ -175,8 +175,9 @@ def reference_smo(Kv, y, C, alpha, G, cfg):
     """The SMO loop as first merged, one masked selection per iteration.
 
     Pins both loops of `smo._smo`, the C loop and the numpy loop, bit for
-    bit: from the same start point each must return the same alpha, G,
-    iteration count and violation.
+    bit: from the same start point each must return the same alpha,
+    iteration count and violation, and its KKT vector r must give this
+    loop's G as -y*r.
     """
     pos = y > 0
     r = -y * G

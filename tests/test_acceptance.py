@@ -104,7 +104,7 @@ class TestCriterion2OracleEquivalence:
             K = gram(X, float(rng.uniform(0.5, 3.0)))
             nu = max(float(rng.uniform(0.15, 0.9)), 1.5 / n)
             sol = solve_ocsvm_dual(K, nu, cfg)
-            oracle = pgd_ocsvm_objective(K.values, nu)
+            oracle = pgd_ocsvm_objective(K, nu)
             worst = max(worst, abs(sol.objective - oracle) / max(abs(oracle), 1e-300))
         for trial in range(50):
             n = int(rng.integers(5, 21))
@@ -114,7 +114,7 @@ class TestCriterion2OracleEquivalence:
             y[0], y[1] = 1.0, -1.0
             C = float(rng.uniform(0.5, 50.0))
             sol = solve_binary_dual(K, y, C, cfg)
-            oracle = pgd_binary_objective(K.values, y, C)
+            oracle = pgd_binary_objective(K, y, C)
             worst = max(worst, abs(sol.objective - oracle) / max(abs(oracle), 1e-300))
         dt = time.perf_counter() - t0
         ok = worst < 1e-6 and dt < 60.0

@@ -127,6 +127,24 @@ class TestAddClass:
         with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
             cil.add_class(model, 3, X, 0.2)
 
+    @pytest.mark.parametrize("value", [1.7e308, -1e151])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_class_rows_too_large_when_scaled_rejected(self, value):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        X[3, 0] = value
+        with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
+            cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
+
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**29])
+    def test_label_outside_int64_rejected_before_training(self, monkeypatch, label):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cil, "beps_partition", no_training)
+        train, _ = blob_split()
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            cil.add_class(cil.new_model(fast_config()), label, train.rows_of(0), 0.2)
+
     def test_failure_leaves_registry_untouched(self):
         train, _ = blob_split()
         m = train_cil(train)
@@ -337,6 +355,25 @@ class TestPredict:
         model, _ = constant_column_model
         with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
             fn(model, np.array([0.0, 0.0, 1e300]))
+
+    @pytest.mark.parametrize("fn", ROW_ENTRY_POINTS)
+    @pytest.mark.parametrize("x", [[1.7e308, 0.0], [0.0, -1e160]], ids=["near-max", "past-bound"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_too_large_when_scaled_rejected(self, blob_model_and_split, fn, x):
+        # squared distances of such rows would be Inf - Inf: a NaN class
+        # value and a silent label
+        model, _, _ = blob_model_and_split
+        with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
+            fn(model, np.array(x))
+
+    def test_rows_inside_the_bound_have_no_nan(self, blob_model_and_split):
+        model, _, _ = blob_model_and_split
+        X = model.scaler.inverse(0.5 * cil.MAX_NORM * np.array([[0.6, -0.8], [-1.0, 0.0], [0.0, 1.0]]))
+        for detail in cil.predict_details(model, X):
+            assert not np.isnan(list(detail.ocsvm_values.values())).any()
+            assert detail.region == cil.REGION_NONE and detail.label in model.labels
+        labels, regions = cil.predict_labels(model, X)
+        assert regions.tolist() == [2, 2, 2] and set(labels.tolist()) <= set(model.labels)
 
     def test_dimension_mismatch(self, blob_model_and_split):
         model, _, _ = blob_model_and_split
@@ -855,6 +892,70 @@ class TestPersistence:
         raw[entries][0]["width"] = 0.0
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match="kernel width"):
+            cil.load(p)
+
+    def test_kernel_width_squared_must_not_underflow(self, blob_model_and_split, tmp_path):
+        # exp(0 / -2 s^2) is NaN when s^2 underflows to 0
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["classes"][0]["width"] = 1e-200
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="kernel width"):
+            cil.load(p)
+
+    def test_support_vectors_within_bound(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["classes"][1]["sv_matrix"][0][0] = 1.7e308
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match=r"support vector's norm exceeds 1e\+150 \(class 1\)"):
+            cil.load(p)
+
+    def test_pair_cost_times_coefficients_must_be_finite(self, blob_model_and_split, tmp_path):
+        # inside the box, but partial sums of opposite signs could overflow
+        # to Inf - Inf
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        pair = raw["pairs"][0]
+        pair["cost"] = 1e308
+        pair["coeffs"] = [1e308 if c > 0 else -1e308 for c in pair["coeffs"]]
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match=r"cost x coefficients must be finite \(pair \(0, 1\)\)"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("labels", ["pairs", "single-class"])
+    def test_labels_outside_int64_rejected(self, blob_model_and_split, tmp_path, labels):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        if labels == "single-class":
+            raw["classes"], raw["pairs"] = raw["classes"][:1], []
+            raw["classes"][0]["label"] = 2**64
+        else:
+            # every use of label 2 moves to 2**63, so the pair table matches
+            for entry in raw["classes"]:
+                entry["label"] = 2**63 if entry["label"] == 2 else entry["label"]
+            for entry in raw["pairs"]:
+                entry["b"] = 2**63 if entry["b"] == 2 else entry["b"]
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="outside the int64 range"):
+            cil.load(p)
+
+    def test_train_count_too_large_for_a_float(self, blob_model_and_split, tmp_path):
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["classes"][0]["train_count"] = 10**400
+        p.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="malformed model file"):
             cil.load(p)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

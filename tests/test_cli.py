@@ -108,6 +108,15 @@ class TestAddClass:
         assert run("add-class", model_p, newcls, "--label", "2", "--nu", "0.5") == EXIT_INPUT
         assert "at least 3 samples" in capsys.readouterr().err
 
+    def test_label_outside_int64_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p, "--order", "0,1")
+        newcls = tmp_path / "new.csv"
+        with open(newcls, "w", newline="") as f:
+            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)])
+        assert run("add-class", model_p, newcls, "--label", "100000000000000000000000000000") == EXIT_INPUT
+        assert "outside the int64 range" in capsys.readouterr().err
+
     def test_short_row_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p, "--order", "0,1")
@@ -170,6 +179,27 @@ class TestPredictCmd:
         model_p.write_text(json.dumps(raw))
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
         assert "pair table" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_too_large_when_scaled_exit_code(self, blobs_csv, tmp_path, capsys):
+        # the row's squared distances would be Inf - Inf, a NaN class value
+        model_p, rows = tmp_path / "m.json", tmp_path / "rows.csv"
+        run("train", blobs_csv, "--out", model_p)
+        capsys.readouterr()
+        rows.write_text("0.0,0.0\n1.7e308,0.0\n")
+        assert run("predict", model_p, rows) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "row norm exceeds 1e+150 when scaled" in err
+        assert out == ""  # no row's label is printed
+
+    def test_train_count_overflow_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        raw = json.loads(model_p.read_text())
+        raw["classes"][0]["train_count"] = 10**400
+        model_p.write_text(json.dumps(raw))
+        assert run("predict", model_p, blobs_csv) == EXIT_INPUT
+        assert "malformed model file" in capsys.readouterr().err
 
     def test_non_finite_model_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"

@@ -10,6 +10,7 @@ from sdcil.kernels import (
     candidate_widths,
     check_width,
     gram,
+    gram_from_sqdist,
     kernel_from_sqdist,
     squared_distances,
 )
@@ -37,7 +38,7 @@ class TestGaussian:
         with pytest.raises(ValueError, match="dimension"):
             gaussian(np.zeros(2), np.zeros(3), 1.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 1e-200])
     def test_invalid_width(self, bad):
         with pytest.raises(ValueError):
             check_width(bad)
@@ -70,12 +71,12 @@ class TestGaussian:
 class TestGram:
     def test_single_row(self):
         g = gram(np.array([[1.0, 2.0]]), 1.0)
-        assert g.values.shape == (1, 1)
-        assert g.values[0, 0] == 1.0
+        assert g.shape == (1, 1)
+        assert g[0, 0] == 1.0
 
     def test_identical_rows(self):
         g = gram(np.array([[1.0, 2.0], [1.0, 2.0]]), 0.5)
-        assert np.allclose(g.values, 1.0, atol=0)
+        assert np.allclose(g, 1.0, atol=0)
 
     def test_matches_entrywise_recomputation(self):
         rng = np.random.default_rng(7)
@@ -83,13 +84,13 @@ class TestGram:
         s = 1.3
         g = gram(X, s)
         expected = np.array([[gaussian(a, b, s) for b in X] for a in X])
-        assert np.max(np.abs(g.values - expected)) < 1e-14
+        assert np.max(np.abs(g - expected)) < 1e-14
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(3)
         g = gram(rng.normal(size=(40, 4)), 2.0)
-        assert np.max(np.abs(g.values - g.values.T)) < 1e-12
-        assert np.max(np.abs(np.diag(g.values) - 1.0)) < 1e-12
+        assert np.max(np.abs(g - g.T)) < 1e-12
+        assert np.max(np.abs(np.diag(g) - 1.0)) < 1e-12
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -104,7 +105,7 @@ class TestGram:
         A = np.random.default_rng(seed).normal(size=(n, 2 * d))
         X = {"C": A[:, :d].copy(), "F": np.asfortranarray(A[:, :d]), "strided": A[:, ::2]}[layout]
         D = squared_distances(X)
-        K = gram(X, 1.5).values
+        K = gram(X, 1.5)
         assert np.array_equal(D, D.T)
         assert np.array_equal(K, K.T)
 
@@ -113,7 +114,7 @@ class TestGram:
     def test_positive_semidefinite_spot_check(self, seed, n, s):
         rng = np.random.default_rng(seed)
         g = gram(rng.normal(size=(n, 3)), s)
-        assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
+        assert np.linalg.eigvalsh(g)[0] >= -1e-8
 
     def test_kernel_from_sqdist_rectangular(self):
         rng = np.random.default_rng(11)
@@ -163,7 +164,10 @@ class TestCandidateWidths:
 
 
 def test_gram_matrix_is_frozen_value():
-    g = GramMatrix(values=np.eye(2), width=1.0)
-    assert g.n == 2
+    # the one-field result of gram_from_sqdist, which a benchmark tracer reads
+    d2 = np.array([[0.0, 2.0], [2.0, 0.0]])
+    g = gram_from_sqdist(d2, 1.0)
+    assert isinstance(g, GramMatrix)
+    assert np.array_equal(g.values, kernel_from_sqdist(d2, 1.0))
     with pytest.raises(AttributeError):
-        g.width = 2.0
+        g.values = np.eye(2)

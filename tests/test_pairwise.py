@@ -155,7 +155,7 @@ class TestTrainPair:
         solve = pairwise.solve_binary_dual
 
         def recording(K, y, C, cfg, start=None):
-            calls.append((K.values.copy(), y.copy()))
+            calls.append((K.copy(), y.copy()))
             return solve(K, y, C, cfg, start=start)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -168,7 +168,7 @@ class TestTrainPair:
         assert all(set(y.tolist()) == {-1.0, 1.0} for _, y in calls)
         # a fold's training rows are the pool rows whose Gram values its
         # block holds; off-diagonal kernel values of random points differ
-        full = gram(np.vstack([a, b]), 2.0).values
+        full = gram(np.vstack([a, b]), 2.0)
         validation = []
         for K_tr, _ in grid[::2]:  # both costs of a fold share its rows
             tr = []
@@ -183,7 +183,7 @@ class TestTrainPair:
     def test_train_accuracy_recomputable(self):
         a, b = two_blobs(20, seed=12)
         clf = train_pair(a, 0, b, 1, CV, CFG)
-        dec = gram(np.vstack([a, b]), clf.width).values @ clf.coeffs + clf.bias
+        dec = gram(np.vstack([a, b]), clf.width) @ clf.coeffs + clf.bias
         y = np.concatenate([np.ones(20), -np.ones(20)])
         agree = np.mean(np.where(dec > 0, 1.0, -1.0) == y)
         assert agree == pytest.approx(clf.train_accuracy, abs=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_smo
 from sdcil import cil, smo
 from sdcil.cli import EXIT_OK, main
-from sdcil.kernels import GramMatrix, gram, kernel_from_sqdist, squared_distances
+from sdcil.kernels import gram, kernel_from_sqdist, squared_distances
 from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
 TIGHT = SolverConfig(kkt_tolerance=1e-7)
@@ -33,11 +33,11 @@ class TestOcsvmDual:
         sol = solve_ocsvm_dual(K, 0.5, TIGHT)
         assert sol.converged
         assert np.allclose(sol.alphas, [0.5, 0.5], atol=1e-9)
-        assert sol.offset == pytest.approx(0.5 * (1.0 + K.values[0, 1]), abs=1e-9)
+        assert sol.offset == pytest.approx(0.5 * (1.0 + K[0, 1]), abs=1e-9)
 
     @pytest.mark.parametrize("l", [1, 2, 5, 9])
     def test_identity_gram_nu_one(self, l):
-        K = GramMatrix(values=np.eye(l), width=1.0)
+        K = np.eye(l)
         sol = solve_ocsvm_dual(K, 1.0, TIGHT)
         assert sol.converged
         assert np.allclose(sol.alphas, 1.0 / l, atol=1e-12)
@@ -47,7 +47,7 @@ class TestOcsvmDual:
         rng = np.random.default_rng(100)
         K, _, _ = random_gram(rng, 15)
         sol = solve_ocsvm_dual(K, 0.3, TIGHT)
-        oracle = pgd_ocsvm_objective(K.values, 0.3)
+        oracle = pgd_ocsvm_objective(K, 0.3)
         assert rel_diff(sol.objective, oracle) < 1e-6
 
     def test_infeasible_nu(self):
@@ -99,7 +99,7 @@ class TestOcsvmDual:
         assert bounded <= nu + 2.0 / n
         assert all_sv >= nu - 2.0 / n
         # KKT: no feasible pair violates beyond tolerance
-        G = K.values @ sol.alphas
+        G = K @ sol.alphas
         up = sol.alphas < C - BOUND_MARGIN
         dn = sol.alphas > BOUND_MARGIN
         assert G[dn].max() - G[up].min() <= cfg.kkt_tolerance * (1 + 1e-9)
@@ -124,7 +124,7 @@ class TestBinaryDual:
         K = gram(X, 0.5)
         sol = solve_binary_dual(K, y, 100.0, TIGHT)
         assert sol.converged
-        dec = K.values @ (sol.alphas * y) + sol.offset
+        dec = K @ (sol.alphas * y) + sol.offset
         assert np.all(np.sign(dec) == y)
 
     def test_objective_matches_projected_gradient_oracle(self):
@@ -133,7 +133,7 @@ class TestBinaryDual:
         y = np.where(rng.random(12) > 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         sol = solve_binary_dual(K, y, 5.0, TIGHT)
-        oracle = pgd_binary_objective(K.values, y, 5.0)
+        oracle = pgd_binary_objective(K, y, 5.0)
         assert rel_diff(sol.objective, oracle) < 1e-6
 
     def test_single_class_labels_rejected(self):
@@ -171,7 +171,7 @@ class TestBinaryDual:
         assert sol.alphas.max() <= C + 1e-10
         assert abs(sol.alphas @ y) < 1e-8
         # KKT: no feasible pair violates beyond tolerance; r = -y * gradient
-        r = y - K.values @ (sol.alphas * y)
+        r = y - K @ (sol.alphas * y)
         can_inc = sol.alphas < C - BOUND_MARGIN
         can_dec = sol.alphas > BOUND_MARGIN
         up = np.where(y > 0, can_inc, can_dec)
@@ -186,7 +186,7 @@ class TestBinaryDual:
             y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
             y[0], y[1] = 1.0, -1.0
             sol = solve_binary_dual(K, y, 3.0, TIGHT)
-            oracle = pgd_binary_objective(K.values, y, 3.0)
+            oracle = pgd_binary_objective(K, y, 3.0)
             assert sol.objective <= oracle + 1e-6 * abs(oracle)
 
 
@@ -200,7 +200,7 @@ def test_solver_config_validation():
 
 @pytest.mark.parametrize("dual", ["ocsvm", "binary"])
 def test_non_square_gram_rejected(dual):
-    K = GramMatrix(values=np.ones((3, 2)), width=1.0)
+    K = np.ones((3, 2))
     with pytest.raises(ValueError, match="square"):
         if dual == "ocsvm":
             solve_ocsvm_dual(K, 0.5, TIGHT)
@@ -220,16 +220,18 @@ def compiled_loop():
 
 
 def run_loop(loop, *args):
-    """One of the two SMO loops, by name, on _smo's arguments."""
+    """One of the two SMO loops, by name, on _smo's arguments: the KKT
+    vector r = -y*G is updated in place."""
     if loop == "numpy":
         return smo._numpy_smo(*args)
     return smo._compiled_smo(compiled_loop(), *args)
 
 
 def loop_problem(seed, n):
-    """_smo's arguments for a binary problem from a zero start."""
+    """_smo's arguments for a binary problem from a zero start, where the
+    gradient is -1 and so r = -y*G is y."""
     K, y = binary_problem(seed, n)
-    return K.values, y, 4.0, np.zeros(n), -np.ones(n), SolverConfig(kkt_tolerance=1e-5)
+    return K, y, 4.0, np.zeros(n), y.copy(), SolverConfig(kkt_tolerance=1e-5)
 
 
 def solve_bytes(seed):
@@ -244,9 +246,11 @@ def solve_bytes(seed):
 
 @pytest.mark.parametrize("loop", ["compiled", "numpy"])
 class TestLoopIdentity:
-    """Each SMO loop against the reference copy of the loop as first merged.
+    """Each SMO loop against the reference copy of the loop as first merged,
+    which keeps the gradient G where the loops keep r = -y*G.
 
-    Same start point, same picks, same rounding: every output is byte-equal.
+    Same start point, same picks, same rounding: every output is byte-equal,
+    and -y*r is G byte for byte.
     """
 
     @given(
@@ -267,7 +271,7 @@ class TestLoopIdentity:
             X[half:] = X[rng.integers(0, max(half, 1), size=n - half)]
             if rows == "near-duplicate":
                 X[half:] += rng.normal(scale=10.0 ** rng.uniform(-9, -1), size=(n - half, 3))
-        Kv = gram(X, float(rng.uniform(0.2, 3.0))).values
+        Kv = gram(X, float(rng.uniform(0.2, 3.0)))
         cfg = SolverConfig(kkt_tolerance=10.0**log_tol, max_passes=max_passes)
         if dual == "ocsvm":
             nu = float(rng.uniform(1.0 / n, 1.0))
@@ -284,29 +288,30 @@ class TestLoopIdentity:
             alpha = np.zeros(n)
             G = -np.ones(n)
         a_ref, G_ref = alpha.copy(), G.copy()
-        it, violation = run_loop(loop, Kv, y, C, alpha, G, cfg)
+        r = -y * G
+        it, violation = run_loop(loop, Kv, y, C, alpha, r, cfg)
         it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
         assert it == it_ref
         assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
         assert alpha.tobytes() == a_ref.tobytes()
-        assert G.tobytes() == G_ref.tobytes()
+        assert (-y * r).tobytes() == G_ref.tobytes()
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_arrays(self, loop, layout):
-        # Kv in Fortran order or as a strided view, alpha and G as strided
+        # Kv in Fortran order or as a strided view, alpha and r as strided
         # views: the same bytes as contiguous arrays, written back in place
-        Kv, y, C, alpha, G, cfg = loop_problem(7, 60)
-        want_alpha, want_G = alpha.copy(), G.copy()
-        want = run_loop(loop, Kv, y, C, want_alpha, want_G, cfg)
+        Kv, y, C, alpha, r, cfg = loop_problem(7, 60)
+        want_alpha, want_r = alpha.copy(), r.copy()
+        want = run_loop(loop, Kv, y, C, want_alpha, want_r, cfg)
         if layout == "fortran":
             Kv = np.asfortranarray(Kv)
         else:
             Kv = np.repeat(Kv, 2, axis=1)[:, ::2]
-        alpha, G = np.repeat(alpha, 3)[::3], np.repeat(G, 3)[::3]
-        assert not (Kv.flags.c_contiguous or alpha.flags.c_contiguous or G.flags.c_contiguous)
-        assert run_loop(loop, Kv, y, C, alpha, G, cfg) == want
+        alpha, r = np.repeat(alpha, 3)[::3], np.repeat(r, 3)[::3]
+        assert not (Kv.flags.c_contiguous or alpha.flags.c_contiguous or r.flags.c_contiguous)
+        assert run_loop(loop, Kv, y, C, alpha, r, cfg) == want
         assert alpha.tobytes() == want_alpha.tobytes()
-        assert G.tobytes() == want_G.tobytes()
+        assert r.tobytes() == want_r.tobytes()
 
 
 class TestCompiledLoopBuild:
@@ -370,10 +375,10 @@ class TestCompiledLoopBuild:
             return
         compiled_loop()
         assert self.library(cache).read_bytes()[:4] == b"\x7fELF"
-        Kv, y, C, alpha, G, cfg = loop_problem(3, 30)
-        a_ref, G_ref = alpha.copy(), G.copy()
-        assert smo._smo(Kv, y, C, alpha, G, cfg) == reference_smo(Kv, y, C, a_ref, G_ref, cfg)
-        assert alpha.tobytes() == a_ref.tobytes() and G.tobytes() == G_ref.tobytes()
+        Kv, y, C, alpha, r, cfg = loop_problem(3, 30)
+        a_ref, G_ref = alpha.copy(), -y * r
+        assert smo._smo(Kv, y, C, alpha, r, cfg) == reference_smo(Kv, y, C, a_ref, G_ref, cfg)
+        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
 
     def test_unusable_cache_builds_in_a_temporary_directory(self, cache, monkeypatch):
         # the cache path is a file, so the cache directory cannot be made;
@@ -423,13 +428,13 @@ class TestWarmStart:
         sol = solve_binary_dual(K, y, C2, cfg, start=first.alphas)
         assert sol.converged and sol.kkt_violation <= cfg.kkt_tolerance
         # KKT recomputed from the returned alphas; r = -y * gradient
-        r = y - K.values @ (sol.alphas * y)
+        r = y - K @ (sol.alphas * y)
         can_inc = sol.alphas < C2 - BOUND_MARGIN
         can_dec = sol.alphas > BOUND_MARGIN
         up = np.where(y > 0, can_inc, can_dec)
         low = np.where(y > 0, can_dec, can_inc)
         assert r[up].max() - r[low].min() <= cfg.kkt_tolerance * (1 + 1e-9)
-        assert rel_diff(sol.objective, pgd_binary_objective(K.values, y, C2)) < 1e-6
+        assert rel_diff(sol.objective, pgd_binary_objective(K, y, C2)) < 1e-6
 
     @pytest.mark.parametrize("bad", ["length", "nan", "inf", "negative", "above_c", "unbalanced"])
     def test_infeasible_start_rejected(self, bad):
