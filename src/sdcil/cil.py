@@ -272,8 +272,7 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
         raise ValueError(f"class {label} already registered")
     X = np.atleast_2d(np.asarray(X_class, dtype=float))
     scaler = model.scaler if model.scaler is not None else Scaler.identity(X.shape[1])
-    Xs = scaler.transform(X)
-    _require_bounded(X, Xs, squared_norms(Xs))
+    Xs, _ = _scale_bounded(X, scaler)
     if X.shape[0] < 3:
         raise ValueError(
             "need at least 3 samples to add a class (the edge partition needs 2 neighbours per row)"
@@ -306,12 +305,17 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
     return replace(model, scaler=scaler, classes=model.classes + (new_ocsvm,), pair_table=new_pairs)
 
 
-def _require_bounded(X: np.ndarray, Xs: np.ndarray, xx: np.ndarray) -> None:
-    """DataError unless every row of Xs, the scaled rows of X, has a norm
-    within MAX_NORM; xx holds their squared norms. A NaN or Inf value makes
-    its row's squared norm NaN or Inf, so xx alone decides: X holds NaN or
-    Inf, a finite row overflowed when scaled, or it scaled beyond the
-    bound."""
+def _scale_bounded(X: np.ndarray, scaler: Scaler | None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X scaled (X itself without a scaler) and their squared
+    norms; DataError unless every scaled row has a norm within MAX_NORM. A
+    NaN or Inf value makes its row's squared norm NaN or Inf, so the norms
+    alone decide: X holds NaN or Inf, a finite row overflowed when scaled,
+    or it scaled beyond the bound."""
+    # a scaling or a square that overflows gives Inf, which fails the check
+    # below, so numpy's overflow warning would only precede the DataError
+    with np.errstate(over="ignore"):
+        Xs = X if scaler is None else scaler.transform(X)
+        xx = squared_norms(Xs)
     # NaN fails the comparison too. One value per row, and Python's map
     # beats a numpy reduction on the one row of predict_detail; .flat does
     # not copy a large array into Python floats first
@@ -321,6 +325,7 @@ def _require_bounded(X: np.ndarray, Xs: np.ndarray, xx: np.ndarray) -> None:
         if not all(map(math.isfinite, Xs.flat)):
             raise DataError("input overflows to Inf or NaN when scaled")
         raise DataError(f"input row norm exceeds {MAX_NORM:g} when scaled")
+    return Xs, xx
 
 
 def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ...]]:
@@ -360,9 +365,7 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
     if X.shape[1] != model.classes[0].d:
         raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
     # the whole matrix, scaled, is checked before any row is returned
-    X_scaled = X if model.scaler is None else model.scaler.transform(X)
-    xx = squared_norms(X_scaled)
-    _require_bounded(X, X_scaled, xx)
+    X_scaled, xx = _scale_bounded(X, model.scaler)
     layout = model.layout
     labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages

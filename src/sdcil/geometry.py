@@ -132,9 +132,12 @@ def select_width(
 ) -> WidthSelection:
     """Pick a kernel width per the support-vector-fraction filter.
 
-    Solves one one-class dual per candidate (sharing the pairwise-distance
-    work) and admits converged candidates with SV fraction in [nu, 1.5*nu];
-    only the winner is built into a model. Among the admitted, the winner
+    Solves one one-class dual per candidate and admits converged candidates
+    with SV fraction in [nu, 1.5*nu]; only the winner is built into a model.
+    The sweep computes the pairwise squared distances once and allocates one
+    kernel buffer, which each candidate's kernel overwrites in place; a
+    candidate's covering gaps are read along its support vectors' rows of
+    the exactly symmetric distance matrix. Among the admitted, the winner
     puts its support vectors on the detected boundary: fewest SVs outside
     the edge set first, then the smallest worst-case gap between an edge
     point and its nearest SV, then the smaller width. Raw feature-space
@@ -149,15 +152,18 @@ def select_width(
         raise ValueError("candidate list is empty")
     if part.n != X.shape[0]:
         raise ValueError("partition size does not match X_class")
-    d2 = squared_distances(X)
+    d2 = squared_distances(X)  # exactly symmetric
     np.fill_diagonal(d2, 0.0)
     edge_mask = np.zeros(X.shape[0], dtype=bool)
     edge_mask[part.edge_indices] = True
+    # one kernel buffer for the whole sweep: no solution keeps a view of it,
+    # and the winner's model is built from X and its solution alone
+    K = np.empty_like(d2)
 
     records: list[CandidateRecord] = []
     solutions: list[DualSolution] = []
     for s in sorted(float(s) for s in candidates):
-        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s).values, nu, cfg)
+        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s, out=K).values, nu, cfg)
         solutions.append(sol)
         if not sol.converged:
             records.append(
@@ -170,9 +176,15 @@ def select_width(
         keep = sol.alphas > SV_THRESHOLD
         frac = int(np.count_nonzero(keep)) / X.shape[0]
         score = float(np.mean(~edge_mask[keep]))
-        # sqrt is monotone and correctly rounded: take it after the min and max
-        gaps2 = d2[np.ix_(part.edge_indices, np.nonzero(keep)[0])]
-        covering = float(np.sqrt(np.max(np.min(gaps2, axis=1)))) if part.edge_indices.size else 0.0
+        # each edge point's squared gap to its nearest SV, read along the SV
+        # rows: d2 is symmetric and min is exact, so this equals the min over
+        # the edge rows' SV columns. sqrt is monotone and correctly rounded:
+        # take it after the min and max
+        if part.edge_indices.size:
+            gaps2 = d2[keep].min(axis=0)[part.edge_indices]
+            covering = float(np.sqrt(np.max(gaps2)))
+        else:
+            covering = 0.0
         records.append(
             CandidateRecord(
                 s=s, converged=True, sv_fraction=frac, score=score, covering=covering,

@@ -40,7 +40,7 @@ class GramMatrix:
     The solvers take the plain array, and gram returns one. This one-field
     shim stays only because the benchmark's tracer (perfbench/tracing.py)
     wraps gram_from_sqdist and reads .values from its result; it goes when
-    the program gets its own trace hook (ROADMAP item 4)."""
+    the program gets its own trace hook (ROADMAP item 6)."""
 
     values: np.ndarray
 
@@ -92,13 +92,20 @@ def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth) -> np.ndarray:
     return np.exp(d2 / (-2.0 * s * s))
 
 
-def gram_from_sqdist(d2: np.ndarray, s: KernelWidth) -> GramMatrix:
+def gram_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> GramMatrix:
     """The kernel matrix over precomputed squared distances, as a GramMatrix.
 
     Width-selection sweeps call this once per candidate so the O(n^2 d)
-    distance work is shared across the grid.
+    distance work is shared across the grid. The values are those of
+    kernel_from_sqdist, byte for byte: a divide, then an exp in place. With
+    out, an array of d2's shape, they are written into out, and out itself
+    is the result's values, so a sweep can reuse one buffer for every
+    candidate; the width is checked before out is touched.
     """
-    return GramMatrix(values=kernel_from_sqdist(d2, s))
+    s = check_width(s)
+    K = np.divide(d2, -2.0 * s * s, out=out)
+    np.exp(K, out=K)
+    return GramMatrix(values=K)
 
 
 def gram(X: np.ndarray, s: KernelWidth) -> np.ndarray:

@@ -13,20 +13,25 @@ kernel from its definition; `class_values` and `pair_decisions`, one class
 model's values and one dispute classifier's decisions, each a kernel block
 times its coefficients; `reference_smo`, the package's SMO loop as first
 merged; `reference_details`, its prediction path before the fused kernel
-passes; and `reference_batch_svm`, the batch-SVM baseline with one stacked
-kernel product per pair.
+passes; `reference_batch_svm`, the batch-SVM baseline with one stacked
+kernel product per pair; and `reference_select_width`, the width sweep
+with a fresh kernel matrix per candidate and the covering gaps read along
+the edge rows.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
 from sdcil import cil
+from sdcil.geometry import CandidateRecord, WidthSelection
 from sdcil.kernels import check_width, kernel_from_sqdist, squared_distances, squared_norms
-from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN
+from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
+from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN, solve_ocsvm_dual
 
 MAX_ITERS = 100_000
 # consecutive-iterate displacement below this (sup-norm) counts as a fixed
@@ -292,3 +297,42 @@ def reference_batch_svm(svm, X) -> np.ndarray:
             decision = kernel_from_sqdist(squared_distances(X[chunk], vectors), clf.width) @ clf.coeffs + clf.bias
             votes[chunk] += np.where(decision > 0.0, clf.label_a, clf.label_b)[:, None] == labels
     return labels[np.argmax(votes, axis=1)]
+
+
+def reference_select_width(X_class, nu, candidates, part, cfg, class_label=0) -> WidthSelection:
+    """geometry.select_width as it was before the sweep reused one kernel
+    buffer: a fresh kernel_from_sqdist matrix per candidate, and each edge
+    point's gap to its nearest support vector taken along the edge rows of
+    an np.ix_ block. Pins the sweep's records, choice and model exactly."""
+    X = np.asarray(X_class, dtype=float)
+    d2 = squared_distances(X)
+    np.fill_diagonal(d2, 0.0)
+    edge_mask = np.zeros(X.shape[0], dtype=bool)
+    edge_mask[part.edge_indices] = True
+    records, solutions = [], []
+    for s in sorted(float(s) for s in candidates):
+        sol = solve_ocsvm_dual(kernel_from_sqdist(d2, s), nu, cfg)
+        solutions.append(sol)
+        if not sol.converged:
+            nan = float("nan")
+            records.append(CandidateRecord(s, False, nan, nan, nan, False))
+            continue
+        keep = sol.alphas > SV_THRESHOLD
+        frac = int(np.count_nonzero(keep)) / X.shape[0]
+        score = float(np.mean(~edge_mask[keep]))
+        gaps2 = d2[np.ix_(part.edge_indices, np.nonzero(keep)[0])]
+        covering = float(np.sqrt(np.max(np.min(gaps2, axis=1)))) if part.edge_indices.size else 0.0
+        records.append(CandidateRecord(s, True, frac, score, covering, nu <= frac <= 1.5 * nu))
+    if not any(r.converged for r in records):
+        raise RuntimeError("no candidate width converged")
+    admitted = [i for i, r in enumerate(records) if r.admitted]
+    fallback = not admitted
+    if fallback:
+        best = min((i for i, r in enumerate(records) if r.converged),
+                   key=lambda i: abs(records[i].sv_fraction - 1.25 * nu))
+        records[best] = replace(records[best], admitted=True, fallback=True)
+    else:
+        # min keeps the first of equal keys: the smaller width
+        best = min(admitted, key=lambda i: (records[i].score, records[i].covering))
+    chosen = records[best].s
+    return WidthSelection(chosen, records, model_from_solution(X, nu, chosen, solutions[best], class_label), fallback)

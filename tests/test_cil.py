@@ -119,21 +119,23 @@ class TestAddClass:
             with pytest.raises(DataError, match="NaN or Inf"):
                 cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_overflowing_when_scaled_rejected(self, constant_column_model):
         model, train = constant_column_model
         X = train.rows_of(2).copy()
         X[3, 2] = 1e300
-        with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
-            cil.add_class(model, 3, X, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is rejected, not warned about
+            with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
+                cil.add_class(model, 3, X, 0.2)
 
     @pytest.mark.parametrize("value", [1.7e308, -1e151])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_class_rows_too_large_when_scaled_rejected(self, value):
         X = np.random.default_rng(0).normal(size=(30, 2))
         X[3, 0] = value
-        with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
-            cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing square is rejected, not warned about
+            with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
+                cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
 
     @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**29])
     def test_label_outside_int64_rejected_before_training(self, monkeypatch, label):
@@ -350,21 +352,23 @@ class TestPredict:
             fn(model, np.array([bad, 0.0]))
 
     @pytest.mark.parametrize("fn", ROW_ENTRY_POINTS)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_overflowing_when_scaled_rejected(self, constant_column_model, fn):
         model, _ = constant_column_model
-        with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
-            fn(model, np.array([0.0, 0.0, 1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is rejected, not warned about
+            with pytest.raises(DataError, match="overflows to Inf or NaN when scaled"):
+                fn(model, np.array([0.0, 0.0, 1e300]))
 
     @pytest.mark.parametrize("fn", ROW_ENTRY_POINTS)
     @pytest.mark.parametrize("x", [[1.7e308, 0.0], [0.0, -1e160]], ids=["near-max", "past-bound"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_too_large_when_scaled_rejected(self, blob_model_and_split, fn, x):
         # squared distances of such rows would be Inf - Inf: a NaN class
         # value and a silent label
         model, _, _ = blob_model_and_split
-        with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
-            fn(model, np.array(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing square is rejected, not warned about
+            with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
+                fn(model, np.array(x))
 
     def test_rows_inside_the_bound_have_no_nan(self, blob_model_and_split):
         model, _, _ = blob_model_and_split

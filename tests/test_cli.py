@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,14 +181,15 @@ class TestPredictCmd:
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
         assert "pair table" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_too_large_when_scaled_exit_code(self, blobs_csv, tmp_path, capsys):
         # the row's squared distances would be Inf - Inf, a NaN class value
         model_p, rows = tmp_path / "m.json", tmp_path / "rows.csv"
         run("train", blobs_csv, "--out", model_p)
         capsys.readouterr()
         rows.write_text("0.0,0.0\n1.7e308,0.0\n")
-        assert run("predict", model_p, rows) == EXIT_INPUT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing square is rejected, not warned about
+            assert run("predict", model_p, rows) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert "row norm exceeds 1e+150 when scaled" in err
         assert out == ""  # no row's label is printed

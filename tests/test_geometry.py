@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcil.geometry import _nearest_neighbours, beps_partition, default_k_neighbors, select_width
+from oracles import reference_select_width
+from sdcil.geometry import BoundaryPartition, _nearest_neighbours, beps_partition, default_k_neighbors, select_width
 from sdcil.kernels import candidate_widths, squared_distances
 from sdcil.smo import SolverConfig
 
@@ -193,3 +194,66 @@ class TestSelectWidth:
             bool(ins) or tuple(X[v]) in sv_rows for ins, v in zip(inside, hull.vertices)
         )
         assert covered / len(hull.vertices) >= 0.95
+
+
+def class_shape(rng, shape, n, d):
+    """n rows of one class in d dimensions, in one of a few layouts."""
+    if shape == "gaussian":
+        return rng.normal(size=(n, d))
+    if shape == "anisotropic":
+        return rng.normal(size=(n, d)) * np.geomspace(0.01, 10.0, d)
+    if shape == "ring":
+        X = rng.normal(size=(n, d))
+        return X / np.linalg.norm(X, axis=1, keepdims=True) * rng.uniform(2.0, 3.0, (n, 1))
+    # integer lattice points, many rows repeated
+    return rng.integers(-2, 3, size=(n, d)).astype(float)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 60),
+    d=st.integers(1, 5),
+    shape=st.sampled_from(["gaussian", "anisotropic", "ring", "lattice"]),
+    edges=st.sampled_from(["empty", "subset", "all", "beps"]),
+    strided=st.booleans(),
+    nu=st.sampled_from([0.1, 0.2, 0.35, 0.6]),
+    count=st.integers(1, 8),
+    max_passes=st.sampled_from([None, 3, 25]),
+    scale=st.sampled_from([1.0, 0.02]),  # 0.02: widths so small that nothing is admitted
+)
+@settings(max_examples=80, deadline=None)
+def test_select_width_matches_fresh_kernel_reference(seed, n, d, shape, edges, strided, nu, count, max_passes, scale):
+    # the reused kernel buffer and the covering gaps read along SV rows
+    # give every record and the chosen model bit for bit
+    rng = np.random.default_rng(seed)
+    A = class_shape(rng, shape, n, 2 * d)
+    X = A[:, ::2] if strided else np.ascontiguousarray(A[:, :d])
+    if edges == "beps":
+        part = beps_partition(X, default_k_neighbors(n))
+    else:
+        edge = {"empty": np.zeros(n, bool), "all": np.ones(n, bool)}.get(edges)
+        if edge is None:  # a strict, non-empty subset
+            edge = rng.permutation(n) < rng.integers(1, n)
+        idx = np.arange(n)
+        part = BoundaryPartition(edge_indices=idx[edge], interior_indices=idx[~edge])
+    try:
+        cands = [scale * w for w in candidate_widths(X, count)]
+    except ValueError:  # most rows identical
+        cands = [scale]
+    nu = max(nu, 2.0 / n)
+    cfg = SolverConfig(kkt_tolerance=1e-3, max_passes=max_passes, seed=seed % 7)
+    try:
+        ref = reference_select_width(X, nu, cands, part, cfg, class_label=4)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no candidate width converged"):
+            select_width(X, nu, cands, part, cfg, class_label=4)
+        return
+    sel = select_width(X, nu, cands, part, cfg, class_label=4)
+    # repr prints every float exactly, NaN and -0.0 included
+    assert repr(sel.per_candidate) == repr(ref.per_candidate)
+    assert (sel.chosen, sel.fallback) == (ref.chosen, ref.fallback)
+    for name in ("support_vectors", "sv_alphas"):
+        a, b = getattr(sel.model, name), getattr(ref.model, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for name in ("class_label", "rho", "width", "nu", "train_count", "converged"):
+        assert repr(getattr(sel.model, name)) == repr(getattr(ref.model, name))

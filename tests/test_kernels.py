@@ -171,3 +171,22 @@ def test_gram_matrix_is_frozen_value():
     assert np.array_equal(g.values, kernel_from_sqdist(d2, 1.0))
     with pytest.raises(AttributeError):
         g.values = np.eye(2)
+
+
+def test_gram_into_buffer_is_the_buffer():
+    # a width sweep reuses one buffer: the kernel lands in it, bytes unchanged
+    d2 = squared_distances(np.random.default_rng(4).normal(size=(9, 3)))
+    buf = np.full_like(d2, 7.0)
+    for s in (0.2, 1.3, 40.0):
+        g = gram_from_sqdist(d2, s, out=buf)
+        assert g.values is buf
+        assert g.values.tobytes() == kernel_from_sqdist(d2, s).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-200])
+def test_gram_into_buffer_rejects_bad_width_untouched(bad):
+    d2 = np.array([[0.0, 2.0], [2.0, 0.0]])
+    buf = np.full_like(d2, 7.0)
+    with pytest.raises(ValueError, match="kernel width"):
+        gram_from_sqdist(d2, bad, out=buf)
+    assert np.array_equal(buf, np.full_like(d2, 7.0))
