@@ -74,7 +74,7 @@ import numpy as np
 
 from .dataset import DataError, LabeledDataset, Scaler
 from .geometry import DEFAULT_SIDE_THRESHOLD, beps_partition, default_k_neighbors, select_width
-from .kernels import candidate_widths, check_width, kernel_from_sqdist, squared_distances, squared_norms
+from .kernels import candidate_widths, kernel_divisor, kernel_from_sqdist, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel
 from .pairwise import CvConfig, PairwiseClassifier, train_pair
 from .smo import BOX_SLACK, SolverConfig
@@ -191,12 +191,12 @@ class PredictionLayout(NamedTuple):
             positions={label: i for i, label in enumerate(columns)},
             sorted_labels=sorted_labels,
             sq_norms=np.concatenate([np.empty(0), *(squared_norms(m.support_vectors) for m in classes)]),
-            divisors=np.repeat([_divisor(m.width) for m in classes], [m.m for m in classes]),
+            divisors=np.repeat([kernel_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
             pair_ids={key: i for i, key in enumerate(keys)},
             # the leading empty arrays let an empty registry or pair table through
             pair_columns=np.concatenate([ids[:0], *segments]),
-            pair_divisors=np.repeat([_divisor(clf.width) for clf in pairs], sizes),
+            pair_divisors=np.repeat([kernel_divisor(clf.width) for clf in pairs], sizes),
             pair_coeffs=np.concatenate([np.empty(0), *(clf.coeffs for clf in pairs)]),
             pair_starts=np.cumsum([0, *sizes])[:-1],
             pair_sizes=np.array(sizes, dtype=int),
@@ -211,12 +211,6 @@ def _check_label(label: int) -> int:
     if not np.iinfo(np.int64).min <= label <= np.iinfo(np.int64).max:
         raise ValueError(f"class label {label} is outside the int64 range")
     return label
-
-
-def _divisor(width: float) -> float:
-    """-2 s^2, which kernel_from_sqdist divides squared distances by."""
-    s = check_width(width)
-    return -2.0 * s * s
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,6 @@ _GRID_LO = 0.05
 _GRID_HI = 20.0
 
 
-def check_width(s: float) -> float:
-    """Validate a kernel width and return it as a float. Its square must not
-    underflow to 0: a kernel at distance 0 would then be exp(0 / 0), NaN."""
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0 or s * s == 0.0:
-        raise ValueError(f"kernel width must be a positive finite real whose square is nonzero, got {s}")
-    return s
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """gram_from_sqdist's result: the kernel matrix as values.
@@ -84,28 +75,38 @@ def squared_distances(
     return d2
 
 
-def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth) -> np.ndarray:
+def kernel_divisor(s: KernelWidth) -> float:
+    """-2 s^2, which kernel_from_sqdist divides squared distances by.
+
+    ValueError unless s is a positive finite real whose square does not
+    underflow to 0: a kernel at distance 0 would then be exp(0 / 0), NaN."""
+    s = float(s)
+    if not math.isfinite(s) or s <= 0.0 or s * s == 0.0:
+        raise ValueError(f"kernel width must be a positive finite real whose square is nonzero, got {s}")
+    return -2.0 * s * s
+
+
+def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values exp(-d2 / (2 s^2)) from precomputed squared distances;
     kernel_from_sqdist(squared_distances(X, Y), s) is the rectangular kernel
-    matrix k(X_i, Y_j)."""
-    s = check_width(s)
-    return np.exp(d2 / (-2.0 * s * s))
+    matrix k(X_i, Y_j).
+
+    A divide, then an exp in place. With out, an array of d2's shape, the
+    values are written into out, which is returned, so a caller can reuse
+    one buffer; the width is checked before out is touched."""
+    K = np.divide(d2, kernel_divisor(s), out=out)
+    np.exp(K, out=K)
+    return K
 
 
 def gram_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> GramMatrix:
-    """The kernel matrix over precomputed squared distances, as a GramMatrix.
+    """kernel_from_sqdist(d2, s, out) as a GramMatrix.
 
     Width-selection sweeps call this once per candidate so the O(n^2 d)
-    distance work is shared across the grid. The values are those of
-    kernel_from_sqdist, byte for byte: a divide, then an exp in place. With
-    out, an array of d2's shape, they are written into out, and out itself
-    is the result's values, so a sweep can reuse one buffer for every
-    candidate; the width is checked before out is touched.
+    distance work is shared across the grid, and pass one out buffer for
+    every candidate.
     """
-    s = check_width(s)
-    K = np.divide(d2, -2.0 * s * s, out=out)
-    np.exp(K, out=K)
-    return GramMatrix(values=K)
+    return GramMatrix(values=kernel_from_sqdist(d2, s, out))
 
 
 def gram(X: np.ndarray, s: KernelWidth) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from sdcil import cil
 from sdcil.geometry import CandidateRecord, WidthSelection
-from sdcil.kernels import check_width, kernel_from_sqdist, squared_distances, squared_norms
+from sdcil.kernels import kernel_divisor, kernel_from_sqdist, squared_distances, squared_norms
 from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
 from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN, solve_ocsvm_dual
 
@@ -47,7 +47,8 @@ _PLAIN_TOL = 1e-10
 
 def gaussian(x: np.ndarray, y: np.ndarray, s: float) -> float:
     """Gaussian kernel between two vectors: exp(-||x-y||^2 / (2 s^2))."""
-    s = check_width(s)
+    kernel_divisor(s)  # the package's width check
+    s = float(s)
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:

@@ -8,9 +8,9 @@ from sdcil.kernels import (
     GramMatrix,
     _median_pairwise_distance,
     candidate_widths,
-    check_width,
     gram,
     gram_from_sqdist,
+    kernel_divisor,
     kernel_from_sqdist,
     squared_distances,
 )
@@ -41,7 +41,7 @@ class TestGaussian:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 1e-200])
     def test_invalid_width(self, bad):
         with pytest.raises(ValueError):
-            check_width(bad)
+            kernel_divisor(bad)
 
     @given(
         x=st.lists(st.floats(-50, 50), min_size=1, max_size=5),
@@ -174,19 +174,22 @@ def test_gram_matrix_is_frozen_value():
 
 
 def test_gram_into_buffer_is_the_buffer():
-    # a width sweep reuses one buffer: the kernel lands in it, bytes unchanged
+    # a width sweep reuses one buffer: the kernel lands in it, with the
+    # bytes of the allocating expression
     d2 = squared_distances(np.random.default_rng(4).normal(size=(9, 3)))
     buf = np.full_like(d2, 7.0)
     for s in (0.2, 1.3, 40.0):
         g = gram_from_sqdist(d2, s, out=buf)
         assert g.values is buf
+        assert g.values.tobytes() == np.exp(d2 / (-2.0 * s * s)).tobytes()
         assert g.values.tobytes() == kernel_from_sqdist(d2, s).tobytes()
 
 
+@pytest.mark.parametrize("fn", [kernel_from_sqdist, gram_from_sqdist])
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-200])
-def test_gram_into_buffer_rejects_bad_width_untouched(bad):
+def test_kernel_into_buffer_rejects_bad_width_untouched(fn, bad):
     d2 = np.array([[0.0, 2.0], [2.0, 0.0]])
     buf = np.full_like(d2, 7.0)
     with pytest.raises(ValueError, match="kernel width"):
-        gram_from_sqdist(d2, bad, out=buf)
+        fn(d2, bad, out=buf)
     assert np.array_equal(buf, np.full_like(d2, 7.0))
