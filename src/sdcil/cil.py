@@ -548,10 +548,12 @@ def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
 
 def knn_labels(train: LabeledDataset, X: np.ndarray, k: int = 1) -> np.ndarray:
     """k-nearest-neighbor vote for each row of X; vote ties go to the
-    closest tied class."""
+    closest tied class. DataError unless every row of X has a norm within
+    MAX_NORM, as for prediction."""
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in [1, {train.n}]")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    _scale_bounded(X, None)
     out = np.empty(X.shape[0], dtype=int)
     # rows per chunk: about 2**17 floats (1 MB) in each difference block;
     # larger blocks leave the cache and run slower
@@ -592,18 +594,18 @@ def train_batch_svm(train: LabeledDataset, cv: CvConfig, cfg: SolverConfig | Non
 
 def batch_svm_classify(svm: BatchSvm, X: np.ndarray) -> np.ndarray:
     """Majority vote over all pairs for each row of X; ties go to the
-    smallest label.
+    smallest label. DataError unless every row of X has a norm within
+    MAX_NORM, as for prediction.
 
     Per chunk of rows, one squared-distance block per class; a pair's
     kernel is its two classes' blocks side by side, as in the SD-CIL
     dispute stage."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X, xx_all = _scale_bounded(np.atleast_2d(np.asarray(X, dtype=float)), None)
     labels = np.array(sorted(svm.rows))  # ascending, so argmax keeps the smallest on a tie
     norms = {lbl: squared_norms(rows) for lbl, rows in svm.rows.items()}
     votes = np.zeros((X.shape[0], labels.size), dtype=int)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
-        Xs = X[start:start + _CHUNK_ROWS]
-        xx = squared_norms(Xs)
+        Xs, xx = X[start:start + _CHUNK_ROWS], xx_all[start:start + _CHUNK_ROWS]
         d2 = {lbl: squared_distances(Xs, rows, xx=xx, yy=norms[lbl]) for lbl, rows in svm.rows.items()}
         for clf in svm.pairs.values():
             K = kernel_from_sqdist(np.hstack((d2[clf.label_a], d2[clf.label_b])), clf.width)

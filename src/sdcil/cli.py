@@ -1,7 +1,8 @@
 """Command-line front end: train, add-class, predict, evaluate, map, bench.
 
-Exit codes: 0 success, 2 input/data error, 3 training failure. Every
-command is deterministic given its --seed flags.
+Exit codes: 0 success, 2 input/data error, 3 training failure. A file
+that cannot be read or written is an input error, named in the message.
+Every command is deterministic given its --seed flags.
 """
 
 from __future__ import annotations
@@ -204,7 +205,18 @@ def _resolve_label(token: str, names: dict[int, str]) -> int:
         raise DataError(f"unknown class label {token!r}; known: {sorted(names.values())}")
 
 
+def _check_out(path) -> None:
+    """DataError unless path names a file in an existing directory, so that a
+    command learns of a bad output path before it trains."""
+    out = Path(path)
+    if out.is_dir():
+        raise DataError(f"cannot write {out}: it is a directory")
+    if not out.parent.is_dir():
+        raise DataError(f"cannot write {out}: no directory {out.parent}")
+
+
 def cmd_train(args) -> int:
+    _check_out(args.out)
     ds = load_csv(args.data)
     scaler_ds = load_csv(args.scaler_data) if args.scaler_data else ds
     scaler, _ = fit_standardize(scaler_ds)
@@ -234,12 +246,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_add_class(args) -> int:
+    out = args.out or args.model
+    _check_out(out)
     model = cil.load(args.model)
     X = load_features_csv(args.data)
     t0 = time.perf_counter()
     model = cil.add_class(model, args.label, X, args.nu)
     dt = time.perf_counter() - t0
-    out = args.out or args.model
     cil.save(model, out)
     k = len(model.classes)
     print(f"added class {args.label} in {dt:.2f}s (+1 model, +{k - 1} pairs) -> {out}")
@@ -273,6 +286,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        _check_out(args.out)
     ds = load_csv(args.data)
     name = Path(args.data).stem
     rep = run_trials(ds, name, (args.method,), trials=args.trials, base_seed=args.seed, nu=args.nu)[args.method]
@@ -337,6 +352,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.out:
+        _check_out(args.out)
     rows = []
     for name in UCI_DATASETS:
         try:
@@ -441,6 +458,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DataError, cil.ModelFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as e:
+        if e.filename is None:  # not a file the command was given
+            raise
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as e:
         print(f"training error: {e}", file=sys.stderr)

@@ -40,6 +40,17 @@ I_up and I_low are built once, as penalty vectors added to the gradient
 term, and a step updates only the two entries it moved. The gradient update
 reads the contiguous rows K_i and K_j rather than the strided columns, so K
 must be exactly symmetric; kernels.gram builds it so.
+
+An iteration of the C loop costs well under a microsecond on the small pair
+cross-validation problems, which take some 20 iterations each, so a binary
+solve there costs mostly what it pays once: its checks, the start's KKT
+vector, the ctypes call, the offset and the objective. Each takes a few
+numpy calls. The labels are checked as one Python set. A start's min and
+max carry its NaN and Inf check. A zero start's KKT vector is y itself, as
+its gradient is exactly -1 (K must be finite). One scratch array holds the
+loop's penalty vectors and its violation, and _bias reduces through ndarray
+methods; tests/oracles.py holds the reference copy it must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shlex
 import subprocess
@@ -188,7 +200,8 @@ def _compiled_smo(
 
     The loop reads raw addresses, so Kv, y, alpha and r are copied unless
     they are C-contiguous float64 already, and alpha and r are written back
-    in place."""
+    in place. One scratch array holds the loop's I_up and I_low penalties and
+    then its final violation."""
     n = y.shape[0]
     K = np.ascontiguousarray(Kv, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -196,18 +209,28 @@ def _compiled_smo(
     rc = np.ascontiguousarray(r, dtype=np.float64)
     if n == 0 or K.shape != (n, n) or a.shape != (n,) or rc.shape != (n,):
         raise ValueError(f"need n >= 1, an n x n Gram matrix and n-vectors; got {K.shape}, {a.shape}, {rc.shape}")
-    up, low = np.empty(n), np.empty(n)
-    violation = ctypes.c_double()
+    scratch = np.empty(2 * n + 1)
+    at = _address(scratch)
     it = loop(
-        K.ctypes.data, y.ctypes.data, a.ctypes.data, rc.ctypes.data, up.ctypes.data, low.ctypes.data,
+        _address(K), _address(y), _address(a), _address(rc), at, at + 8 * n,
         n, float(C), cfg.resolve_max_passes(n), cfg.kkt_tolerance, BOUND_MARGIN, _CURVATURE_FLOOR,
-        ctypes.byref(violation),
+        at + 16 * n,
     )
     if a is not alpha:
         alpha[:] = a
     if rc is not r:
         r[:] = rc
-    return it, violation.value
+    return it, scratch.item(2 * n)
+
+
+def _address(x: np.ndarray) -> int:
+    """The address of the C-contiguous array x's data. ctypes' from_buffer
+    takes about a third of the time of x.ctypes.data, but only a writable
+    array exports its buffer to it."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(x))
+    except TypeError:
+        return x.ctypes.data
 
 
 @functools.cache
@@ -293,21 +316,24 @@ def _load(path: Path):
 def _bias(y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray) -> float:
     """Bias b from the value r = -y*G that each point's KKT condition
     suggests: the mean over unbounded support vectors, else the midpoint of
-    the KKT bracket over bound-active points (one-sided if a side is empty)."""
+    the KKT bracket over bound-active points (one-sided if a side is empty).
+
+    The mean is np.mean's: one pairwise sum, then a divide by the count."""
     at_zero = alpha <= BOUND_MARGIN
     at_c = alpha >= C - BOUND_MARGIN
-    unbounded = ~at_zero & ~at_c
-    if np.any(unbounded):
-        return float(np.mean(r[unbounded]))
+    free = r[~(at_zero | at_c)]
+    if free.size:
+        return float(free.sum() / free.size)
     pos = y > 0
-    lower = r[(at_zero & pos) | (at_c & ~pos)]  # b >= r there
-    upper = r[(at_zero & ~pos) | (at_c & pos)]  # b <= r there
+    neg = ~pos
+    lower = r[(at_zero & pos) | (at_c & neg)]  # b >= r there
+    upper = r[(at_zero & neg) | (at_c & pos)]  # b <= r there
     if lower.size and upper.size:
-        return 0.5 * (float(np.max(lower)) + float(np.min(upper)))
+        return 0.5 * (float(lower.max()) + float(upper.min()))
     if lower.size:
-        return float(np.max(lower))
+        return float(lower.max())
     if upper.size:
-        return float(np.min(upper))
+        return float(upper.min())
     raise RuntimeError("cannot recover offset: no active constraints at all")
 
 
@@ -360,8 +386,9 @@ def solve_binary_dual(
     when none is given. A start must be feasible: n finite values in [0, C]
     with y'a = 0, both up to a relative BOX_SLACK, as the alphas of a solve
     of the same problem at any cost <= C are; ValueError otherwise. The
-    gradient y*(K(a*y)) - 1 is recomputed from it, which for a = 0 is
-    exactly -1, so a zero start and no start give the same bytes. The bias is
+    gradient y*(K(a*y)) - 1 is recomputed from it, which for a = 0 and a
+    finite K is exactly -1, so a zero start and no start give the same
+    bytes; no start skips the product. The bias is
     recovered like rho: mean of y_t - f_t over unbounded support vectors,
     else the KKT-bracket midpoint over bound-active points.
     """
@@ -370,26 +397,32 @@ def solve_binary_dual(
     n = K.shape[0]
     if y.shape[0] != n:
         raise ValueError("label vector length must match Gram size")
-    if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
+    if set(y.tolist()) != {-1.0, 1.0}:
         raise ValueError("labels must be in {-1,+1} with both classes present")
     if C <= 0:
         raise ValueError("C must be positive")
 
-    alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
-    if alpha.shape != (n,):
-        raise ValueError(f"start must hold {n} values, got shape {alpha.shape}")
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("start contains NaN or Inf values")
-    if alpha.min() < 0.0 or alpha.max() > C * (1.0 + BOX_SLACK):
-        raise ValueError(f"start leaves the box [0, C={C}]")
-    if abs(float(y @ alpha)) > BOX_SLACK * float(alpha.sum()):
-        raise ValueError("start violates y'a = 0")
-    r = -y * (y * (K @ (alpha * y)) - 1.0)
+    if start is None:
+        alpha = np.zeros(n)
+        r = y.copy()  # -y * (y * (K @ 0) - 1), as the gradient at a = 0 is exactly -1
+    else:
+        alpha = np.array(start, dtype=float)
+        if alpha.shape != (n,):
+            raise ValueError(f"start must hold {n} values, got shape {alpha.shape}")
+        # min and max carry any NaN, and an infinity is one of them
+        lo, hi = alpha.min(), alpha.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("start contains NaN or Inf values")
+        if lo < 0.0 or hi > C * (1.0 + BOX_SLACK):
+            raise ValueError(f"start leaves the box [0, C={C}]")
+        if abs(float(y @ alpha)) > BOX_SLACK * float(alpha.sum()):
+            raise ValueError("start violates y'a = 0")
+        r = -y * (y * (K @ (alpha * y)) - 1.0)
     it, violation = _smo(K, y, C, alpha, r, cfg)
     return DualSolution(
         alphas=alpha,
         offset=_bias(y, C, alpha, r),
-        objective=0.5 * float(alpha @ (-y * r)) - 0.5 * float(np.sum(alpha)),
+        objective=0.5 * float(alpha @ (-y * r)) - 0.5 * float(alpha.sum()),
         iterations=it,
         converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),

@@ -12,7 +12,8 @@ The rest are references that package code is held to: `gaussian`, the
 kernel from its definition; `class_values` and `pair_decisions`, one class
 model's values and one dispute classifier's decisions, each a kernel block
 times its coefficients; `reference_smo`, the package's SMO loop as first
-merged; `reference_details`, its prediction path before the fused kernel
+merged; `reference_bias`, its offset recovery as first merged;
+`reference_details`, its prediction path before the fused kernel
 passes; `reference_batch_svm`, the batch-SVM baseline with one stacked
 kernel product per pair; and `reference_select_width`, the width sweep
 with a fresh kernel matrix per candidate and the covering gaps read along
@@ -216,6 +217,31 @@ def reference_smo(Kv, y, C, alpha, G, cfg):
         it += 1
     G[:] = -y * r
     return it, violation
+
+
+def reference_bias(y, C, alpha, r):
+    """The offset recovery as first merged, through np.mean, np.max and
+    np.min: the mean of r over unbounded points, else the midpoint of the
+    KKT bracket over bound-active points (one-sided if a side is empty).
+
+    Pins `smo._bias` bit for bit. With C <= 2 * BOUND_MARGIN a point can be
+    at both bounds, and so in both sides of the bracket.
+    """
+    at_zero = alpha <= BOUND_MARGIN
+    at_c = alpha >= C - BOUND_MARGIN
+    unbounded = ~at_zero & ~at_c
+    if np.any(unbounded):
+        return float(np.mean(r[unbounded]))
+    pos = y > 0
+    lower = r[(at_zero & pos) | (at_c & ~pos)]  # b >= r there
+    upper = r[(at_zero & ~pos) | (at_c & pos)]  # b <= r there
+    if lower.size and upper.size:
+        return 0.5 * (float(np.max(lower)) + float(np.min(upper)))
+    if lower.size:
+        return float(np.max(lower))
+    if upper.size:
+        return float(np.min(upper))
+    raise RuntimeError("cannot recover offset: no active constraints at all")
 
 
 def reference_details(model, X, nearest_sv: bool = False) -> list:

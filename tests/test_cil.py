@@ -709,7 +709,26 @@ class TestOcsvmNn:
         assert labels.tolist() == [nn_label(model, x) for x in X]
 
 
+# rows that a baseline would otherwise label: a norm whose square
+# overflows (Inf - Inf in a squared distance), NaN and Inf
+UNBOUNDED_ROWS = [
+    ([1.7e308, 0.0], r"row norm exceeds 1e\+150"),
+    ([1e200, 1e200], r"row norm exceeds 1e\+150"),
+    ([np.nan, 0.0], "NaN or Inf"),
+    ([-np.inf, 0.0], "NaN or Inf"),
+]
+
+
 class TestKnn:
+    @pytest.mark.parametrize("row, message", UNBOUNDED_ROWS)
+    def test_unbounded_row_rejected(self, row, message):
+        train, _ = blob_split()
+        _, std = fit_standardize(train)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected, not warned about
+            with pytest.raises(DataError, match=message):
+                cil.knn_labels(std, np.array([[0.0, 0.0], row]))
+
     def test_k1_on_training_row(self):
         train, _ = blob_split()
         scaler, std = fit_standardize(train)
@@ -747,6 +766,22 @@ class TestKnn:
 
 
 class TestBatchSvm:
+    @pytest.fixture(scope="class")
+    def blobs_svm(self):
+        train, _ = blob_split(npc=30)
+        _, std = fit_standardize(train)
+        return cil.train_batch_svm(std, fast_config().cv)
+
+    @pytest.mark.parametrize("row, message", UNBOUNDED_ROWS)
+    def test_unbounded_row_rejected(self, blobs_svm, row, message):
+        # in the second 256-row chunk, so the whole input is checked first
+        X = np.zeros((300, 2))
+        X[280] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                cil.batch_svm_classify(blobs_svm, X)
+
     def test_two_class_reduces_to_single_pair(self):
         train, test = blob_split()
         mask = train.labels != 2

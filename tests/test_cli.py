@@ -49,6 +49,53 @@ class TestTrain:
         assert run("train", tmp_path / "nope.csv", "--out", tmp_path / "m.json") == EXIT_INPUT
 
 
+class TestFileErrors:
+    """A path that cannot be read or written exits 2 with a message that
+    names it, and an output path is checked before anything trains."""
+
+    @pytest.fixture(scope="class")
+    def model_path(self, blobs_csv, tmp_path_factory):
+        p = tmp_path_factory.mktemp("model") / "m.json"
+        assert run("train", blobs_csv, "--out", p) == EXIT_OK
+        return p
+
+    @pytest.mark.parametrize("which", ["missing model", "model is a directory", "data is a directory"])
+    def test_unreadable_path_exit_code(self, model_path, blobs_csv, tmp_path, capsys, which):
+        capsys.readouterr()
+        model, data = {
+            "missing model": (tmp_path / "nope.json", blobs_csv),
+            "model is a directory": (tmp_path, blobs_csv),
+            "data is a directory": (model_path, tmp_path),
+        }[which]
+        bad = data if which == "data is a directory" else model
+        assert run("predict", model, data) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(bad) in err
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def add_class(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr(cil, "add_class", add_class)
+
+    @pytest.mark.parametrize("kind", ["missing directory", "directory"])
+    def test_bad_output_path_checked_before_training(self, model_path, blobs_csv, tmp_path, capsys,
+                                                     no_training, kind):
+        out = tmp_path / "nope" / "m.json" if kind == "missing directory" else tmp_path
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.0,0.0\n1.0,1.0\n0.5,0.0\n")
+        before = model_path.read_bytes()
+        for argv in (("train", blobs_csv, "--out", out),
+                     ("add-class", model_path, rows, "--label", "7", "--out", out),
+                     ("evaluate", blobs_csv, "--method", "knn", "--trials", "2", "--out", out)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INPUT
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and str(out) in err
+        assert model_path.read_bytes() == before
+
+
 class TestAddClass:
     def test_incremental_equals_from_scratch(self, blobs_csv, tmp_path):
         ds = load_csv(blobs_csv)
@@ -271,6 +318,15 @@ class TestEvaluate:
         assert len(rows) == 3
         accs = [float(r[4]) for r in rows[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
+
+    @pytest.mark.parametrize("method", ["knn", "batch-svm"])
+    def test_unbounded_row_exit_code(self, blobs_csv, tmp_path, capsys, method):
+        # a baseline rejects the row instead of scoring a label for it
+        data = tmp_path / "bad.csv"
+        data.write_text(blobs_csv.read_text() + "1.7e308,0.0,0\n")
+        assert run("evaluate", data, "--method", method, "--trials", "3") == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "error:" in err and "percent" not in out
 
     def test_mean_std_recomputable(self):
         trials = tuple(

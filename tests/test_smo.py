@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_smo
+from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_bias, reference_smo
 from sdcil import cil, smo
 from sdcil.cli import EXIT_OK, main
 from sdcil.kernels import gram, kernel_from_sqdist, squared_distances
@@ -296,13 +296,20 @@ class TestLoopIdentity:
         assert alpha.tobytes() == a_ref.tobytes()
         assert (-y * r).tobytes() == G_ref.tobytes()
 
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "read-only"])
     def test_non_contiguous_arrays(self, loop, layout):
         # Kv in Fortran order or as a strided view, alpha and r as strided
-        # views: the same bytes as contiguous arrays, written back in place
+        # views: the same bytes as contiguous arrays, written back in place.
+        # Read-only Kv and y are read where they are.
         Kv, y, C, alpha, r, cfg = loop_problem(7, 60)
         want_alpha, want_r = alpha.copy(), r.copy()
         want = run_loop(loop, Kv, y, C, want_alpha, want_r, cfg)
+        if layout == "read-only":
+            Kv.setflags(write=False)
+            y.setflags(write=False)
+            assert run_loop(loop, Kv, y, C, alpha, r, cfg) == want
+            assert alpha.tobytes() == want_alpha.tobytes() and r.tobytes() == want_r.tobytes()
+            return
         if layout == "fortran":
             Kv = np.asfortranarray(Kv)
         else:
@@ -450,3 +457,100 @@ class TestWarmStart:
         }[bad]
         with pytest.raises(ValueError, match="start"):
             solve_binary_dual(K, y, 1.0, TIGHT, start=start)
+
+
+class TestFixedCost:
+    """The per-solve set-up and offset recovery, trimmed to fewer numpy
+    calls, give the bytes and the errors of the first versions."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        C=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-12, 2 * BOUND_MARGIN)),
+        bounded=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bias_matches_reference(self, seed, n, C, bounded):
+        # alphas at, near and within BOUND_MARGIN of both bounds, and
+        # interior ones unless every point is bound-active; with
+        # C <= 2 * BOUND_MARGIN a point can count as at both bounds
+        rng = np.random.default_rng(seed)
+        y = rng.choice([-1.0, 1.0], size=n)
+        kind = rng.integers(0, 4 if bounded else 5, size=n)
+        near = rng.uniform(0.0, 2.0 * BOUND_MARGIN, size=n)
+        alpha = np.choose(kind, [np.zeros(n), np.full(n, C), near, C - near, rng.uniform(0.0, C, size=n)])
+        r = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        r[rng.random(n) < 0.2] = r[0]  # ties
+        r[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+        got, want = smo._bias(y, C, alpha, r), reference_bias(y, C, alpha, r)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("gram_kind", ["gaussian", "indefinite"])
+    def test_zero_start_kkt_vector(self, monkeypatch, gram_kind):
+        # a cold solve sets r = y, the bytes of -y * (y * (K @ (0 * y)) - 1)
+        seen, loop = [], smo._smo
+
+        def recording(Kv, y, C, alpha, r, cfg):
+            seen.append(r.copy())
+            return loop(Kv, y, C, alpha, r, cfg)
+
+        monkeypatch.setattr(smo, "_smo", recording)
+        for seed in range(5):
+            K, y = binary_problem(seed, 25)
+            if gram_kind == "indefinite":  # negative entries give -0.0 products
+                A = np.random.default_rng(seed).normal(size=K.shape)
+                K = A + A.T
+            solve_binary_dual(K, y, 4.0, SolverConfig(max_passes=0))
+            assert seen[-1].tobytes() == (-y * (y * (K @ (0 * y)) - 1.0)).tobytes()
+
+    @pytest.mark.parametrize("case, message", [
+        ("y_nan", "labels must be in {-1,+1} with both classes present"),
+        ("y_inf", "labels must be in {-1,+1} with both classes present"),
+        ("y_minus_inf", "labels must be in {-1,+1} with both classes present"),
+        ("y_one_class", "labels must be in {-1,+1} with both classes present"),
+        ("y_not_unit", "labels must be in {-1,+1} with both classes present"),
+        ("y_length", "label vector length must match Gram size"),
+        ("c_zero", "C must be positive"),
+        ("c_negative", "C must be positive"),
+        ("start_nan", "start contains NaN or Inf values"),
+        ("start_inf", "start contains NaN or Inf values"),
+        ("start_minus_inf", "start contains NaN or Inf values"),
+        ("start_nan_outside_box", "start contains NaN or Inf values"),
+        ("start_negative", "start leaves the box [0, C=1.0]"),
+        ("start_above_c", "start leaves the box [0, C=1.0]"),
+        ("start_length", "start must hold 6 values, got shape (5,)"),
+        ("start_2d", "start must hold 6 values, got shape (1, 6)"),
+        ("start_unbalanced", "start violates y'a = 0"),
+    ])
+    def test_malformed_input_messages(self, case, message):
+        K, y = binary_problem(0, 6)
+        start = np.where(y > 0, 0.5 / np.sum(y > 0), 0.5 / np.sum(y < 0))  # y'a = 0
+        C = 1.0
+        if case.startswith("y_"):
+            y = {
+                "y_nan": np.where(np.arange(6) == 2, np.nan, y),
+                "y_inf": np.where(np.arange(6) == 2, np.inf, y),
+                "y_minus_inf": np.where(np.arange(6) == 2, -np.inf, y),
+                "y_one_class": np.ones(6),
+                "y_not_unit": np.where(np.arange(6) == 2, 0.5, y),
+                "y_length": y[:-1],
+            }[case]
+            start = None
+        elif case.startswith("c_"):
+            C, start = {"c_zero": 0.0, "c_negative": -1.0}[case], None
+        else:
+            start = {
+                "start_nan": np.where(np.arange(6) == 2, np.nan, start),
+                "start_inf": np.where(np.arange(6) == 2, np.inf, start),
+                "start_minus_inf": np.where(np.arange(6) == 2, -np.inf, start),
+                "start_nan_outside_box": np.where(np.arange(6) == 2, np.nan, start + 5.0),
+                "start_negative": start - 0.5,
+                "start_above_c": start + 2.0,
+                "start_length": start[:-1],
+                "start_2d": start[None],
+                "start_unbalanced": start + np.where(np.arange(6) == 0, 0.01, 0.0),
+            }[case]
+        with pytest.raises(ValueError) as err:
+            solve_binary_dual(K, y, C, TIGHT, start=start)
+        assert str(err.value) == message

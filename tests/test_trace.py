@@ -69,6 +69,33 @@ def test_traced_run_matches_untraced(tracing):
     assert set(summary["absent"]) <= DEAD_LAYERS
 
 
+def test_every_cv_solve_is_traced(tracing):
+    # perfbench counts binary solves, CV solves and refits at
+    # pairwise.solve_binary_dual: every pair must make one call there per
+    # (width, fold, cost), folds being n on leave-one-out, then one refit.
+    # Class 2 keeps 12 rows, so its pairs run leave-one-out and the others
+    # stratified folds.
+    ds = make_toy("blobs", 40, seed=1)
+    keep = (ds.labels != 2) | (np.cumsum(ds.labels == 2) <= 12)
+    ds = LabeledDataset(features=ds.features[keep], labels=ds.labels[keep])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        model = fit(ds, ds.class_ids)
+    cv = fast_config().cv
+    grid, schemes = 0, set()
+    for a, b in model.pair_table:
+        m_a, m_b = model.class_model(a).m, model.class_model(b).m
+        folds = cv.folds if min(m_a, m_b) >= 2 * cv.folds else m_a + m_b
+        schemes.add(folds == cv.folds)
+        grid += folds * cv.width_count * len(cv.cost_grid)
+    assert schemes == {True, False}
+    summary = tracer.summary()
+    pairs = len(model.pair_table)
+    assert summary["calls"]["smo.solve_binary_dual"] == grid + pairs
+    assert summary["refits"] == pairs
+    assert summary["pair_solves"] - summary["refits"] == grid
+
+
 def five_blobs(n_per_class: int = 30, seed: int = 0) -> LabeledDataset:
     """Five 2-D Gaussian classes on a ring, overlapping a little."""
     rng = np.random.default_rng(seed)
