@@ -60,8 +60,11 @@ copy.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import uuid
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -684,10 +687,26 @@ def _to_json_dict(model: CilModel) -> dict:
 
 
 def save(model: CilModel, path: str | Path) -> None:
-    """Write the registry as versioned JSON; floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_to_json_dict(model), f, indent=1)
-        f.write("\n")
+    """Write the registry as versioned JSON; floats round-trip exactly.
+
+    The file at path is replaced whole or not at all: the JSON goes to a new
+    temporary file beside it, which is flushed, fsynced and moved into place
+    with os.replace. A write that fails part-way leaves the old file as it
+    was and removes the temporary one; the OSError names path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            json.dump(_to_json_dict(model), f, indent=1)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _converged_from_entry(e: dict, version: int) -> bool | None:

@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 2 input/data error, 3 training failure. A file
 that cannot be read or written is an input error, named in the message.
-Every command is deterministic given its --seed flags.
+A closed stdout (`sdcil train ... | head -1`) drops the rest of the output
+but not the work: the command still writes its files and exits with its own
+code. Every command is deterministic given its --seed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -205,6 +208,23 @@ def _resolve_label(token: str, names: dict[int, str]) -> int:
         raise DataError(f"unknown class label {token!r}; known: {sorted(names.values())}")
 
 
+def _say(*values) -> None:
+    """print to stdout. Once its reader has gone, stdout is pointed at
+    os.devnull, as the Python signal docs advise for BrokenPipeError, so the
+    rest of the output is dropped and the command goes on: a model still
+    gets saved."""
+    try:
+        print(*values)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _check_out(path) -> None:
     """DataError unless path names a file in an existing directory, so that a
     command learns of a bad output path before it trains."""
@@ -230,18 +250,18 @@ def cmd_train(args) -> int:
         raise DataError(f"--order names classes not in the data: {unknown}")
     config = bench_cil_config(args.nu)
     model = cil.new_model(config, scaler)
-    print(f"label ids: {ds.label_names}")
+    _say(f"label ids: {ds.label_names}")
     for label in order:
         t0 = time.perf_counter()
         model = cil.add_class(model, label, ds.rows_of(label), args.nu)
         m = model.class_model(label)
         frac = m.m / m.train_count
-        print(
+        _say(
             f"class {label}: width={m.width:.5g} sv_fraction={frac:.3f} "
             f"({m.m}/{m.train_count} SVs) in {time.perf_counter() - t0:.2f}s"
         )
     cil.save(model, args.out)
-    print(f"{len(model.classes)} classes, {len(model.pair_table)} pairwise classifiers -> {args.out}")
+    _say(f"{len(model.classes)} classes, {len(model.pair_table)} pairwise classifiers -> {args.out}")
     return EXIT_OK
 
 
@@ -255,7 +275,7 @@ def cmd_add_class(args) -> int:
     dt = time.perf_counter() - t0
     cil.save(model, out)
     k = len(model.classes)
-    print(f"added class {args.label} in {dt:.2f}s (+1 model, +{k - 1} pairs) -> {out}")
+    _say(f"added class {args.label} in {dt:.2f}s (+1 model, +{k - 1} pairs) -> {out}")
     return EXIT_OK
 
 
@@ -273,7 +293,7 @@ def cmd_predict(args) -> int:
         raise DataError(f"model expects {d} features, file has {X.shape[1]} columns")
     preds, regions = cil.predict_labels(model, X)
     for p in preds.tolist():
-        print(p)
+        _say(p)
     if ds is not None:
         acc = float(np.mean(preds == ds.labels))
         print(f"accuracy: {100 * acc:.2f} percent on {ds.n} rows", file=sys.stderr)
@@ -291,16 +311,16 @@ def cmd_evaluate(args) -> int:
     ds = load_csv(args.data)
     name = Path(args.data).stem
     rep = run_trials(ds, name, (args.method,), trials=args.trials, base_seed=args.seed, nu=args.nu)[args.method]
-    print(rep.summary())
+    _say(rep.summary())
     for i, t in enumerate(rep.trials):
-        print(
+        _say(
             f"  trial {i} seed={t.seed}: acc={100 * t.accuracy:.2f}% "
             f"regions unique/multi/none = {t.unique_pos}/{t.multi_pos}/{t.none_pos} "
             f"train={t.train_seconds:.2f}s"
         )
     if args.out:
         _write_report_csv([rep], args.out)
-        print(f"report -> {args.out}")
+        _say(f"report -> {args.out}")
     return EXIT_OK
 
 
@@ -347,7 +367,7 @@ def cmd_map(args) -> int:
             raw = model.scaler.inverse(m.support_vectors) if model.scaler else m.support_vectors
             for row in raw:
                 w.writerow([repr(float(row[0])), repr(float(row[1])), m.class_label])
-    print(f"wrote {args.out}_labels.pgm, {args.out}_regions.pgm, {args.out}_svs.csv")
+    _say(f"wrote {args.out}_labels.pgm, {args.out}_regions.pgm, {args.out}_svs.csv")
     return EXIT_OK
 
 
@@ -362,14 +382,14 @@ def cmd_bench(args) -> int:
             print(f"warning: skipping {name}: {e}", file=sys.stderr)
             continue
         nu = NU_BY_DATASET.get(name, DEFAULT_NU)
-        print(f"== {name} (nu={nu}) ==")
+        _say(f"== {name} (nu={nu}) ==")
         reports = run_trials(
             ds, name, tuple(args.methods.split(",")), trials=args.trials, base_seed=args.seed
         )
         for method, rep in reports.items():
             paper = PAPER_MEANS.get((name, method))
             delta = 100 * rep.mean_accuracy - paper if paper is not None else float("nan")
-            print(f"  {rep.summary()}  [paper mean {paper}, delta {delta:+.2f}]")
+            _say(f"  {rep.summary()}  [paper mean {paper}, delta {delta:+.2f}]")
             rows.append(
                 [name, method, repr(100 * rep.mean_accuracy), repr(100 * rep.std_accuracy),
                  repr(rep.std_accuracy), paper, repr(delta)]
@@ -380,7 +400,7 @@ def cmd_bench(args) -> int:
             w.writerow(["dataset", "method", "mean_pct", "std_pct", "std_fraction",
                         "paper_mean_pct", "delta_pct"])
             w.writerows(rows)
-        print(f"matrix -> {args.out}")
+        _say(f"matrix -> {args.out}")
     return EXIT_OK
 
 
@@ -390,7 +410,7 @@ def cmd_generate(args) -> int:
     else:
         ds = make_toy(args.shape, args.n_per_class, args.seed)
     save_csv(ds, args.out)
-    print(f"{ds.n} x {ds.d} rows, {len(ds.class_ids)} classes -> {args.out}")
+    _say(f"{ds.n} x {ds.d} rows, {len(ds.class_ids)} classes -> {args.out}")
     return EXIT_OK
 
 
@@ -467,6 +487,11 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as e:
         print(f"training error: {e}", file=sys.stderr)
         return EXIT_TRAINING
+    finally:
+        try:
+            sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

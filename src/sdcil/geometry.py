@@ -92,7 +92,16 @@ def beps_partition(
     For each point: take its k nearest neighbors (Euclidean, ties broken by
     index order), estimate the inward normal as the normalized mean of unit
     vectors to the neighbors, and mark the point as edge when at least
-    side_threshold of the neighbors lie on the normal's side.
+    side_threshold of the neighbors lie on the normal's side. A duplicate
+    neighbor gives a zero unit vector, and a normal shorter than
+    _NORMAL_EPS makes the point interior.
+
+    All points are handled at once, in one n x k x d block of differences
+    to the neighbors, built after the distance matrix is freed. Each step
+    rounds as np.linalg.norm, np.mean and the @ product do on one point's
+    k x d slice: the norms are the square root of the sum of squares along
+    the last axis, the normal's length is the square root of its dot with
+    itself, and each side test is a matrix-vector product of the slice.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -106,18 +115,19 @@ def beps_partition(
     d2 = squared_distances(X)
     np.fill_diagonal(d2, np.inf)  # exclude self
     nbr = _nearest_neighbours(d2, k_neighbors)
+    del d2
 
-    edge = np.zeros(n, dtype=bool)
-    for i in range(n):
-        diffs = X[nbr[i]] - X[i]
-        norms = np.linalg.norm(diffs, axis=1)
-        units = np.divide(diffs, norms[:, None], out=np.zeros_like(diffs), where=norms[:, None] > 0)
-        normal = units.mean(axis=0)
-        nn = np.linalg.norm(normal)
-        if nn < _NORMAL_EPS:
-            continue  # symmetric neighborhood: interior
-        side = diffs @ (normal / nn)
-        edge[i] = np.mean(side >= 0.0) >= side_threshold
+    diffs = X[nbr]
+    diffs -= X[:, None, :]
+    norms = np.sqrt(np.square(diffs).sum(axis=2))[:, :, None]
+    units = np.divide(diffs, norms, out=np.zeros_like(diffs), where=norms > 0)
+    normal = units.mean(axis=1)
+    del units
+    nn = np.sqrt(np.matmul(normal[:, None, :], normal[:, :, None]))[:, 0]
+    inward = nn[:, 0] >= _NORMAL_EPS  # a shorter normal: symmetric neighborhood, interior
+    np.divide(normal, nn, out=normal, where=inward[:, None])
+    side = np.matmul(diffs, normal[:, :, None])[:, :, 0]
+    edge = inward & ((side >= 0.0).mean(axis=1) >= side_threshold)
     idx = np.arange(n)
     return BoundaryPartition(edge_indices=idx[edge], interior_indices=idx[~edge])
 

@@ -23,6 +23,7 @@ smo), and the fold's validation hits are one exact count of agreeing signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,10 @@ class CvConfig:
             raise ValueError("cost_grid must be nonempty")
         if self.width_grid is not None and len(self.width_grid) == 0:
             raise ValueError("width_grid must be nonempty when given")
+        for name, grid in (("cost_grid", self.cost_grid), ("width_grid", self.width_grid or ())):
+            bad = [v for v in grid if not 0.0 < v < math.inf]
+            if bad:
+                raise ValueError(f"{name} entries must be positive and finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)

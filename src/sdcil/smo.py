@@ -39,7 +39,12 @@ One iteration of the numpy loop costs a few numpy calls. The index sets
 I_up and I_low are built once, as penalty vectors added to the gradient
 term, and a step updates only the two entries it moved. The gradient update
 reads the contiguous rows K_i and K_j rather than the strided columns, so K
-must be exactly symmetric; kernels.gram builds it so.
+must be exactly symmetric; kernels.gram builds it so. An iteration of the C
+loop makes one pass over the n entries, not an argmax, an argmin and an
+update pass: the pass that applies a step to r also finds the next pair,
+the first max of r + up and the first min of r + low, so only the first
+pick scans r on its own. The picks and the violation a max_passes stop
+reports, the one read before the last step, are the numpy loop's.
 
 An iteration of the C loop costs well under a microsecond on the small pair
 cross-validation problems, which take some 20 iterations each, so a binary
@@ -96,8 +101,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not 0.0 < self.kkt_tolerance < math.inf:
+            raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:
@@ -399,8 +404,8 @@ def solve_binary_dual(
         raise ValueError("label vector length must match Gram size")
     if set(y.tolist()) != {-1.0, 1.0}:
         raise ValueError("labels must be in {-1,+1} with both classes present")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0.0 < C < math.inf:  # NaN fails both comparisons
+        raise ValueError("C must be finite" if C > 0.0 else "C must be positive")
 
     if start is None:
         alpha = np.zeros(n)

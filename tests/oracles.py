@@ -15,9 +15,10 @@ times its coefficients; `reference_smo`, the package's SMO loop as first
 merged; `reference_bias`, its offset recovery as first merged;
 `reference_details`, its prediction path before the fused kernel
 passes; `reference_batch_svm`, the batch-SVM baseline with one stacked
-kernel product per pair; and `reference_select_width`, the width sweep
+kernel product per pair; `reference_select_width`, the width sweep
 with a fresh kernel matrix per candidate and the covering gaps read along
-the edge rows.
+the edge rows; and `reference_beps_partition`, the edge partition with
+one loop iteration per row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from sdcil import cil
-from sdcil.geometry import CandidateRecord, WidthSelection
+from sdcil.geometry import _NORMAL_EPS, BoundaryPartition, CandidateRecord, WidthSelection, _nearest_neighbours
 from sdcil.kernels import kernel_divisor, kernel_from_sqdist, squared_distances, squared_norms
 from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
 from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN, solve_ocsvm_dual
@@ -363,3 +364,28 @@ def reference_select_width(X_class, nu, candidates, part, cfg, class_label=0) ->
         best = min(admitted, key=lambda i: (records[i].score, records[i].covering))
     chosen = records[best].s
     return WidthSelection(chosen, records, model_from_solution(X, nu, chosen, solutions[best], class_label), fallback)
+
+
+def reference_beps_partition(X, k_neighbors, side_threshold) -> BoundaryPartition:
+    """geometry.beps_partition as it was before the n x k x d block: one
+    loop iteration per row, through np.linalg.norm and the @ product on
+    that row's k x d differences. Pins the partition exactly."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    d2 = squared_distances(X)
+    np.fill_diagonal(d2, np.inf)  # exclude self
+    nbr = _nearest_neighbours(d2, k_neighbors)
+
+    edge = np.zeros(n, dtype=bool)
+    for i in range(n):
+        diffs = X[nbr[i]] - X[i]
+        norms = np.linalg.norm(diffs, axis=1)
+        units = np.divide(diffs, norms[:, None], out=np.zeros_like(diffs), where=norms[:, None] > 0)
+        normal = units.mean(axis=0)
+        nn = np.linalg.norm(normal)
+        if nn < _NORMAL_EPS:
+            continue  # symmetric neighborhood: interior
+        side = diffs @ (normal / nn)
+        edge[i] = np.mean(side >= 0.0) >= side_threshold
+    idx = np.arange(n)
+    return BoundaryPartition(edge_indices=idx[edge], interior_indices=idx[~edge])

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import warnings
@@ -845,6 +846,40 @@ class TestPersistence:
         p = tmp_path / "m.json"
         cil.save(model, p)
         assert cil.load(p) == model
+
+    @pytest.mark.parametrize("failure", ["dump", "fsync"])
+    def test_interrupted_write_keeps_old_file(self, blob_model_and_split, tmp_path, monkeypatch, failure):
+        # a write that fails part-way leaves the old model byte for byte,
+        # loadable, and no temporary file beside it
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(cil.new_model(fast_config()), p)
+        before = p.read_bytes()
+
+        def partial_dump(obj, f, **kwargs):
+            f.write('{"format_version": 2, "classes": [')
+            raise OSError(errno.EFBIG, "File too large")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        if failure == "dump":
+            monkeypatch.setattr(cil.json, "dump", partial_dump)
+        else:
+            monkeypatch.setattr(cil.os, "fsync", failing_fsync)
+        with pytest.raises(OSError) as err:
+            cil.save(model, p)
+        assert err.value.filename == str(p)
+        assert p.read_bytes() == before
+        assert cil.load(p) == cil.new_model(fast_config())
+        assert [q.name for q in tmp_path.iterdir()] == ["m.json"]
+
+    def test_save_replaces_whole_file(self, blob_model_and_split, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text("x" * 10**6)
+        cil.save(blob_model_and_split[0], p)
+        assert cil.load(p) == blob_model_and_split[0]
+        assert [q.name for q in tmp_path.iterdir()] == ["m.json"]
 
     def test_truncated_file(self, blob_model_and_split, tmp_path):
         model, _, _ = blob_model_and_split

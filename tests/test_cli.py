@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from sdcil.cli import EXIT_INPUT, EXIT_OK, EvalReport, TrialResult, main, map_gr
 from sdcil.dataset import LabeledDataset, load_csv, make_toy, save_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+SRC = Path(cil.__file__).parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +100,29 @@ class TestFileErrors:
             stdout, err = capsys.readouterr()
             assert stdout == "" and str(out) in err
         assert model_path.read_bytes() == before
+
+
+    @pytest.mark.parametrize("buffering", ["block", "unbuffered"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_closed_stdout(self, model_path, blobs_csv, tmp_path, command, buffering):
+        # `sdcil train ... | head -1`: the reader is gone before the first
+        # line. Unbuffered, the first print meets the closed pipe; buffered,
+        # the flush does. Either way the command finishes its work, prints
+        # no traceback and exits with its own code.
+        out = tmp_path / "m.json"
+        argv = ["train", blobs_csv, "--out", out] if command == "train" else ["predict", model_path, blobs_csv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "sdcil.cli", *map(str, argv)], env=env,
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == EXIT_OK, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        if command == "train":
+            assert cil.load(out) == cil.load(model_path)
 
 
 class TestAddClass:

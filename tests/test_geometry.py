@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_select_width
-from sdcil.geometry import BoundaryPartition, _nearest_neighbours, beps_partition, default_k_neighbors, select_width
+from oracles import reference_beps_partition, reference_select_width
+from sdcil.geometry import (
+    DEFAULT_SIDE_THRESHOLD, BoundaryPartition, _nearest_neighbours, beps_partition, default_k_neighbors, select_width,
+)
 from sdcil.kernels import candidate_widths, squared_distances
 from sdcil.smo import SolverConfig
 
@@ -95,6 +97,34 @@ class TestBepsPartition:
         k = int(rng.integers(1, n))
         want = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(_nearest_neighbours(d2, k), want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 90),
+        d=st.integers(1, 25),
+        shape=st.sampled_from(["gaussian", "lattice"]),
+        default_k=st.booleans(),
+        side_threshold=st.sampled_from([0.55, DEFAULT_SIDE_THRESHOLD, 1.0]),
+    )
+    # two lattice cases on a knife edge: a mean summed in another order, or
+    # a normal length or side value from another dot product, flips a row
+    @example(seed=136, n=83, d=6, shape="lattice", default_k=True, side_threshold=1.0)
+    @example(seed=1345, n=57, d=9, shape="lattice", default_k=True, side_threshold=1.0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_reference(self, seed, n, d, shape, default_k, side_threshold):
+        # the n x k x d block rounds as the per-row loop did: lattice rows
+        # repeat and put neighbours exactly on the tangent plane, where a
+        # last-bit difference in a side value would flip the test
+        rng = np.random.default_rng(seed)
+        if shape == "gaussian":
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        else:
+            X = rng.integers(-1, 2, size=(n, d)).astype(float)
+        k = default_k_neighbors(n) if default_k else 2
+        part = beps_partition(X, k, side_threshold)
+        ref = reference_beps_partition(X, k, side_threshold)
+        for got, want in ((part.edge_indices, ref.edge_indices), (part.interior_indices, ref.interior_indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_parameter_validation(self):
         X = disk_points(10)

@@ -46,6 +46,13 @@ def predict_pair(clf, svs, X):
     return np.array([d.label for d in details])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("grid", ["cost_grid", "width_grid"])
+def test_cv_config_rejects_grid_entry(grid, bad):
+    with pytest.raises(ValueError, match=f"{grid} entries must be positive and finite"):
+        CvConfig(**{grid: (1.0, bad, 2.0)})
+
+
 class TestTrainPair:
     def test_separated_blobs_high_cv_accuracy(self):
         a, b = two_blobs()

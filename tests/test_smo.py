@@ -1,6 +1,7 @@
 import os
 import shlex
 import shutil
+import subprocess
 import tempfile
 
 import numpy as np
@@ -198,6 +199,30 @@ def test_solver_config_validation():
     assert SolverConfig(max_passes=7).resolve_max_passes(2000) == 7
 
 
+NOT_POSITIVE_OR_FINITE = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("tol", NOT_POSITIVE_OR_FINITE)
+def test_solver_config_rejects_tolerance(tol):
+    with pytest.raises(ValueError, match="kkt_tolerance must be positive and finite"):
+        SolverConfig(kkt_tolerance=tol)
+
+
+@pytest.mark.parametrize("C, message", [
+    (float("nan"), "C must be positive"),
+    (float("inf"), "C must be finite"),
+    (0.0, "C must be positive"),
+    (-1.0, "C must be positive"),
+])
+def test_binary_dual_rejects_cost(C, message):
+    # a NaN cost once gave zero alphas with converged=True, and an infinite
+    # one a model whose file does not load
+    K, y = binary_problem(0, 6)
+    with pytest.raises(ValueError) as err:
+        solve_binary_dual(K, y, C, TIGHT)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("dual", ["ocsvm", "binary"])
 def test_non_square_gram_rejected(dual):
     K = np.ones((3, 2))
@@ -296,6 +321,71 @@ class TestLoopIdentity:
         assert alpha.tobytes() == a_ref.tobytes()
         assert (-y * r).tobytes() == G_ref.tobytes()
 
+    def test_ties_go_to_the_first_index(self, loop):
+        # every base point three times over, shuffled: the repeated rows of
+        # K are exact copies, so r holds exact ties all along and each pick
+        # must take the first of the tied indices, as the reference does
+        rng = np.random.default_rng(11)
+        base, _, _ = random_gram(rng, 20)
+        idx = rng.permutation(np.repeat(np.arange(20), 3))
+        Kv = base[np.ix_(idx, idx)]
+        y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)[idx]
+        n = idx.size
+        alpha, r = np.zeros(n), y.copy()
+        a_ref, G_ref = alpha.copy(), -np.ones(n)
+        cfg = SolverConfig(kkt_tolerance=1e-6)
+        it, violation = run_loop(loop, Kv, y, 2.0, alpha, r, cfg)
+        assert (it, violation) == reference_smo(Kv, y, 2.0, a_ref, G_ref, cfg)
+        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
+        assert it > 10 and np.unique(r).size <= 20  # many steps, over exact ties
+
+    @pytest.mark.parametrize("member", ["both sets", "I_up only"])
+    def test_nan_goes_first(self, loop, member):
+        # a one-class start: free alphas 1/8 at every fourth index, zero
+        # elsewhere. A NaN in r makes both r + up and r + low NaN, so the
+        # first NaN is picked as i and as j, and its step spreads NaN
+        # through r. The loops agree byte for byte, NaN bits included. The
+        # reference masks r by set membership, so it sees a NaN only where
+        # it sits in I_up and I_low both, and is checked on that case.
+        n = 32
+        Kv, _ = binary_problem(5, n)
+        y = np.ones(n)
+        alpha = np.where(np.arange(n) % 4 == 0, 1.0 / 8, 0.0)
+        r = -(Kv @ alpha)
+        nans = [8, 20] if member == "both sets" else [5, 8]
+        r[nans] = np.nan
+        C, cfg = 1.0 / 7.5, SolverConfig(max_passes=1)
+        a_np, r_np = alpha.copy(), r.copy()
+        a_ref, G_ref = alpha.copy(), -y * r
+        it, violation = run_loop(loop, Kv, y, C, alpha, r, cfg)
+        assert (it, np.float64(violation).tobytes()) == (1, np.float64(np.nan).tobytes())
+        assert np.flatnonzero(np.isnan(alpha)).tolist() == nans[:1]
+        it_np, violation_np = smo._numpy_smo(Kv, y, C, a_np, r_np, cfg)
+        assert it_np == it and np.float64(violation_np).tobytes() == np.float64(violation).tobytes()
+        assert alpha.tobytes() == a_np.tobytes() and r.tobytes() == r_np.tobytes()
+        if member == "both sets":
+            it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
+            assert it_ref == it and np.float64(violation_ref).tobytes() == np.float64(violation).tobytes()
+            assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
+
+    def test_max_passes_stop_reports_the_violation_before_the_last_step(self, loop):
+        # stopped at max_passes = m, the loop reports the violation it read
+        # before step m: that of the point m - 1 steps reach
+        Kv, y, C, _, _, _ = loop_problem(3, 80)
+        m = 12
+        runs = []
+        for passes in (m - 1, m):
+            alpha, r = np.zeros(80), y.copy()
+            it, violation = run_loop(loop, Kv, y, C, alpha, r, SolverConfig(kkt_tolerance=1e-9, max_passes=passes))
+            assert it == passes
+            runs.append((alpha, r, violation))
+        alpha, r, _ = runs[0]
+        inc, dec = alpha < C - BOUND_MARGIN, alpha > BOUND_MARGIN
+        up, low = np.where(y > 0, inc, dec), np.where(y > 0, dec, inc)
+        assert runs[1][2] == r[up].max() - r[low].min() > 1e-9
+        a_ref, G_ref = np.zeros(80), -np.ones(80)
+        assert reference_smo(Kv, y, C, a_ref, G_ref, SolverConfig(kkt_tolerance=1e-9, max_passes=m)) == (m, runs[1][2])
+
     @pytest.mark.parametrize("layout", ["fortran", "strided", "read-only"])
     def test_non_contiguous_arrays(self, loop, layout):
         # Kv in Fortran order or as a strided view, alpha and r as strided
@@ -324,6 +414,17 @@ class TestLoopIdentity:
 class TestCompiledLoopBuild:
     """The C loop is built into the cache on the first solve; without it the
     numpy loop runs, and the solves give the same bytes."""
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # the build's own flags plus every common warning, as errors
+        cc = shlex.split(os.environ.get("CC") or "cc")
+        if not shutil.which(cc[0]):
+            pytest.skip("no C compiler")
+        out = tmp_path / "loop.so"
+        cmd = [*cc, *smo._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(out), str(smo._LOOP_SOURCE)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, stdin=subprocess.DEVNULL)
+        assert done.returncode == 0, done.stderr
+        assert out.stat().st_size > 0
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
