@@ -7,12 +7,9 @@ the support vectors are extracted. Prediction first asks every class model;
 a single positive answer decides immediately, otherwise the dispute
 classifiers of the candidate classes vote.
 
-Prediction runs on one batched path, _details, which takes rows in chunks
-and yields each chunk's results as plain columns: labels, region codes,
-candidate classes, class-value rows and vote counts. Batch callers
-(predict_labels, ocsvm_nn_labels and through them the CLI) read the label
-and region columns; predict_details and predict_detail are the only views
-that build a PredictionDetail per row. Each chunk works in two fused
+Prediction computes on one batched path, _class_stage, which checks and
+scales the rows and takes them in chunks, and _vote_counts, which counts
+the votes of a chunk's disputed rows. Each chunk works in two fused
 stages. The class stage writes one product per class into one rows x
 all-SVs buffer and turns it in place into squared distances and kernel
 values, with a fixed number of numpy calls per chunk plus one product per
@@ -29,13 +26,24 @@ rows' distances in one call, turns them into kernel terms with one divide,
 one exp and one multiply, sums each segment with one reduceat, and counts
 every row's votes with one bincount.
 
-What is left per row is lean Python: the region loop collects each row's
+Two tails settle the rows from there, picked by what the caller asks for,
+and they give the same labels and regions. The label views
+(predict_labels, ocsvm_nn_labels and through them the CLI) settle in
+arrays in _settle: a count of positive classes per row gives the regions,
+and a masked argmax settles vote ties, with a fixed number of numpy calls
+per chunk and per set of candidate classes. The detail views
+(predict_details, predict_detail) settle per row in lean Python in
+_details, which builds the candidate tuples and vote lists that a
+PredictionDetail holds anyway: the region loop collects each row's
 positive classes, and the vote tail settles a row with one max and one
-count on its vote counts, reading class values only on a vote tie. A
-vectorised tail (numpy masks for the regions, an argmax for the votes)
-costs tens of microseconds in call overhead on a one-row chunk, more than
-the whole Python tail of that row, and one-row predict_detail is the
-latency path.
+count on its vote counts, reading class values only on a vote tie. Each
+tail wins where it runs. On a 256-row chunk the per-row Python costs more
+than the array calls: on the benchmark's blobs-map workload, 100 x 100 map
+cells mostly in the none region, map_grid went from 305k to 439k cells
+per second with the array tail (medians of ten runs each, one BLAS thread
+on a shared 2-core Xeon). On a one-row chunk a vectorised tail costs tens
+of microseconds in call overhead, more than the whole Python tail of that
+row, and one-row predict_detail is the latency path.
 
 The paper claims that keeping the old models cuts training time and
 memory against retraining. The time claim holds: the k-th class trains one
@@ -139,9 +147,9 @@ class PredictionLayout(NamedTuple):
     its kernel reads, its two classes' blocks lower label first as its
     coefficients follow them, with its -2 s^2 and its coefficients beside
     them. Building it raises ValueError unless every class label is listed
-    once, the pair table holds exactly one pair per two registered classes,
-    and each pair's coefficients are a 1-D array of one value per support
-    vector of its two classes.
+    once, every class has a support vector, the pair table holds exactly
+    one pair per two registered classes, and each pair's coefficients are a
+    1-D array of one value per support vector of its two classes.
     """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
@@ -167,6 +175,10 @@ class PredictionLayout(NamedTuple):
         repeated = sorted(label for label, n in Counter(sorted_labels).items() if n > 1)
         if repeated:
             raise ValueError(f"the registry lists classes {repeated} more than once")
+        # a class without vectors has no nearest one for ocsvm_nn_labels
+        empty = [m.class_label for m in classes if m.m == 0]
+        if empty:
+            raise ValueError(f"classes {empty} have no support vectors")
         # a missing pair would silently drop a vote, and an unknown label
         # has no columns to read
         expected = set(combinations(sorted_labels, 2))
@@ -325,30 +337,17 @@ def _scale_bounded(X: np.ndarray, scaler: Scaler | None) -> tuple[np.ndarray, np
     return Xs, xx
 
 
-def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ...]]:
-    """Yield the predictions for the rows of X as plain columns, one tuple
-    per chunk of _CHUNK_ROWS rows, in order, with one entry per row in each
-    column:
-
-    - labels, the predicted class ids;
-    - region codes, the regions' positions in REGIONS;
-    - possible, the candidate classes as an ascending tuple;
-    - values, the class values as a list in registry order;
-    - votes, the vote counts as a list in possible's order, or None where
-      no vote was taken.
+def _class_stage(model: CilModel, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Check and scale the rows of X, then yield, per chunk of _CHUNK_ROWS
+    rows in order, the chunk's squared distances to every support vector
+    (rows x all SVs, in model.layout's columns) and its class values
+    (classes x rows, in registry order). The distances are a view of a
+    buffer that the next chunk overwrites.
 
     Per chunk: the rows' squared norms once, one product with each class's
     support vectors, written into one rows x all-SVs buffer that becomes
     the squared distances in place, one exp of it divided by each column's
-    class divisor, and one product with each class's alphas. The region
-    loop then only collects each row's positive classes: one positive
-    decides the row, and a row no class claims shares the layout's tuple
-    of every label. Last, one dispute(model, d2, values, possible) call per
-    set of candidate classes settles every disputed row of the chunk with
-    those candidates: d2 holds those rows of the distance buffer
-    (model.layout gives each class's and each pair's columns), and values
-    their class-value lists; the call returns a (label, votes) for each of
-    those rows.
+    class divisor, and one product with each class's alphas.
 
     numpy multiplies a one-row chunk by the alphas with a dot kernel and a
     larger chunk with gemv, which round differently: a row's class values
@@ -364,7 +363,6 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
     # the whole matrix, scaled, is checked before any row is returned
     X_scaled, xx = _scale_bounded(X, model.scaler)
     layout = model.layout
-    labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
     # the distance and kernel buffers, reused by every chunk: fresh pages
     # for each chunk would cost more than the arithmetic on them
     d2_buffer = np.empty((min(X.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
@@ -385,39 +383,72 @@ def _details(model: CilModel, X: np.ndarray, dispute) -> Iterator[tuple[list, ..
         np.exp(np.divide(d2, layout.divisors, out=K), out=K)
         values = np.array([K[:, cols] @ m.sv_alphas for m, cols in zip(model.classes, layout.columns.values())])
         values -= layout.rhos[:, None]
-        rows = values.T.tolist()
-        regions, candidates, disputes = [], [], {}
-        for i, row in enumerate(rows):
-            # max, one call, passes over a row no class claims, which is
-            # most rows of a map
-            if max(row) > 0.0:
-                positive = [lbl for lbl, v in zip(labels, row) if v > 0.0]
-                if len(positive) == 1:
-                    regions.append(0)
-                    candidates.append(tuple(positive))
-                    continue
-                possible = tuple(sorted(positive))
-                regions.append(1)
+        yield d2, values
+
+
+def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> tuple[list, ...]:
+    """The predictions for the rows of one _class_stage chunk, given its
+    distances and class values, as plain columns with one entry per row:
+
+    - labels, the predicted class ids;
+    - region codes, the regions' positions in REGIONS;
+    - possible, the candidate classes as an ascending tuple;
+    - values, the class values as a list in registry order;
+    - votes, the vote counts as a list in possible's order, or None where
+      no vote was taken.
+
+    The region loop collects each row's positive classes: one positive
+    decides the row, and a row no class claims shares the layout's tuple
+    of every label. Then one _vote_counts call per set of candidate
+    classes counts the votes of every disputed row of the chunk with those
+    candidates, and a lean Python tail settles each row with one max and
+    one count on its counts. A vote tie goes to the larger class value,
+    then to the smaller label; class values are read only on a vote tie.
+    """
+    layout = model.layout
+    labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
+    rows = values.T.tolist()
+    regions, candidates, disputes = [], [], {}
+    for i, row in enumerate(rows):
+        # max, one call, passes over a row no class claims
+        if max(row) > 0.0:
+            positive = [lbl for lbl, v in zip(labels, row) if v > 0.0]
+            if len(positive) == 1:
+                regions.append(0)
+                candidates.append(tuple(positive))
+                continue
+            possible = tuple(sorted(positive))
+            regions.append(1)
+        else:
+            possible = everyone
+            regions.append(2)
+        candidates.append(possible)
+        if len(possible) > 1:
+            disputes.setdefault(possible, []).append(i)
+    winners = [possible[0] for possible in candidates]
+    votes = [None] * len(rows)
+    positions = layout.positions
+    for possible, idx in disputes.items():
+        for i, row_counts in zip(idx, _vote_counts(layout, d2[idx], possible).tolist()):
+            votes[i] = row_counts
+            top = max(row_counts)
+            if row_counts.count(top) == 1:
+                winners[i] = possible[row_counts.index(top)]
             else:
-                possible = everyone
-                regions.append(2)
-            candidates.append(possible)
-            if len(possible) > 1:
-                disputes.setdefault(possible, []).append(i)
-        winners = [possible[0] for possible in candidates]
-        votes = [None] * len(rows)
-        for possible, idx in disputes.items():
-            for i, (label, counts) in zip(idx, dispute(model, d2[idx], [rows[i] for i in idx], possible)):
-                winners[i], votes[i] = label, counts
-        yield winners, regions, candidates, rows, votes
+                # possible is ascending and max keeps the first of equal
+                # values, so a value tie goes to the smaller label
+                row = rows[i]
+                tied = [lbl for lbl, c in zip(possible, row_counts) if c == top]
+                winners[i] = max(tied, key=lambda lbl: row[positions[lbl]])
+    return winners, regions, candidates, rows, votes
 
 
-def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], possible):
-    """1vs1 votes among the possible classes; a vote tie goes to the larger
-    one-class value, then to the smaller label.
+def _vote_counts(layout: PredictionLayout, d2: np.ndarray, possible: tuple[int, ...]) -> np.ndarray:
+    """Each row's 1vs1 vote counts among the possible classes (ascending),
+    as a rows x len(possible) array in possible's order.
 
-    Settles the group's rows in a fixed number of numpy calls, whatever the
-    number of pairs. The group's pairs are every pair when every class is
+    Counts the group's votes in a fixed number of numpy calls, whatever
+    the number of pairs. The group's pairs are every pair when every class is
     possible (the whole none region), one span for two classes, or else the
     spans of combinations(possible, 2) in the layout's pair arrays, laid
     end to end. One gather takes each pair's distance columns, [cols_a |
@@ -425,13 +456,7 @@ def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], po
     one multiply by the coefficients turn them into kernel terms, and one
     reduceat sums each pair's segment before the biases are added. A
     decision is thus a segment sum, not a BLAS dot, and may differ from
-    one in the last bits.
-
-    Returns (label, vote counts in possible's order) per row. The tail is
-    lean Python: one max and one count on a row's counts settle it, and
-    its class values (a row of values, in registry order) are read only on
-    a vote tie."""
-    layout = model.layout
+    one in the last bits."""
     if len(possible) == len(layout.columns):
         pairs, cols, starts = slice(None), slice(None), layout.pair_starts
     elif len(possible) == 2:  # one pair, one span
@@ -456,43 +481,77 @@ def _vote_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], po
     labels = layout.pair_labels[pairs]
     # each row's winners as positions in possible, offset by the row, so one
     # bincount gives every row's votes
-    rows, n = len(values), len(possible)
+    rows, n = d2.shape[0], len(possible)
     winners = np.searchsorted(possible, np.where(decisions > 0.0, labels[:, 0], labels[:, 1]))
     winners += np.arange(0, rows * n, n)[:, None]
-    counts = np.bincount(winners.ravel(), minlength=rows * n).reshape(rows, n)
-    positions = layout.positions
-    settled = []
-    for row_counts, row_values in zip(counts.tolist(), values):
-        top = max(row_counts)
-        if row_counts.count(top) == 1:
-            settled.append((possible[row_counts.index(top)], row_counts))
+    return np.bincount(winners.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+# a row's region code by its number of positive classes: none, one, several
+_REGION_BY_COUNT = np.array([2, 0, 1], dtype=np.uint8)
+
+
+def _settle(model: CilModel, X: np.ndarray, nearest_sv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The label and region columns of _details, or with nearest_sv those
+    of the nearest-SV baseline, as two arrays, settled with a fixed number
+    of numpy calls per chunk and per set of candidate classes.
+
+    Each chunk's class values are read in ascending label order. A row's
+    candidates are its positive classes, or every class when none is
+    positive; the number of positives gives its region, and a row with one
+    candidate takes it. With nearest_sv every row takes the candidate that
+    holds its nearest support vector: one minimum.reduceat over the
+    classes' distance columns, the other classes masked to +inf, and an
+    argmin, which gives a distance tie to the smaller label. Otherwise the
+    disputed rows are grouped by candidate set as _details groups them (a
+    row that every class claims joins the none rows), each group's votes
+    come from _vote_counts, and an argmax over the class values of the
+    candidates with the most votes, the others masked to -inf, settles
+    each row as _details does: a vote tie goes to the larger class value,
+    then to the smaller label."""
+    layout = model.layout
+    order = [layout.positions[label] for label in layout.sorted_labels]  # registry positions, ascending labels
+    everyone = np.array(layout.sorted_labels, dtype=int)
+    class_starts = [cols.start for cols in layout.columns.values()]
+    # the leading empty arrays give an empty X its two empty columns
+    labels, regions = [everyone[:0]], [_REGION_BY_COUNT[:0]]
+    for d2, values in _class_stage(model, X):
+        values = values[order].T
+        candidates = values > 0.0
+        count = np.count_nonzero(candidates, axis=1)
+        regions.append(_REGION_BY_COUNT[np.minimum(count, 2)])
+        none = count == 0
+        candidates[none] = True
+        count[none] = everyone.size
+        if nearest_sv:
+            nearest = np.minimum.reduceat(d2, class_starts, axis=1)[:, order]
+            winners = np.argmin(np.where(candidates, nearest, np.inf), axis=1)
         else:
-            # possible is ascending and max keeps the first of equal
-            # values, so a value tie goes to the smaller label
-            tied = [lbl for lbl, c in zip(possible, row_counts) if c == top]
-            settled.append((max(tied, key=lambda lbl: row_values[positions[lbl]]), row_counts))
-    return settled
-
-
-def _nearest_sv_dispute(model: CilModel, d2: np.ndarray, values: list[list[float]], possible):
-    dists = [np.min(d2[:, model.layout.columns[lbl]], axis=1) for lbl in possible]
-    # possible is sorted ascending and argmin keeps the first minimum, so a
-    # distance tie goes to the smaller label
-    return [(possible[j], None) for j in np.argmin(dists, axis=0).tolist()]
-
-
-def _labels(model: CilModel, X: np.ndarray, dispute) -> tuple[np.ndarray, np.ndarray]:
-    labels, regions = [], []
-    for chunk_labels, chunk_regions, *_ in _details(model, X, dispute):
-        labels += chunk_labels
-        regions += chunk_regions
-    return np.array(labels, dtype=int), np.array(regions, dtype=np.uint8)
+            winners = np.argmax(values, axis=1)  # a unique row's one positive class
+            disputed = np.flatnonzero(count > 1)
+            if disputed.size:
+                # a stable sort on the rows' candidate bits makes each set's
+                # rows one run, in ascending row order (np.unique(axis=0)
+                # sorts rows as opaque records, several times slower)
+                bits = np.packbits(candidates[disputed], axis=1)
+                by_set = np.lexsort(bits.T)
+                bits = bits[by_set]
+                firsts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
+                for idx in np.split(disputed[by_set], firsts):
+                    members = candidates[idx[0]]
+                    counts = _vote_counts(layout, d2[idx], tuple(everyone[members].tolist()))
+                    top = counts == counts.max(axis=1, keepdims=True)
+                    tied_values = np.where(top, values[idx][:, members], -np.inf)
+                    winners[idx] = np.flatnonzero(members)[np.argmax(tied_values, axis=1)]
+        labels.append(everyone[winners])
+    return np.concatenate(labels), np.concatenate(regions)
 
 
 def predict_labels(model: CilModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class id and region code (the region's position in
-    REGIONS, as uint8) for each row of X, with no per-row objects."""
-    return _labels(model, X, _vote_dispute)
+    REGIONS, as uint8) for each row of X: the labels and regions of
+    predict_details, settled in arrays with no per-row Python."""
+    return _settle(model, X, nearest_sv=False)
 
 
 def _detail(
@@ -516,8 +575,8 @@ def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail
     same row (a one-row chunk is multiplied with a dot kernel, a larger one
     with gemv), so compare them with a tolerance, not byte for byte."""
     labels = model.layout.columns
-    for chunk in _details(model, X, _vote_dispute):
-        for row in zip(*chunk):
+    for d2, values in _class_stage(model, X):
+        for row in zip(*_details(model, d2, values)):
             yield _detail(labels, *row)
 
 
@@ -529,9 +588,8 @@ def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
     predict_details gives the same row among others."""
     # unpacking runs the generator to its end, which costs less on this
     # latency path than closing it half-way as next() would leave it
-    ((label,), (region,), (possible,), (values,), (votes,)), = _details(
-        model, np.asarray(x, dtype=float).reshape(1, -1), _vote_dispute
-    )
+    (d2, values), = _class_stage(model, np.asarray(x, dtype=float).reshape(1, -1))
+    ((label,), (region,), (possible,), (values,), (votes,)) = _details(model, d2, values)
     return _detail(model.layout.columns, label, region, possible, values, votes)
 
 
@@ -542,8 +600,9 @@ def predict(model: CilModel, x: np.ndarray) -> int:
 
 def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
     """Predicted class id for each row of X, with disputes resolved by the
-    class of the nearest SV."""
-    return _labels(model, X, _nearest_sv_dispute)[0]
+    class of the nearest SV (a distance tie goes to the smaller label),
+    settled in arrays with no per-row Python."""
+    return _settle(model, X, nearest_sv=True)[0]
 
 
 # --- baselines ---------------------------------------------------------------

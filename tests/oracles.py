@@ -180,12 +180,13 @@ def pgd_binary_objective(K: np.ndarray, y: np.ndarray, C: float, iters: int = MA
 
 
 def reference_smo(Kv, y, C, alpha, G, cfg):
-    """The SMO loop as first merged, one masked selection per iteration.
+    """The SMO loop as first merged, one selection over freshly built
+    I_up and I_low penalties per iteration.
 
     Pins both loops of `smo._smo`, the C loop and the numpy loop, bit for
     bit: from the same start point each must return the same alpha,
     iteration count and violation, and its KKT vector r must give this
-    loop's G as -y*r.
+    loop's G as -y*r. That holds for a NaN in r too, wherever it sits.
     """
     pos = y > 0
     r = -y * G
@@ -195,8 +196,10 @@ def reference_smo(Kv, y, C, alpha, G, cfg):
     while it < max_iter:
         can_inc = alpha < C - BOUND_MARGIN
         can_dec = alpha > BOUND_MARGIN
-        ri = np.where(np.where(pos, can_inc, can_dec), r, -np.inf)  # I_up
-        rj = np.where(np.where(pos, can_dec, can_inc), r, np.inf)  # I_low
+        # penalties added to r, as the loops add them: -0.0 for a member, an
+        # infinity otherwise, so a NaN anywhere in r is NaN in both
+        ri = r + np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
+        rj = r + np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
         i = int(np.argmax(ri))
         j = int(np.argmin(rj))
         violation = float(ri[i] - rj[j])
@@ -246,8 +249,11 @@ def reference_bias(y, C, alpha, r):
 
 
 def reference_details(model, X, nearest_sv: bool = False) -> list:
-    """cil.predict_details (or, with nearest_sv, the details behind
-    cil.ocsvm_nn_labels) as computed before the fused kernel passes.
+    """cil.predict_details as computed before the fused kernel passes,
+    settled row by row in Python; with nearest_sv, a dispute goes to the
+    class of the nearest support vector, as in cil.ocsvm_nn_labels. Its
+    labels and regions also pin cil.predict_labels and cil.ocsvm_nn_labels,
+    which settle in arrays.
 
     Per chunk of cil._CHUNK_ROWS rows: one squared-distance block and one
     class_values computation per class; then, per set of candidate

@@ -313,6 +313,7 @@ class TestPredict:
         want = reference_details(model, X)
         assert_same_details(cil.predict_details(model, X), want)
         assert_same_details([cil.predict_detail(model, X[0])], reference_details(model, X[:1]))
+        assert_label_views_match(model, X)
 
         votes = dict.fromkeys(sorted(labels), 0)
         for (a, b), a_wins in zip(combinations(sorted(labels), 2), wins):
@@ -392,20 +393,29 @@ class TestPredict:
         spread=st.floats(0.0, 4.0),
     )
     def test_batch_matches_single_row(self, blob_model_and_split, n, seed, spread):
+        """predict_labels gives the labels and regions of predict_details,
+        and each row's one-row predict_detail agrees with both. A one-row
+        chunk is multiplied with a dot kernel and a larger one with gemv, so
+        a class value may move in the last bits: rows with a class value
+        within 1e-12 of 0, whose region that can change, are not compared."""
         model, train, _ = blob_model_and_split
         lo = train.features.min(axis=0) - spread
         hi = train.features.max(axis=0) + spread
         X = np.random.default_rng(seed).uniform(lo, hi, size=(n, 2))
         batch = list(cil.predict_details(model, X))
-        assert len(batch) == n
-        for b, x in zip(batch, X):
+        labels, regions = cil.predict_labels(model, X)
+        assert labels.tolist() == [b.label for b in batch]
+        assert regions.tolist() == [cil.REGIONS.index(b.region) for b in batch]
+        for b, x in zip(batch, X, strict=True):
             one = cil.predict_detail(model, x)
-            assert (b.label, b.region, b.possible, b.votes) == (
-                one.label, one.region, one.possible, one.votes
-            )
             assert b.ocsvm_values.keys() == one.ocsvm_values.keys()
             for lbl, v in one.ocsvm_values.items():
                 assert abs(b.ocsvm_values[lbl] - v) <= 1e-12
+            if min(map(abs, one.ocsvm_values.values())) <= 1e-12:
+                continue
+            assert (b.label, b.region, b.possible, b.votes) == (
+                one.label, one.region, one.possible, one.votes
+            )
 
 
 def segment(layout: cil.PredictionLayout, key) -> slice:
@@ -576,6 +586,14 @@ class TestSharedDistances:
         with pytest.raises(ValueError, match="one coefficient per support vector"):
             replace(model, pair_table={**model.pair_table, key: short})
 
+    def test_class_needs_a_support_vector(self):
+        # ocsvm_nn_labels reads each class's nearest vector, as one segment
+        # of the distance columns per class
+        model = random_registry(np.random.default_rng(0), 3, 2)
+        empty = replace(model.classes[1], support_vectors=np.zeros((0, 2)), sv_alphas=np.zeros(0))
+        with pytest.raises(ValueError, match=re.escape(f"classes [{empty.class_label}] have no support vectors")):
+            replace(model, classes=(model.classes[0], empty, model.classes[2]))
+
     def test_each_pair_checked_alone(self, blob_model_and_split, tmp_path):
         """One pair with an extra coefficient and the next with one too few
         keep the total right; each pair is still rejected, in memory and
@@ -602,6 +620,20 @@ class TestSharedDistances:
         path.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match="one coefficient per support vector"):
             cil.load(path)
+
+
+def assert_label_views_match(model, X):
+    """predict_labels gives the labels and region codes of
+    tests/oracles.py::reference_details, and ocsvm_nn_labels the labels
+    of its nearest-SV form."""
+    want = reference_details(model, X)
+    labels, regions = cil.predict_labels(model, X)
+    assert (labels.dtype, regions.dtype) == (np.dtype(int), np.dtype(np.uint8))
+    assert labels.tolist() == [dt.label for dt in want]
+    assert regions.tolist() == [cil.REGIONS.index(dt.region) for dt in want]
+    nn = cil.ocsvm_nn_labels(model, X)
+    assert nn.dtype == np.dtype(int)
+    assert nn.tolist() == [dt.label for dt in reference_details(model, X, nearest_sv=True)]
 
 
 def assert_same_details(got, want):
@@ -639,8 +671,23 @@ class TestFusedPrediction:
         assert_same_details(cil.predict_details(model, X), reference_details(model, X))
         for x in X[:3]:
             assert_same_details([cil.predict_detail(model, x)], reference_details(model, x[None, :]))
-        want = [dt.label for dt in reference_details(model, X, nearest_sv=True)]
-        assert cil.ocsvm_nn_labels(model, X).tolist() == want
+        assert_label_views_match(model, X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 3, 6]),
+        d=st.integers(1, 4),
+        # an empty X, one row, and each side of the first two chunk edges
+        n=st.sampled_from([0, 1, 255, 256, 257, 513]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_label_views_match_reference(self, k, d, n, seed):
+        """The label views settle whole chunks in arrays; a registry of one
+        class has no pair to vote with. Vote and value ties are drawn in
+        TestPredict.test_tie_break_steps."""
+        rng = np.random.default_rng(seed)
+        model = random_registry(rng, k, d)
+        assert_label_views_match(model, raw_probes(rng, model, n))
 
     def test_wide_table_one_row_votes(self):
         """One-row predict_detail over 10 classes (45 pairs), on rows of

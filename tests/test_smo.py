@@ -344,9 +344,8 @@ class TestLoopIdentity:
         # a one-class start: free alphas 1/8 at every fourth index, zero
         # elsewhere. A NaN in r makes both r + up and r + low NaN, so the
         # first NaN is picked as i and as j, and its step spreads NaN
-        # through r. The loops agree byte for byte, NaN bits included. The
-        # reference masks r by set membership, so it sees a NaN only where
-        # it sits in I_up and I_low both, and is checked on that case.
+        # through r. The loops and the reference, which adds the same
+        # penalties, agree byte for byte, NaN bits included.
         n = 32
         Kv, _ = binary_problem(5, n)
         y = np.ones(n)
@@ -363,10 +362,9 @@ class TestLoopIdentity:
         it_np, violation_np = smo._numpy_smo(Kv, y, C, a_np, r_np, cfg)
         assert it_np == it and np.float64(violation_np).tobytes() == np.float64(violation).tobytes()
         assert alpha.tobytes() == a_np.tobytes() and r.tobytes() == r_np.tobytes()
-        if member == "both sets":
-            it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
-            assert it_ref == it and np.float64(violation_ref).tobytes() == np.float64(violation).tobytes()
-            assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
+        it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
+        assert it_ref == it and np.float64(violation_ref).tobytes() == np.float64(violation).tobytes()
+        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
 
     def test_max_passes_stop_reports_the_violation_before_the_last_step(self, loop):
         # stopped at max_passes = m, the loop reports the violation it read
