@@ -19,12 +19,12 @@ disputed rows of a chunk that share their candidate classes together, in
 a fixed number of numpy calls whatever the number of pairs. A dispute
 classifier holds coefficients only; they follow its two classes' support
 vectors, lower label first, so its distance columns are the two class
-blocks side by side. The layout lays every pair out as one segment of a
-(k - 1) x all-SVs table, in sorted key order: the columns it reads, its
--2 s^2 and its coefficients. A group gathers its pairs' segments from its
-rows' distances in one call, turns them into kernel terms with one divide,
-one exp and one multiply, sums each segment with one reduceat, and counts
-every row's votes with one bincount.
+blocks side by side, one segment of the layout's PairTable. A group
+gathers its pairs' segments in one call, turns them into kernel terms
+with one divide, one exp and one multiply, sums each segment with one
+reduceat, and counts every row's votes with one bincount. _vote_counts is
+the one 1vs1 vote of the package: the batch 1vs1 baseline of Table II
+votes through it too, on a PairTable over its training rows.
 
 Two tails settle the rows from there, picked by what the caller asks for,
 and they give the same labels and regions. The label views
@@ -85,7 +85,7 @@ import numpy as np
 
 from .dataset import DataError, LabeledDataset, Scaler
 from .geometry import DEFAULT_SIDE_THRESHOLD, beps_partition, default_k_neighbors, select_width
-from .kernels import candidate_widths, kernel_divisor, kernel_from_sqdist, squared_distances, squared_norms
+from .kernels import candidate_widths, kernel_divisor, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel
 from .pairwise import CvConfig, PairwiseClassifier, train_pair
 from .smo import BOX_SLACK, SolverConfig
@@ -135,6 +135,57 @@ class PredictionDetail:
     votes: dict[int, int]
 
 
+class PairTable(NamedTuple):
+    """A complete 1vs1 table as _vote_counts reads it: each pair, in sorted
+    key order, is one segment of the pair arrays, the distance columns of
+    its two classes lower label first, as its coefficients follow them. The
+    SD-CIL dispute stage and the batch baseline both vote through one."""
+
+    ids: dict[tuple[int, int], int]  # pair key -> its position in sorted key order
+    columns: np.ndarray  # each pair's distance columns, [cols_a | cols_b]
+    divisors: np.ndarray  # the -2 s^2 of each pair, once per pair column
+    coeffs: np.ndarray  # each pair's coefficients, once per pair column
+    starts: np.ndarray  # where each pair's segment starts
+    sizes: np.ndarray  # each pair's segment length, its number of vectors
+    biases: np.ndarray  # each pair's bias
+    labels: np.ndarray  # each pair's (label_a, label_b)
+
+    @classmethod
+    def of(cls, spans: dict[int, slice], pairs: dict[tuple[int, int], PairwiseClassifier]) -> PairTable:
+        """ValueError unless pairs holds one pair per two classes of spans
+        (label -> its columns), each with one coefficient per column."""
+        # a missing pair would silently drop a vote, and an unknown label
+        # has no columns to read
+        expected = set(combinations(sorted(spans), 2))
+        if pairs.keys() != expected:
+            raise ValueError(
+                "pair table does not match the classes "
+                f"(missing {sorted(expected - pairs.keys())}, "
+                f"unexpected {sorted(pairs.keys() - expected)})"
+            )
+        keys = sorted(pairs)
+        clfs = [pairs[key] for key in keys]
+        segments = [np.r_[spans[a], spans[b]] for a, b in keys]
+        for key, clf, cols in zip(keys, clfs, segments):
+            if clf.coeffs.shape != cols.shape:
+                raise ValueError(
+                    f"pair {key} needs one coefficient per support vector of its two classes, "
+                    f"a 1-D array of {cols.size}; got shape {clf.coeffs.shape}"
+                )
+        sizes = [cols.size for cols in segments]
+        return cls(
+            ids={key: i for i, key in enumerate(keys)},
+            # the leading empty arrays let an empty table through
+            columns=np.concatenate([np.empty(0, dtype=int), *segments]),
+            divisors=np.repeat([kernel_divisor(clf.width) for clf in clfs], sizes),
+            coeffs=np.concatenate([np.empty(0), *(clf.coeffs for clf in clfs)]),
+            starts=np.cumsum([0, *sizes])[:-1],
+            sizes=np.array(sizes, dtype=int),
+            biases=np.array([clf.bias for clf in clfs], dtype=float),
+            labels=np.array(keys, dtype=int).reshape(-1, 2),
+        )
+
+
 class PredictionLayout(NamedTuple):
     """Where each class's support vectors sit among the columns of a
     prediction chunk's distance buffer, and the numbers that turn those
@@ -142,14 +193,9 @@ class PredictionLayout(NamedTuple):
     numbers, derived from the registry whenever a CilModel is built and
     never saved.
 
-    The pair arrays describe the dispute classifiers in sorted key order,
-    each as one segment of (k - 1) x all-SVs columns: the distance columns
-    its kernel reads, its two classes' blocks lower label first as its
-    coefficients follow them, with its -2 s^2 and its coefficients beside
-    them. Building it raises ValueError unless every class label is listed
-    once, every class has a support vector, the pair table holds exactly
-    one pair per two registered classes, and each pair's coefficients are a
-    1-D array of one value per support vector of its two classes.
+    The dispute classifiers are a PairTable over the classes' columns.
+    Building it raises ValueError unless every class label is listed once,
+    every class has a support vector and PairTable.of takes the pair table.
     """
 
     columns: dict[int, slice]  # label -> its SVs' columns, in registry order
@@ -158,14 +204,7 @@ class PredictionLayout(NamedTuple):
     sq_norms: np.ndarray  # each column's SV squared norm
     divisors: np.ndarray  # each column's -2 s^2, for its class's width s
     rhos: np.ndarray  # each class's offset, in registry order
-    pair_ids: dict[tuple[int, int], int]  # pair key -> its position in sorted key order
-    pair_columns: np.ndarray  # each pair's distance columns, [cols_a | cols_b]
-    pair_divisors: np.ndarray  # the -2 s^2 of each pair, once per pair column
-    pair_coeffs: np.ndarray  # each pair's coefficients, once per pair column
-    pair_starts: np.ndarray  # where each pair's segment starts
-    pair_sizes: np.ndarray  # each pair's segment length, its number of vectors
-    pair_biases: np.ndarray  # each pair's bias
-    pair_labels: np.ndarray  # each pair's (label_a, label_b)
+    pairs: PairTable  # the dispute classifiers
 
     @classmethod
     def of(cls, classes: tuple[OcsvmModel, ...], pair_table) -> PredictionLayout:
@@ -179,28 +218,8 @@ class PredictionLayout(NamedTuple):
         empty = [m.class_label for m in classes if m.m == 0]
         if empty:
             raise ValueError(f"classes {empty} have no support vectors")
-        # a missing pair would silently drop a vote, and an unknown label
-        # has no columns to read
-        expected = set(combinations(sorted_labels, 2))
-        if pair_table.keys() != expected:
-            raise ValueError(
-                "pair table does not match the classes "
-                f"(missing {sorted(expected - pair_table.keys())}, "
-                f"unexpected {sorted(pair_table.keys() - expected)})"
-            )
         stops = list(accumulate(m.m for m in classes))
         columns = {m.class_label: slice(stop - m.m, stop) for m, stop in zip(classes, stops)}
-        keys = sorted(pair_table)
-        pairs = [pair_table[key] for key in keys]
-        ids = np.arange(stops[-1] if stops else 0)
-        segments = [np.concatenate((ids[columns[a]], ids[columns[b]])) for a, b in keys]
-        for key, clf, cols in zip(keys, pairs, segments):
-            if clf.coeffs.shape != cols.shape:
-                raise ValueError(
-                    f"pair {key} needs one coefficient per support vector of its two classes, "
-                    f"a 1-D array of {cols.size}; got shape {clf.coeffs.shape}"
-                )
-        sizes = [cols.size for cols in segments]
         return cls(
             columns=columns,
             positions={label: i for i, label in enumerate(columns)},
@@ -208,15 +227,7 @@ class PredictionLayout(NamedTuple):
             sq_norms=np.concatenate([np.empty(0), *(squared_norms(m.support_vectors) for m in classes)]),
             divisors=np.repeat([kernel_divisor(m.width) for m in classes], [m.m for m in classes]),
             rhos=np.array([m.rho for m in classes], dtype=float),
-            pair_ids={key: i for i, key in enumerate(keys)},
-            # the leading empty arrays let an empty registry or pair table through
-            pair_columns=np.concatenate([ids[:0], *segments]),
-            pair_divisors=np.repeat([kernel_divisor(clf.width) for clf in pairs], sizes),
-            pair_coeffs=np.concatenate([np.empty(0), *(clf.coeffs for clf in pairs)]),
-            pair_starts=np.cumsum([0, *sizes])[:-1],
-            pair_sizes=np.array(sizes, dtype=int),
-            pair_biases=np.array([clf.bias for clf in pairs], dtype=float),
-            pair_labels=np.array(keys, dtype=int).reshape(-1, 2),
+            pairs=PairTable.of(columns, pair_table),
         )
 
 
@@ -429,7 +440,7 @@ def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> tuple[list,
     votes = [None] * len(rows)
     positions = layout.positions
     for possible, idx in disputes.items():
-        for i, row_counts in zip(idx, _vote_counts(layout, d2[idx], possible).tolist()):
+        for i, row_counts in zip(idx, _vote_counts(layout.pairs, d2[idx], possible).tolist()):
             votes[i] = row_counts
             top = max(row_counts)
             if row_counts.count(top) == 1:
@@ -443,45 +454,44 @@ def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> tuple[list,
     return winners, regions, candidates, rows, votes
 
 
-def _vote_counts(layout: PredictionLayout, d2: np.ndarray, possible: tuple[int, ...]) -> np.ndarray:
+def _vote_counts(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) -> np.ndarray:
     """Each row's 1vs1 vote counts among the possible classes (ascending),
     as a rows x len(possible) array in possible's order.
 
-    Counts the group's votes in a fixed number of numpy calls, whatever
-    the number of pairs. The group's pairs are every pair when every class is
-    possible (the whole none region), one span for two classes, or else the
-    spans of combinations(possible, 2) in the layout's pair arrays, laid
-    end to end. One gather takes each pair's distance columns, [cols_a |
-    cols_b], from d2; one divide by the per-column divisors, one exp and
-    one multiply by the coefficients turn them into kernel terms, and one
-    reduceat sums each pair's segment before the biases are added. A
-    decision is thus a segment sum, not a BLAS dot, and may differ from
-    one in the last bits."""
-    if len(possible) == len(layout.columns):
-        pairs, cols, starts = slice(None), slice(None), layout.pair_starts
-    elif len(possible) == 2:  # one pair, one span
-        i = layout.pair_ids[possible]
-        start = int(layout.pair_starts[i])
-        pairs, cols, starts = slice(i, i + 1), slice(start, start + int(layout.pair_sizes[i])), [0]
+    Counts the group's votes in a fixed number of numpy calls, whatever the
+    number of pairs, which are every pair when every class is possible (the
+    whole none region), one span for two classes, or else the spans of
+    combinations(possible, 2) in the table, laid end to end. One gather
+    takes each pair's distance columns, [cols_a | cols_b], from d2; one
+    divide by the per-column divisors, one exp and one multiply by the
+    coefficients turn them into kernel terms, and one reduceat sums each
+    pair's segment before the biases are added. A decision is thus a segment
+    sum, not a BLAS dot, and may differ from one in the last bits."""
+    rows, n = d2.shape[0], len(possible)
+    if n * (n - 1) // 2 == len(table.ids):  # every class of the table
+        pairs, cols, starts = slice(None), slice(None), table.starts
+    elif n == 2:  # one pair, one span
+        i = table.ids[possible]
+        start = int(table.starts[i])
+        pairs, cols, starts = slice(i, i + 1), slice(start, start + int(table.sizes[i])), [0]
     else:
         # the spans of the group's pairs, in sorted key order as
         # combinations gives them, laid end to end
-        pairs = np.array([layout.pair_ids[key] for key in combinations(possible, 2)])
-        sizes = layout.pair_sizes[pairs]
+        pairs = np.array([table.ids[key] for key in combinations(possible, 2)])
+        sizes = table.sizes[pairs]
         stops = np.cumsum(sizes)
         starts = stops - sizes
-        cols = np.repeat(layout.pair_starts[pairs] - starts, sizes)
+        cols = np.repeat(table.starts[pairs] - starts, sizes)
         cols += np.arange(stops[-1])
-    E = np.take(d2, layout.pair_columns[cols], axis=1)
-    E /= layout.pair_divisors[cols]
+    E = np.take(d2, table.columns[cols], axis=1)
+    E /= table.divisors[cols]
     np.exp(E, out=E)
-    E *= layout.pair_coeffs[cols]
+    E *= table.coeffs[cols]
     decisions = np.add.reduceat(E, starts, axis=1)
-    decisions += layout.pair_biases[pairs]
-    labels = layout.pair_labels[pairs]
+    decisions += table.biases[pairs]
+    labels = table.labels[pairs]
     # each row's winners as positions in possible, offset by the row, so one
     # bincount gives every row's votes
-    rows, n = d2.shape[0], len(possible)
     winners = np.searchsorted(possible, np.where(decisions > 0.0, labels[:, 0], labels[:, 1]))
     winners += np.arange(0, rows * n, n)[:, None]
     return np.bincount(winners.ravel(), minlength=rows * n).reshape(rows, n)
@@ -539,7 +549,7 @@ def _settle(model: CilModel, X: np.ndarray, nearest_sv: bool) -> tuple[np.ndarra
                 firsts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
                 for idx in np.split(disputed[by_set], firsts):
                     members = candidates[idx[0]]
-                    counts = _vote_counts(layout, d2[idx], tuple(everyone[members].tolist()))
+                    counts = _vote_counts(layout.pairs, d2[idx], tuple(everyone[members].tolist()))
                     top = counts == counts.max(axis=1, keepdims=True)
                     tied_values = np.where(top, values[idx][:, members], -np.inf)
                     winners[idx] = np.flatnonzero(members)[np.argmax(tied_values, axis=1)]
@@ -659,21 +669,20 @@ def batch_svm_classify(svm: BatchSvm, X: np.ndarray) -> np.ndarray:
     smallest label. DataError unless every row of X has a norm within
     MAX_NORM, as for prediction.
 
-    Per chunk of rows, one squared-distance block per class; a pair's
-    kernel is its two classes' blocks side by side, as in the SD-CIL
-    dispute stage."""
-    X, xx_all = _scale_bounded(np.atleast_2d(np.asarray(X, dtype=float)), None)
-    labels = np.array(sorted(svm.rows))  # ascending, so argmax keeps the smallest on a tie
-    norms = {lbl: squared_norms(rows) for lbl, rows in svm.rows.items()}
-    votes = np.zeros((X.shape[0], labels.size), dtype=int)
+    Every chunk of rows votes as the SD-CIL dispute stage does, through
+    _vote_counts on a PairTable over the class rows stacked in label order."""
+    X, xx = _scale_bounded(np.atleast_2d(np.asarray(X, dtype=float)), None)
+    labels = tuple(sorted(svm.rows))  # ascending, so argmax keeps the smallest on a tie
+    rows = np.vstack([svm.rows[lbl] for lbl in labels])
+    yy = squared_norms(rows)
+    stops = accumulate(len(svm.rows[lbl]) for lbl in labels)
+    table = PairTable.of({lbl: slice(stop - len(svm.rows[lbl]), stop) for lbl, stop in zip(labels, stops)}, svm.pairs)
+    winners = np.empty(X.shape[0], dtype=int)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
-        Xs, xx = X[start:start + _CHUNK_ROWS], xx_all[start:start + _CHUNK_ROWS]
-        d2 = {lbl: squared_distances(Xs, rows, xx=xx, yy=norms[lbl]) for lbl, rows in svm.rows.items()}
-        for clf in svm.pairs.values():
-            K = kernel_from_sqdist(np.hstack((d2[clf.label_a], d2[clf.label_b])), clf.width)
-            winners = np.where(K @ clf.coeffs + clf.bias > 0.0, clf.label_a, clf.label_b)
-            votes[start:start + Xs.shape[0]] += winners[:, None] == labels
-    return labels[np.argmax(votes, axis=1)]
+        chunk = slice(start, start + _CHUNK_ROWS)
+        d2 = squared_distances(X[chunk], rows, xx=xx[chunk], yy=yy)
+        winners[chunk] = np.argmax(_vote_counts(table, d2, labels), axis=1)
+    return np.array(labels)[winners]
 
 
 # --- persistence -------------------------------------------------------------

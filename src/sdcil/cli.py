@@ -122,9 +122,7 @@ def run_trials(
     methods: tuple[str, ...],
     trials: int = 10,
     base_seed: int = 0,
-    config: cil.CilConfig | None = None,
     nu: float | None = None,
-    train_fraction: float = 0.7,
 ) -> dict[str, EvalReport]:
     """Seeded stratified splits, one model per trial, accuracy per method.
 
@@ -134,13 +132,15 @@ def run_trials(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; want one of {METHODS}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     nu = NU_BY_DATASET.get(dataset_name, DEFAULT_NU) if nu is None else nu
-    config = config or bench_cil_config(nu)
+    config = bench_cil_config(nu)
     results: dict[str, list[TrialResult]] = {m: [] for m in methods}
 
     for t in range(trials):
         seed = base_seed + t
-        train, test = stratified_split(ds, SplitSpec(train_fraction, seed=seed))
+        train, test = stratified_split(ds, SplitSpec(0.7, seed=seed))
         need_cil = bool({"sdcil", "ocsvm-nn"} & set(methods))
         if need_cil:
             model, fit_s = _fit_cil(train, config, nu)
@@ -248,6 +248,9 @@ def cmd_train(args) -> int:
     unknown = [l for l in order if l not in ds.class_ids]
     if unknown:
         raise DataError(f"--order names classes not in the data: {unknown}")
+    repeated = sorted({l for l in order if order.count(l) > 1})
+    if repeated:
+        raise DataError(f"--order names classes more than once: {repeated}")
     config = bench_cil_config(args.nu)
     model = cil.new_model(config, scaler)
     _say(f"label ids: {ds.label_names}")
@@ -351,6 +354,9 @@ def cmd_map(args) -> int:
     model = cil.load(args.model)
     if not model.classes or model.classes[0].d != 2:
         raise DataError("map requires a 2-dimensional model")
+    outside = [l for l in model.labels if not 0 <= l <= 65535]  # a PGM sample's range
+    if outside:
+        raise DataError(f"map writes labels as PGM samples, in [0, 65535]; labels {outside} lie outside")
     bounds = tuple(float(v) for v in args.bounds.split(","))
     if len(bounds) != 4 or bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
         raise DataError("--bounds must be xmin,xmax,ymin,ymax with min < max")

@@ -272,7 +272,7 @@ def make_toy(shape: str, n_per_class: int, seed: int = 0) -> LabeledDataset:
 # --- benchmark datasets -----------------------------------------------------
 
 # name -> (dimension, expected row count); waveform is generated, iris is
-# bundled, the rest must be supplied as CSV files (see README).
+# bundled, the rest must be supplied as CSV files (see README.md).
 UCI_DATASETS = {
     "iris": (4, 150),
     "seeds": (7, 210),
@@ -317,7 +317,7 @@ def load_uci(name: str, data_dir: str | Path | None = None) -> LabeledDataset:
 
     iris ships with the package and waveform is generated; seeds, pima and
     transfusion are read from `data_dir` (fetch them once from the UCI
-    repository; see README for URLs and expected formats).
+    repository; README.md gives the file names and shapes).
     """
     name = name.lower()
     if name not in UCI_DATASETS:

@@ -162,8 +162,7 @@ def select_width(
         raise ValueError("candidate list is empty")
     if part.n != X.shape[0]:
         raise ValueError("partition size does not match X_class")
-    d2 = squared_distances(X)  # exactly symmetric
-    np.fill_diagonal(d2, 0.0)
+    d2 = squared_distances(X)  # exactly symmetric, with a 0 diagonal
     edge_mask = np.zeros(X.shape[0], dtype=bool)
     edge_mask[part.edge_indices] = True
     # one kernel buffer for the whole sweep: no solution keeps a view of it,

@@ -55,28 +55,27 @@ def squared_distances(
     caller that reuses X or Y over many calls computes once; the result is
     the same as without them.
 
-    With Y omitted the result is exactly symmetric: numpy computes X @ X.T
-    as a symmetric product for a C- or F-contiguous X, but may not for a
-    strided one, which is therefore copied first.
+    With Y omitted the result is exactly symmetric with a 0 diagonal:
+    numpy computes X @ X.T as a symmetric product for a C- or F-contiguous
+    X, but may not for a strided one, which is therefore copied first.
     """
     X = np.asarray(X, dtype=float)
-    if Y is None:
-        if not (X.flags.c_contiguous or X.flags.f_contiguous):
-            X = np.ascontiguousarray(X)
-        Y = X
-    else:
-        Y = np.asarray(Y, dtype=float)
+    if Y is None and not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    Z = X if Y is None else np.asarray(Y, dtype=float)
     if xx is None:
         xx = squared_norms(X)
     if yy is None:
-        yy = squared_norms(Y)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T)
+        yy = squared_norms(Z)
+    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Z.T)
     np.maximum(d2, 0.0, out=d2)
+    if Y is None:
+        np.fill_diagonal(d2, 0.0)
     return d2
 
 
 def kernel_divisor(s: KernelWidth) -> float:
-    """-2 s^2, which kernel_from_sqdist divides squared distances by.
+    """-2 s^2, which gram_from_sqdist divides squared distances by.
 
     ValueError unless s is a positive finite real whose square does not
     underflow to 0: a kernel at distance 0 would then be exp(0 / 0), NaN."""
@@ -86,27 +85,16 @@ def kernel_divisor(s: KernelWidth) -> float:
     return -2.0 * s * s
 
 
-def kernel_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> np.ndarray:
-    """Kernel values exp(-d2 / (2 s^2)) from precomputed squared distances;
-    kernel_from_sqdist(squared_distances(X, Y), s) is the rectangular kernel
-    matrix k(X_i, Y_j).
+def gram_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> GramMatrix:
+    """Kernel values exp(-d2 / (2 s^2)) from precomputed squared distances,
+    so gram_from_sqdist(squared_distances(X, Y), s).values is k(X_i, Y_j).
 
     A divide, then an exp in place. With out, an array of d2's shape, the
-    values are written into out, which is returned, so a caller can reuse
-    one buffer; the width is checked before out is touched."""
+    values are written into out, which a width sweep reuses for every
+    candidate; the width is checked before out is touched."""
     K = np.divide(d2, kernel_divisor(s), out=out)
     np.exp(K, out=K)
-    return K
-
-
-def gram_from_sqdist(d2: np.ndarray, s: KernelWidth, out: np.ndarray | None = None) -> GramMatrix:
-    """kernel_from_sqdist(d2, s, out) as a GramMatrix.
-
-    Width-selection sweeps call this once per candidate so the O(n^2 d)
-    distance work is shared across the grid, and pass one out buffer for
-    every candidate.
-    """
-    return GramMatrix(values=kernel_from_sqdist(d2, s, out))
+    return GramMatrix(values=K)
 
 
 def gram(X: np.ndarray, s: KernelWidth) -> np.ndarray:
@@ -114,9 +102,7 @@ def gram(X: np.ndarray, s: KernelWidth) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("X must be a non-empty n x d matrix")
-    d2 = squared_distances(X)
-    np.fill_diagonal(d2, 0.0)
-    return kernel_from_sqdist(d2, s)
+    return gram_from_sqdist(squared_distances(X), s).values
 
 
 def _median_pairwise_distance(X: np.ndarray) -> float:

@@ -135,7 +135,6 @@ def train_pair(
         fold_of = np.arange(n)
 
     d2 = squared_distances(X)
-    np.fill_diagonal(d2, 0.0)
 
     # the fold index sets depend on neither width nor C. Each fold has both
     # classes on each side: a stratified fold gets at least 2 rows of each

@@ -31,7 +31,7 @@ import numpy as np
 
 from sdcil import cil
 from sdcil.geometry import _NORMAL_EPS, BoundaryPartition, CandidateRecord, WidthSelection, _nearest_neighbours
-from sdcil.kernels import kernel_divisor, kernel_from_sqdist, squared_distances, squared_norms
+from sdcil.kernels import gram_from_sqdist, kernel_divisor, squared_distances, squared_norms
 from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
 from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN, solve_ocsvm_dual
 
@@ -64,13 +64,13 @@ def class_values(model, Xs: np.ndarray, xx: np.ndarray | None = None) -> np.ndar
     xx, when given, is squared_norms(Xs)."""
     Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
     d2 = squared_distances(Xs, model.support_vectors, xx=xx)
-    return kernel_from_sqdist(d2, model.width) @ model.sv_alphas - model.rho
+    return gram_from_sqdist(d2, model.width).values @ model.sv_alphas - model.rho
 
 
 def pair_decisions(clf, d2_a: np.ndarray, d2_b: np.ndarray) -> np.ndarray:
     """A dispute classifier's decisions for rows whose squared distances to
     its two classes' vectors are d2_a and d2_b; positive favors label_a."""
-    return kernel_from_sqdist(np.concatenate((d2_a, d2_b), axis=1), clf.width) @ clf.coeffs + clf.bias
+    return gram_from_sqdist(np.concatenate((d2_a, d2_b), axis=1), clf.width).values @ clf.coeffs + clf.bias
 
 
 def registry_pair_decisions(model, key: tuple[int, int], Xs: np.ndarray) -> np.ndarray:
@@ -328,14 +328,14 @@ def reference_batch_svm(svm, X) -> np.ndarray:
         chunk = slice(start, start + cil._CHUNK_ROWS)
         for clf in svm.pairs.values():
             vectors = np.vstack((svm.rows[clf.label_a], svm.rows[clf.label_b]))
-            decision = kernel_from_sqdist(squared_distances(X[chunk], vectors), clf.width) @ clf.coeffs + clf.bias
+            decision = gram_from_sqdist(squared_distances(X[chunk], vectors), clf.width).values @ clf.coeffs + clf.bias
             votes[chunk] += np.where(decision > 0.0, clf.label_a, clf.label_b)[:, None] == labels
     return labels[np.argmax(votes, axis=1)]
 
 
 def reference_select_width(X_class, nu, candidates, part, cfg, class_label=0) -> WidthSelection:
     """geometry.select_width as it was before the sweep reused one kernel
-    buffer: a fresh kernel_from_sqdist matrix per candidate, and each edge
+    buffer: a fresh gram_from_sqdist matrix per candidate, and each edge
     point's gap to its nearest support vector taken along the edge rows of
     an np.ix_ block. Pins the sweep's records, choice and model exactly."""
     X = np.asarray(X_class, dtype=float)
@@ -345,7 +345,7 @@ def reference_select_width(X_class, nu, candidates, part, cfg, class_label=0) ->
     edge_mask[part.edge_indices] = True
     records, solutions = [], []
     for s in sorted(float(s) for s in candidates):
-        sol = solve_ocsvm_dual(kernel_from_sqdist(d2, s), nu, cfg)
+        sol = solve_ocsvm_dual(gram_from_sqdist(d2, s).values, nu, cfg)
         solutions.append(sol)
         if not sol.converged:
             nan = float("nan")

@@ -420,8 +420,8 @@ class TestPredict:
 
 def segment(layout: cil.PredictionLayout, key) -> slice:
     """Pair key's span of the layout's pair arrays."""
-    i = layout.pair_ids[key]
-    return slice(layout.pair_starts[i], layout.pair_starts[i] + layout.pair_sizes[i])
+    i = layout.pairs.ids[key]
+    return slice(layout.pairs.starts[i], layout.pairs.starts[i] + layout.pairs.sizes[i])
 
 
 def stacked_columns(layout: cil.PredictionLayout, key) -> list[int]:
@@ -488,10 +488,11 @@ class TestSharedDistances:
             for lbl, v in before.ocsvm_values.items():
                 assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
 
-    @staticmethod
-    def _layout_bytes(layout):
+    @classmethod
+    def _layout_bytes(cls, layout):
         return tuple(
-            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in layout
+            cls._layout_bytes(v) if isinstance(v, cil.PairTable)
+            else (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in layout
         )
 
     @classmethod
@@ -509,14 +510,16 @@ class TestSharedDistances:
             sq_norms=np.concatenate([(m.support_vectors * m.support_vectors).sum(axis=1) for m in model.classes]),
             divisors=np.concatenate([np.full(m.m, -2.0 * m.width * m.width) for m in model.classes]),
             rhos=np.array([m.rho for m in model.classes]),
-            pair_ids={key: i for i, key in enumerate(keys)},
-            pair_columns=np.concatenate([np.r_[columns[a], columns[b]] for a, b in keys]),
-            pair_divisors=np.concatenate([np.full(p.coeffs.size, -2.0 * p.width * p.width) for p in pairs]),
-            pair_coeffs=np.concatenate([p.coeffs for p in pairs]),
-            pair_starts=np.array([0, *np.cumsum(sizes)[:-1]]),
-            pair_sizes=np.array(sizes),
-            pair_biases=np.array([p.bias for p in pairs]),
-            pair_labels=np.array(keys),
+            pairs=cil.PairTable(
+                ids={key: i for i, key in enumerate(keys)},
+                columns=np.concatenate([np.r_[columns[a], columns[b]] for a, b in keys]),
+                divisors=np.concatenate([np.full(p.coeffs.size, -2.0 * p.width * p.width) for p in pairs]),
+                coeffs=np.concatenate([p.coeffs for p in pairs]),
+                starts=np.array([0, *np.cumsum(sizes)[:-1]]),
+                sizes=np.array(sizes),
+                biases=np.array([p.bias for p in pairs]),
+                labels=np.array(keys),
+            ),
         ))
 
     def test_sv_norms_are_not_saved(self, blob_model_and_split, tmp_path):
@@ -532,9 +535,11 @@ class TestSharedDistances:
         layout = other.layout
         object.__setattr__(other, "layout", layout._replace(
             sq_norms=np.zeros_like(layout.sq_norms), divisors=np.ones_like(layout.divisors),
-            pair_columns=layout.pair_columns[::-1].copy(), pair_divisors=np.ones_like(layout.pair_divisors),
-            pair_coeffs=np.zeros_like(layout.pair_coeffs), pair_biases=np.ones_like(layout.pair_biases),
-            pair_labels=layout.pair_labels[:, ::-1].copy(),
+            pairs=layout.pairs._replace(
+                columns=layout.pairs.columns[::-1].copy(), divisors=np.ones_like(layout.pairs.divisors),
+                coeffs=np.zeros_like(layout.pairs.coeffs), biases=np.ones_like(layout.pairs.biases),
+                labels=layout.pairs.labels[:, ::-1].copy(),
+            ),
         ))
         assert self._layout_bytes(other.layout) != self._derived_layout_bytes(model)
         assert [cil.class_payload(m) for m in other.classes] == [cil.class_payload(m) for m in model.classes]
@@ -561,22 +566,22 @@ class TestSharedDistances:
         model = random_registry(np.random.default_rng(seed), k, d)
         layout = model.layout
         svs = np.vstack([m.support_vectors for m in model.classes])
-        assert list(layout.pair_ids) == sorted(model.pair_table)
+        assert list(layout.pairs.ids) == sorted(model.pair_table)
         stop = 0
-        for key, i in layout.pair_ids.items():
+        for key, i in layout.pairs.ids.items():
             clf = model.pair_table[key]
-            assert (layout.pair_starts[i], layout.pair_sizes[i]) == (stop, clf.coeffs.size)
+            assert (layout.pairs.starts[i], layout.pairs.sizes[i]) == (stop, clf.coeffs.size)
             span = slice(stop, stop + clf.coeffs.size)
             assert span == segment(layout, key)
-            assert layout.pair_columns[span].tolist() == stacked_columns(layout, key)
-            assert layout.pair_coeffs[span].tobytes() == clf.coeffs.tobytes()
-            assert np.all(layout.pair_divisors[span] == -2.0 * clf.width * clf.width)
-            assert layout.pair_biases[i] == clf.bias
-            assert tuple(layout.pair_labels[i].tolist()) == key
+            assert layout.pairs.columns[span].tolist() == stacked_columns(layout, key)
+            assert layout.pairs.coeffs[span].tobytes() == clf.coeffs.tobytes()
+            assert np.all(layout.pairs.divisors[span] == -2.0 * clf.width * clf.width)
+            assert layout.pairs.biases[i] == clf.bias
+            assert tuple(layout.pairs.labels[i].tolist()) == key
             stop = span.stop
-        assert stop == layout.pair_columns.size == (k - 1) * svs.shape[0]
-        for name in ("pair_divisors", "pair_coeffs"):
-            assert getattr(layout, name).shape == layout.pair_columns.shape
+        assert stop == layout.pairs.columns.size == (k - 1) * svs.shape[0]
+        for name in ("divisors", "coeffs"):
+            assert getattr(layout.pairs, name).shape == layout.pairs.columns.shape
 
     def test_pair_needs_a_coefficient_per_vector(self):
         # one short pair would shift every later pair's segment
@@ -864,6 +869,14 @@ class TestBatchSvm:
         Xt = scaler.transform(test.features)  # 135 rows, and 300 more: two chunks
         Xt = np.vstack([Xt, np.random.default_rng(0).normal(scale=2.0, size=(300, Xt.shape[1]))])
         assert np.array_equal(cil.batch_svm_classify(svm, Xt), reference_batch_svm(svm, Xt))
+
+    def test_one_class_and_empty_input_give_int64_labels(self, blobs_svm):
+        # a one-class table has no pair to vote with: every row takes its class
+        one = cil.BatchSvm(rows={5: blobs_svm.rows[0]}, pairs={})
+        out = cil.batch_svm_classify(one, np.zeros((3, 2)))
+        assert out.dtype == np.int64 and out.tolist() == [5, 5, 5]
+        out = cil.batch_svm_classify(blobs_svm, np.empty((0, 2)))
+        assert out.dtype == np.int64 and out.shape == (0,)
 
     def test_one_shot_convenience(self):
         train, _ = blob_split(npc=30)
@@ -1194,7 +1207,7 @@ class TestPersistence:
             # a pair holds coefficients only, which follow its two classes'
             # SVs: the layout reads their distance columns side by side
             layout = loaded.layout
-            assert layout.pair_columns[segment(layout, key)].tolist() == stacked_columns(layout, key)
+            assert layout.pairs.columns[segment(layout, key)].tolist() == stacked_columns(layout, key)
             assert loaded.pair_table[key].coeffs.tobytes() == clf.coeffs.tobytes()
 
     @pytest.mark.parametrize("flag", [False, None])
@@ -1237,7 +1250,7 @@ class TestPersistence:
         layout = model.layout
         for e in raw["pairs"]:
             key = (e["a"], e["b"])
-            assert svs[layout.pair_columns[segment(layout, key)]].tolist() == e["vectors"]
+            assert svs[layout.pairs.columns[segment(layout, key)]].tolist() == e["vectors"]
             assert model.pair_table[key].coeffs.tolist() == e["coeffs"]
 
     def test_v1_file_resaves_as_current_version(self, tmp_path):

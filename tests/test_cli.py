@@ -11,8 +11,9 @@ import pytest
 
 from conftest import V1_MODEL, random_registry
 from sdcil import cil
-from sdcil.cli import EXIT_INPUT, EXIT_OK, EvalReport, TrialResult, main, map_grid
-from sdcil.dataset import LabeledDataset, load_csv, make_toy, save_csv
+from oracles import reference_batch_svm
+from sdcil.cli import EXIT_INPUT, EXIT_OK, EXIT_TRAINING, EvalReport, TrialResult, bench_cil_config, main, map_grid
+from sdcil.dataset import LabeledDataset, SplitSpec, fit_standardize, load_csv, make_toy, save_csv, stratified_split
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -53,6 +54,29 @@ class TestTrain:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert run("train", tmp_path / "nope.csv", "--out", tmp_path / "m.json") == EXIT_INPUT
+
+    @pytest.mark.parametrize("order, message", [
+        ("0,zzz", "unknown class label 'zzz'"),
+        ("0,7", "--order names classes not in the data: [7]"),
+        ("0,1,0", "--order names classes more than once: [0]"),
+    ])
+    def test_bad_order_rejected_before_training(self, blobs_csv, tmp_path, capsys, order, message):
+        out = tmp_path / "m.json"
+        assert run("train", blobs_csv, "--out", out, "--order", order) == EXIT_INPUT
+        text, err = capsys.readouterr()
+        assert message in err
+        assert "width=" not in text  # no class trained
+        assert not out.exists()
+
+    def test_training_failure_exit_code(self, blobs_csv, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver gave up")
+
+        monkeypatch.setattr(cil, "add_class", fail)
+        out = tmp_path / "m.json"
+        assert run("train", blobs_csv, "--out", out) == EXIT_TRAINING
+        assert "training error: solver gave up" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFileErrors:
@@ -207,6 +231,14 @@ class TestAddClass:
 
 
 class TestPredictCmd:
+    def test_wrong_column_count_exit_code(self, blobs_csv, tmp_path, capsys):
+        model_p = tmp_path / "m.json"
+        run("train", blobs_csv, "--out", model_p)
+        data = tmp_path / "one.csv"
+        data.write_text("0.5\n1.5\n")
+        assert run("predict", model_p, data) == EXIT_INPUT
+        assert "model expects 2 features, file has 1 columns" in capsys.readouterr().err
+
     def test_labeled_file_reports_accuracy(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p)
@@ -327,6 +359,28 @@ class TestPredictCmd:
 
 
 class TestEvaluate:
+    def test_batch_svm_trial(self, blobs_csv, tmp_path, capsys):
+        """A batch-svm trial runs to completion, and its accuracy is that of
+        the stacked reference on the trial's split."""
+        out = tmp_path / "rep.csv"
+        assert run("evaluate", blobs_csv, "--method", "batch-svm", "--trials", "1", "--seed", "4",
+                   "--out", out) == EXIT_OK
+        assert "batch-svm on blobs: " in capsys.readouterr().out
+        with open(out) as f:
+            (row,) = list(csv.DictReader(f))
+        train, test = stratified_split(load_csv(blobs_csv), SplitSpec(0.7, seed=4))
+        scaler, std = fit_standardize(train)
+        cfg = bench_cil_config(0.2)
+        svm = cil.train_batch_svm(std, cfg.cv, cfg.solver)
+        labels = reference_batch_svm(svm, scaler.transform(test.features))
+        assert float(row["accuracy"]) == float(np.sum(labels == test.labels)) / test.n
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exit_code(self, blobs_csv, capsys, trials):
+        assert run("evaluate", blobs_csv, "--method", "knn", "--trials", trials) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert f"error: need at least one trial, got {trials}" in err and "percent" not in out
+
     def test_deterministic_given_seed(self, blobs_csv, tmp_path, capsys):
         r1 = tmp_path / "r1.csv"
         r2 = tmp_path / "r2.csv"
@@ -441,6 +495,47 @@ class TestMap:
                    "--out", prefix) == EXIT_OK
         assert (tmp_path / "one_labels.pgm").exists()
 
+    @pytest.mark.parametrize("bounds, res", [
+        ("1,0,0,1", "4,4"), ("0,1,0", "4,4"), ("0,1,a,1", "4,4"),
+        ("0,1,0,1", "0,4"), ("0,1,0,1", "4"), ("0,1,0,1", "4,x"),
+    ])
+    def test_bad_bounds_or_res_exit_code(self, model_path, tmp_path, capsys, bounds, res):
+        assert run("map", model_path, f"--bounds={bounds}", "--res", res, "--out", tmp_path / "x") == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _with_class(blobs_csv, tmp_path, label) -> Path:
+        """A model of classes 0 and 1 of the blobs, plus their class 2 as label."""
+        model_p = tmp_path / "m.json"
+        assert run("train", blobs_csv, "--out", model_p, "--order", "0,1") == EXIT_OK
+        rows = tmp_path / "rows.csv"
+        with open(rows, "w", newline="") as f:
+            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)])
+        assert run("add-class", model_p, rows, "--label", label) == EXIT_OK
+        return model_p
+
+    @pytest.mark.parametrize("label", ["-3", "65536", "70000"])
+    def test_label_outside_pgm_range_exit_code(self, blobs_csv, tmp_path, capsys, label):
+        model_p = self._with_class(blobs_csv, tmp_path, label)
+        capsys.readouterr()
+        prefix = tmp_path / "map"
+        assert run("map", model_p, "--bounds=-3,9,-3,9", "--res", "4,4", "--out", prefix) == EXIT_INPUT
+        assert f"labels [{label}] lie outside" in capsys.readouterr().err
+        assert not list(tmp_path.glob("map_*"))
+
+    def test_in_range_labels_write_rasters(self, blobs_csv, tmp_path):
+        """Labels up to 65535 pass, and the rasters hold map_grid's cells
+        as plain PGM text, maxval the largest label shown."""
+        model_p = self._with_class(blobs_csv, tmp_path, "65535")
+        prefix = tmp_path / "map"
+        assert run("map", model_p, "--bounds=-3,9,-3,9", "--res", "7,5", "--out", prefix) == EXIT_OK
+        labels, regions, _, _ = map_grid(cil.load(model_p), (-3.0, 9.0, -3.0, 9.0), (7, 5))
+        assert labels.max() == 65535
+        for raster, maxval, name in ((labels, 65535, "labels"), (regions, 2, "regions")):
+            text = f"P2\n7 5\n{maxval}\n" + "".join(" ".join(map(str, row)) + "\n" for row in raster.tolist())
+            assert (tmp_path / f"map_{name}.pgm").read_bytes() == text.encode("ascii")
+
     def test_wrong_dimension_exit(self, tmp_path):
         p = tmp_path / "hi_d.csv"
         rng = np.random.default_rng(0)
@@ -455,6 +550,12 @@ class TestMap:
 
 
 class TestBenchAndGenerate:
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bench_no_trials_exit_code(self, tmp_path, capsys, trials):
+        assert run("bench", "--datasets", tmp_path, "--methods", "knn", "--trials", trials) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert f"error: need at least one trial, got {trials}" in err and "percent" not in out
+
     def test_generate_shapes(self, tmp_path):
         out = tmp_path / "rings.csv"
         assert run("generate", "--shape", "rings", "--n-per-class", "50",

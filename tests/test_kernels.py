@@ -11,7 +11,6 @@ from sdcil.kernels import (
     gram,
     gram_from_sqdist,
     kernel_divisor,
-    kernel_from_sqdist,
     squared_distances,
 )
 
@@ -108,6 +107,8 @@ class TestGram:
         K = gram(X, 1.5)
         assert np.array_equal(D, D.T)
         assert np.array_equal(K, K.T)
+        # a row's distance to itself is exactly 0, so its kernel exactly 1
+        assert not np.diag(D).any() and np.all(np.diag(K) == 1.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n,s", [(30, 0.3), (120, 1.0), (200, 5.0)])
@@ -119,7 +120,7 @@ class TestGram:
     def test_kernel_from_sqdist_rectangular(self):
         rng = np.random.default_rng(11)
         X, Y = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
-        K = kernel_from_sqdist(squared_distances(X, Y), 0.8)
+        K = gram_from_sqdist(squared_distances(X, Y), 0.8).values
         assert K.shape == (6, 4)
         assert K[2, 3] == pytest.approx(gaussian(X[2], Y[3], 0.8), abs=1e-14)
 
@@ -168,7 +169,7 @@ def test_gram_matrix_is_frozen_value():
     d2 = np.array([[0.0, 2.0], [2.0, 0.0]])
     g = gram_from_sqdist(d2, 1.0)
     assert isinstance(g, GramMatrix)
-    assert np.array_equal(g.values, kernel_from_sqdist(d2, 1.0))
+    assert np.array_equal(g.values, np.exp(d2 / -2.0))
     with pytest.raises(AttributeError):
         g.values = np.eye(2)
 
@@ -182,10 +183,10 @@ def test_gram_into_buffer_is_the_buffer():
         g = gram_from_sqdist(d2, s, out=buf)
         assert g.values is buf
         assert g.values.tobytes() == np.exp(d2 / (-2.0 * s * s)).tobytes()
-        assert g.values.tobytes() == kernel_from_sqdist(d2, s).tobytes()
+        assert g.values.tobytes() == gram_from_sqdist(d2, s).values.tobytes()
 
 
-@pytest.mark.parametrize("fn", [kernel_from_sqdist, gram_from_sqdist])
+@pytest.mark.parametrize("fn", [gram_from_sqdist])
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-200])
 def test_kernel_into_buffer_rejects_bad_width_untouched(fn, bad):
     d2 = np.array([[0.0, 2.0], [2.0, 0.0]])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_bias, reference_smo
 from sdcil import cil, smo
 from sdcil.cli import EXIT_OK, main
-from sdcil.kernels import gram, kernel_from_sqdist, squared_distances
+from sdcil.kernels import gram, gram_from_sqdist, squared_distances
 from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
 TIGHT = SolverConfig(kkt_tolerance=1e-7)
@@ -115,7 +115,7 @@ class TestBinaryDual:
         assert sol.converged
         assert sol.alphas[0] == pytest.approx(sol.alphas[1], rel=1e-9)
         # decision at the midpoint of the two points sits on the boundary
-        kmid = kernel_from_sqdist(squared_distances(np.array([[1.0, 0.0]]), X), 1.0)[0]
+        kmid = gram_from_sqdist(squared_distances(np.array([[1.0, 0.0]]), X), 1.0).values[0]
         dec = kmid @ (sol.alphas * y) + sol.offset
         assert abs(dec) < 1e-7
 
