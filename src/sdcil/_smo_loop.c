@@ -1,9 +1,10 @@
 /* The SMO loop of sdcil.smo, compiled.
  *
- * It makes the numpy loop's picks with the same float64 operations in the
- * same order, so every output is byte-equal to it: first index on ties and
- * NaN first, as numpy's argmax and argmin; Python's max and min for eta and
- * t; r[k] -= (K_i[k] - K_j[k]) * t. Build it with -ffp-contract=off, never
+ * It makes the picks of smo._reference_smo, the loop as first merged, with
+ * the same float64 operations in the same order, so every output is
+ * byte-equal to that loop's: first index on ties and NaN first, as numpy's
+ * argmax and argmin; Python's max and min for eta and t;
+ * r[k] -= (K_i[k] - K_j[k]) * t. Build it with -ffp-contract=off, never
  * -ffast-math: a fused multiply-add rounds that update once, not twice.
  *
  * One pass over the n entries per iteration: the pass that updates r also

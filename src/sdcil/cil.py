@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataError, LabeledDataset, Scaler
+from .dataset import STD_EPSILON, DataError, LabeledDataset, Scaler
 from .geometry import DEFAULT_SIDE_THRESHOLD, beps_partition, default_k_neighbors, select_width
 from .kernels import candidate_widths, kernel_divisor, squared_distances, squared_norms
 from .ocsvm import NU_SOFT_RANGE, OcsvmModel
@@ -839,7 +839,9 @@ def load(path: str | Path) -> CilModel:
     Building the model checks that the labels are int64, the pair table
     holds one pair per two classes, and each pair has one coefficient per
     support vector of its two classes. Support vectors must have norms within
-    MAX_NORM, so that no prediction computes Inf - Inf."""
+    MAX_NORM, so that no prediction computes Inf - Inf. Scaler std entries
+    must be at least STD_EPSILON, the floor fit_standardize gives a constant
+    column: a smaller one overflows the rows it scales."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -861,6 +863,11 @@ def load(path: str | Path) -> CilModel:
                 std=np.array(raw["scaler"]["std"], dtype=float),
                 constant_columns=tuple(raw["scaler"]["constant_columns"]),
             )
+            if not np.all(scaler.std >= STD_EPSILON):
+                raise ModelFormatError(
+                    f"malformed model file {path}: a scaler std entry is below {STD_EPSILON:g}, "
+                    "the floor of a fitted scaler"
+                )
         classes = tuple(_ocsvm_from_entry(e, version) for e in raw["classes"])
         dims = {m.support_vectors.shape[1:] for m in classes}
         if scaler is not None:

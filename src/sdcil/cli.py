@@ -225,6 +225,14 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
+def _warn_unconverged(model, label: int) -> None:
+    """One stderr line for each pair of class label whose refit did not
+    converge; unknown (None, from a version-1 file) is not flagged."""
+    for key in sorted(model.pair_table):
+        if label in key and model.pair_table[key].converged is False:
+            print(f"warning: pair {key}: the refit did not converge", file=sys.stderr)
+
+
 def _check_out(path) -> None:
     """DataError unless path names a file in an existing directory, so that a
     command learns of a bad output path before it trains."""
@@ -263,6 +271,7 @@ def cmd_train(args) -> int:
             f"class {label}: width={m.width:.5g} sv_fraction={frac:.3f} "
             f"({m.m}/{m.train_count} SVs) in {time.perf_counter() - t0:.2f}s"
         )
+        _warn_unconverged(model, label)
     cil.save(model, args.out)
     _say(f"{len(model.classes)} classes, {len(model.pair_table)} pairwise classifiers -> {args.out}")
     return EXIT_OK
@@ -276,6 +285,7 @@ def cmd_add_class(args) -> int:
     t0 = time.perf_counter()
     model = cil.add_class(model, args.label, X, args.nu)
     dt = time.perf_counter() - t0
+    _warn_unconverged(model, args.label)
     cil.save(model, out)
     k = len(model.classes)
     _say(f"added class {args.label} in {dt:.2f}s (+1 model, +{k - 1} pairs) -> {out}")

@@ -22,29 +22,26 @@ computes r from its start point, the loop picks its pairs from r and
 updates it in place, the offset is read from r, and the objective reads G
 back as -y*r, which is exactly G because y is +-1.
 
-The loop itself runs in C: _smo_loop.c, called through ctypes. It makes the
-numpy loop's picks with the same float64 operations in the same order, so
-both loops give byte-equal alphas, KKT vectors, iteration counts and
-violations. It is compiled on the first solve, never on import, with
-`cc -O2 -ffp-contract=off -fPIC -shared` (or $CC): no -ffast-math, no
--march=native and no fused multiply-add, each of which would change the
-rounding. The library is cached in $XDG_CACHE_HOME/sdcil or ~/.cache/sdcil,
-named by the sha256 of the source and the flags, and written atomically;
-a cached file that does not load is rebuilt. When neither directory can
-hold it, it is built in a private temporary directory, which is removed
-once the library is loaded. With no compiler, a failed build or a library
-that will not load, the numpy loop runs instead.
+The loop runs in C: _smo_loop.c, called through ctypes. It makes the picks
+of _reference_smo, the loop as first merged, with the same float64
+operations in the same order, so both loops give byte-equal alphas, KKT
+vectors, iteration counts and violations. It is compiled on the first
+solve, never on import, with `cc -O2 -ffp-contract=off -fPIC -shared` (or
+$CC): no -ffast-math, no -march=native and no fused multiply-add, each of
+which would change the rounding. The library is cached in
+$XDG_CACHE_HOME/sdcil or ~/.cache/sdcil, named by the sha256 of the source
+and the flags, and written atomically; a cached file that does not load is
+rebuilt. When neither directory can hold it, it is built in a private
+temporary directory, removed once the library is loaded. With no compiler,
+a failed build or a library that will not load, _reference_smo runs
+instead: the same models, several times slower.
 
-One iteration of the numpy loop costs a few numpy calls. The index sets
-I_up and I_low are built once, as penalty vectors added to the gradient
-term, and a step updates only the two entries it moved. The gradient update
-reads the contiguous rows K_i and K_j rather than the strided columns, so K
-must be exactly symmetric; kernels.gram builds it so. An iteration of the C
-loop makes one pass over the n entries, not an argmax, an argmin and an
-update pass: the pass that applies a step to r also finds the next pair,
-the first max of r + up and the first min of r + low, so only the first
-pick scans r on its own. The picks and the violation a max_passes stop
-reports, the one read before the last step, are the numpy loop's.
+Each iteration of _reference_smo rebuilds the I_up and I_low penalties,
+picks with an argmax and an argmin, and updates r from the columns K_i and
+K_j. An iteration of the C loop makes one pass over the n entries: the pass
+that applies a step to r, from the rows K_i and K_j (so K must be exactly
+symmetric, as kernels.gram builds it), also finds the next pair, so only
+the first pick scans r on its own.
 
 An iteration of the C loop costs well under a microsecond on the small pair
 cross-validation problems, which take some 20 iterations each, so a binary
@@ -53,9 +50,8 @@ vector, the ctypes call, the offset and the objective. Each takes a few
 numpy calls. The labels are checked as one Python set. A start's min and
 max carry its NaN and Inf check. A zero start's KKT vector is y itself, as
 its gradient is exactly -1 (K must be finite). One scratch array holds the
-loop's penalty vectors and its violation, and _bias reduces through ndarray
-methods; tests/oracles.py holds the reference copy it must match bit for
-bit.
+C loop's penalty vectors and its violation, and _bias reduces through
+ndarray methods, bit for bit as tests/oracles.py::reference_bias.
 """
 
 from __future__ import annotations
@@ -126,82 +122,60 @@ def _smo(
     Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
     """Minimize from the feasible point alpha, whose KKT vector is r = -y*G,
-    with the C loop, or with the numpy loop when the C loop cannot be built
-    or loaded. Both have _numpy_smo's contract and give the same bytes."""
+    with the C loop, or with _reference_smo when the C loop cannot be built
+    or loaded. Both have _reference_smo's contract and give the same bytes."""
     loop = _compiled_loop()
     if loop is None:
-        return _numpy_smo(Kv, y, C, alpha, r, cfg)
+        return _reference_smo(Kv, y, C, alpha, r, cfg)
     return _compiled_smo(loop, Kv, y, C, alpha, r, cfg)
 
 
-def _numpy_smo(
+def _reference_smo(
     Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
     """Minimize from the feasible point alpha, whose KKT vector is r = -y*G,
-    in numpy.
+    with the SMO loop as first merged.
 
-    Kv must be exactly symmetric: the gradient update reads rows of Kv where
-    the update formula has columns. alpha and r are updated in place. Returns
-    the iteration count and the final KKT violation: max of r over I_up
-    minus min of r over I_low. As y is +-1, r -= t*(K_i - K_j) rounds
-    exactly like G += y*(t*(K_i - K_j)) followed by r = -y*G.
-
-    I_up and I_low are kept as penalty vectors added to r: -0.0 (the exact
-    additive identity, so r + -0.0 is r bit for bit) for a member and an
-    infinity otherwise. A step moves only alpha_i and alpha_j, so only those
-    two entries of each penalty change. The scalar work runs on Python
-    floats, which round like numpy's float64.
+    alpha and r are updated in place. Returns the iteration count and the
+    final KKT violation: max of r over I_up minus min of r over I_low. Each
+    set is a penalty added to r: -0.0 for a member (r + -0.0 is r bit for
+    bit) and an infinity otherwise, so a NaN in r is picked first.
     """
-    C = float(C)
-    hi = C - BOUND_MARGIN
     pos = y > 0
-    can_inc = alpha < hi
-    can_dec = alpha > BOUND_MARGIN
-    up = np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
-    low = np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
-    ri, rj, step = np.empty_like(r), np.empty_like(r), np.empty_like(r)
-    a, ys, diag = alpha.tolist(), y.tolist(), Kv.diagonal().tolist()
-    tol = cfg.kkt_tolerance
     max_iter = cfg.resolve_max_passes(y.shape[0])
     it = 0
     violation = np.inf
     while it < max_iter:
-        np.add(r, up, out=ri)
-        np.add(r, low, out=rj)
-        i = int(ri.argmax())
-        j = int(rj.argmin())
-        violation = ri.item(i) - rj.item(j)
-        if violation <= tol:
+        can_inc = alpha < C - BOUND_MARGIN
+        can_dec = alpha > BOUND_MARGIN
+        ri = r + np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
+        rj = r + np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
+        i = int(np.argmax(ri))
+        j = int(np.argmin(rj))
+        violation = float(ri[i] - rj[j])
+        if violation <= cfg.kkt_tolerance:
             break
-        eta = max(diag[i] + diag[j] - 2.0 * Kv.item(i, j), _CURVATURE_FLOOR)
+        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
         # move along u = y_i e_i - y_j e_j, which keeps y'a fixed
-        yi, yj, ai, aj = ys[i], ys[j], a[i], a[j]
-        room_i = C - ai if yi > 0 else ai
-        room_j = aj if yj > 0 else C - aj
+        yi, yj = y[i], y[j]
+        room_i = C - alpha[i] if yi > 0 else alpha[i]
+        room_j = alpha[j] if yj > 0 else C - alpha[j]
         t = min(violation / eta, room_i, room_j)
-        ai += yi * t
-        aj -= yj * t
+        alpha[i] += yi * t
+        alpha[j] -= yj * t
         if t == room_i:
-            ai = C if yi > 0 else 0.0
+            alpha[i] = C if yi > 0 else 0.0
         if t == room_j:
-            aj = 0.0 if yj > 0 else C
-        a[i], a[j] = ai, aj
-        for k, ak, yk in ((i, ai, yi), (j, aj, yj)):
-            inc, dec = ak < hi, ak > BOUND_MARGIN
-            up[k] = -0.0 if (inc if yk > 0 else dec) else -np.inf
-            low[k] = -0.0 if (dec if yk > 0 else inc) else np.inf
-        np.subtract(Kv[i], Kv[j], out=step)
-        step *= t
-        r -= step
+            alpha[j] = 0.0 if yj > 0 else C
+        r -= t * (Kv[:, i] - Kv[:, j])
         it += 1
-    alpha[:] = a
     return it, violation
 
 
 def _compiled_smo(
     loop, Kv: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, r: np.ndarray, cfg: SolverConfig
 ) -> tuple[int, float]:
-    """_numpy_smo through the C loop from _compiled_loop, with its contract.
+    """_reference_smo's contract through the C loop from _compiled_loop.
 
     The loop reads raw addresses, so Kv, y, alpha and r are copied unless
     they are C-contiguous float64 already, and alpha and r are written back

@@ -11,11 +11,10 @@ floating-point resolution.
 The rest are references that package code is held to: `gaussian`, the
 kernel from its definition; `class_values` and `pair_decisions`, one class
 model's values and one dispute classifier's decisions, each a kernel block
-times its coefficients; `reference_smo`, the package's SMO loop as first
-merged; `reference_bias`, its offset recovery as first merged;
-`reference_details`, its prediction path before the fused kernel
-passes; `reference_batch_svm`, the batch-SVM baseline with one stacked
-kernel product per pair; `reference_select_width`, the width sweep
+times its coefficients; `reference_bias`, the package's offset recovery as
+first merged; `reference_details`, its prediction path before the fused
+kernel passes; `reference_batch_svm`, the batch-SVM baseline with one
+stacked kernel product per pair; `reference_select_width`, the width sweep
 with a fresh kernel matrix per candidate and the covering gaps read along
 the edge rows; and `reference_beps_partition`, the edge partition with
 one loop iteration per row.
@@ -33,7 +32,7 @@ from sdcil import cil
 from sdcil.geometry import _NORMAL_EPS, BoundaryPartition, CandidateRecord, WidthSelection, _nearest_neighbours
 from sdcil.kernels import gram_from_sqdist, kernel_divisor, squared_distances, squared_norms
 from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
-from sdcil.smo import _CURVATURE_FLOOR, BOUND_MARGIN, solve_ocsvm_dual
+from sdcil.smo import BOUND_MARGIN, solve_ocsvm_dual
 
 MAX_ITERS = 100_000
 # consecutive-iterate displacement below this (sup-norm) counts as a fixed
@@ -177,50 +176,6 @@ def pgd_binary_objective(K: np.ndarray, y: np.ndarray, C: float, iters: int = MA
         iters=iters,
     )
     return 0.5 * float(a @ Q @ a) - float(a.sum())
-
-
-def reference_smo(Kv, y, C, alpha, G, cfg):
-    """The SMO loop as first merged, one selection over freshly built
-    I_up and I_low penalties per iteration.
-
-    Pins both loops of `smo._smo`, the C loop and the numpy loop, bit for
-    bit: from the same start point each must return the same alpha,
-    iteration count and violation, and its KKT vector r must give this
-    loop's G as -y*r. That holds for a NaN in r too, wherever it sits.
-    """
-    pos = y > 0
-    r = -y * G
-    max_iter = cfg.resolve_max_passes(y.shape[0])
-    it = 0
-    violation = np.inf
-    while it < max_iter:
-        can_inc = alpha < C - BOUND_MARGIN
-        can_dec = alpha > BOUND_MARGIN
-        # penalties added to r, as the loops add them: -0.0 for a member, an
-        # infinity otherwise, so a NaN anywhere in r is NaN in both
-        ri = r + np.where(np.where(pos, can_inc, can_dec), -0.0, -np.inf)  # I_up
-        rj = r + np.where(np.where(pos, can_dec, can_inc), -0.0, np.inf)  # I_low
-        i = int(np.argmax(ri))
-        j = int(np.argmin(rj))
-        violation = float(ri[i] - rj[j])
-        if violation <= cfg.kkt_tolerance:
-            break
-        eta = max(Kv[i, i] + Kv[j, j] - 2.0 * Kv[i, j], _CURVATURE_FLOOR)
-        # move along u = y_i e_i - y_j e_j, which keeps y'a fixed
-        yi, yj = y[i], y[j]
-        room_i = C - alpha[i] if yi > 0 else alpha[i]
-        room_j = alpha[j] if yj > 0 else C - alpha[j]
-        t = min(violation / eta, room_i, room_j)
-        alpha[i] += yi * t
-        alpha[j] -= yj * t
-        if t == room_i:
-            alpha[i] = C if yi > 0 else 0.0
-        if t == room_j:
-            alpha[j] = 0.0 if yj > 0 else C
-        r -= t * (Kv[:, i] - Kv[:, j])
-        it += 1
-    G[:] = -y * r
-    return it, violation
 
 
 def reference_bias(y, C, alpha, r):

@@ -14,6 +14,7 @@ from conftest import V1_MODEL, fast_config, random_registry, train_cil
 from oracles import class_values, pair_decisions, reference_batch_svm, reference_details, registry_pair_decisions
 from sdcil import cil
 from sdcil.dataset import (
+    STD_EPSILON,
     DataError,
     LabeledDataset,
     SplitSpec,
@@ -1047,6 +1048,22 @@ class TestPersistence:
         raw["classes"][1]["sv_matrix"][0][0] = 1.7e308
         p.write_text(json.dumps(raw))
         with pytest.raises(cil.ModelFormatError, match=r"support vector's norm exceeds 1e\+150 \(class 1\)"):
+            cil.load(p)
+
+    @pytest.mark.parametrize("std", [5e-324, 1e-300, 9.99e-13, STD_EPSILON])
+    def test_scaler_std_floor(self, blob_model_and_split, tmp_path, std):
+        # a std below the floor fit_standardize gives a constant column
+        # overflows the model's own rows when they are scaled
+        model, _, _ = blob_model_and_split
+        p = tmp_path / "m.json"
+        cil.save(model, p)
+        raw = json.loads(p.read_text())
+        raw["scaler"]["std"][1] = std
+        p.write_text(json.dumps(raw))
+        if std == STD_EPSILON:
+            assert cil.load(p).scaler.std[1] == STD_EPSILON
+            return
+        with pytest.raises(cil.ModelFormatError, match=r"scaler std entry is below 1e-12"):
             cil.load(p)
 
     def test_pair_cost_times_coefficients_must_be_finite(self, blob_model_and_split, tmp_path):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,26 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def save_csv_rows(path, rows):
+    """Write a features-only CSV, each value as repr of its float."""
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([[repr(float(v)) for v in r] for r in rows])
+
+
+def mark_unconverged(monkeypatch, key):
+    """Make cil.add_class record the pair key, when it trains it, as a
+    refit that did not converge."""
+    add_class = cil.add_class
+
+    def add_marked(model, *args):
+        grown, table = add_class(model, *args), {}
+        if key in grown.pair_table.keys() - model.pair_table.keys():
+            table = {key: replace(grown.pair_table[key], converged=False)}
+        return replace(grown, pair_table={**grown.pair_table, **table})
+
+    monkeypatch.setattr(cil, "add_class", add_marked)
+
+
 class TestTrain:
     def test_train_writes_model(self, blobs_csv, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -39,6 +60,18 @@ class TestTrain:
         assert len(model.classes) == 3 and len(model.pair_table) == 3
         text = capsys.readouterr().out
         assert "sv_fraction" in text and "3 classes, 3 pairwise" in text
+
+    @pytest.mark.parametrize("unconverged", [[], [(0, 2)]])
+    def test_unconverged_pair_warns(self, blobs_csv, tmp_path, capsys, monkeypatch, unconverged):
+        # a refit that did not converge is kept and saved, with one warning
+        # line; a normal run warns of nothing
+        out = tmp_path / "model.json"
+        for key in unconverged:
+            mark_unconverged(monkeypatch, key)
+        assert run("train", blobs_csv, "--out", out) == EXIT_OK
+        lines = [f"warning: pair {k}: the refit did not converge\n" for k in unconverged]
+        assert capsys.readouterr().err == "".join(lines)
+        assert [k for k, clf in cil.load(out).pair_table.items() if not clf.converged] == unconverged
 
     def test_order_reversed_identical_payloads(self, blobs_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -151,14 +184,10 @@ class TestFileErrors:
 
 class TestAddClass:
     def test_incremental_equals_from_scratch(self, blobs_csv, tmp_path):
-        ds = load_csv(blobs_csv)
         partial = tmp_path / "partial.json"
         full = tmp_path / "full.json"
         newcls = tmp_path / "class2.csv"
-        with open(newcls, "w", newline="") as f:
-            w = csv.writer(f)
-            for row in ds.rows_of(2):
-                w.writerow([repr(float(v)) for v in row])
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2))
 
         # scaler comes from the full file in both paths; only classes differ
         assert run("train", blobs_csv, "--out", partial, "--order", "0,1") == EXIT_OK
@@ -178,10 +207,8 @@ class TestAddClass:
         model_p = tmp_path / "m.json"
         assert run("train", blobs_csv, "--out", model_p, "--order", "0,1") == EXIT_OK
         before = json.loads(model_p.read_text())
-        ds = load_csv(blobs_csv)
         newcls = tmp_path / "c2.csv"
-        with open(newcls, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in ds.rows_of(2)])
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2))
         out2 = tmp_path / "m2.json"
         assert run("add-class", model_p, newcls, "--label", "2", "--out", out2) == EXIT_OK
         after = json.loads(out2.read_text())
@@ -190,22 +217,28 @@ class TestAddClass:
         assert after["pairs"][0] == before["pairs"][0]
         assert "added class 2" in capsys.readouterr().out
 
+    def test_unconverged_pair_warns(self, blobs_csv, tmp_path, capsys, monkeypatch):
+        model_p, newcls = tmp_path / "m.json", tmp_path / "c2.csv"
+        assert run("train", blobs_csv, "--out", model_p, "--order", "0,1") == EXIT_OK
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2))
+        capsys.readouterr()
+        mark_unconverged(monkeypatch, (1, 2))
+        assert run("add-class", model_p, newcls, "--label", "2") == EXIT_OK
+        assert capsys.readouterr().err == "warning: pair (1, 2): the refit did not converge\n"
+        assert [k for k, clf in cil.load(model_p).pair_table.items() if not clf.converged] == [(1, 2)]
+
     def test_duplicate_label_exit_code(self, blobs_csv, tmp_path):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p)
-        ds = load_csv(blobs_csv)
         newcls = tmp_path / "dup.csv"
-        with open(newcls, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in ds.rows_of(0)])
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(0))
         assert run("add-class", model_p, newcls, "--label", "0") == EXIT_INPUT
 
     def test_two_row_class_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p, "--order", "0,1")
-        ds = load_csv(blobs_csv)
         newcls = tmp_path / "two.csv"
-        with open(newcls, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in ds.rows_of(2)[:2]])
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2)[:2])
         assert run("add-class", model_p, newcls, "--label", "2", "--nu", "0.5") == EXIT_INPUT
         assert "at least 3 samples" in capsys.readouterr().err
 
@@ -213,19 +246,17 @@ class TestAddClass:
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p, "--order", "0,1")
         newcls = tmp_path / "new.csv"
-        with open(newcls, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)])
+        save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2))
         assert run("add-class", model_p, newcls, "--label", "100000000000000000000000000000") == EXIT_INPUT
         assert "outside the int64 range" in capsys.readouterr().err
 
     def test_short_row_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
         run("train", blobs_csv, "--out", model_p, "--order", "0,1")
-        rows = [[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)]
+        rows = load_csv(blobs_csv).rows_of(2).tolist()
         rows[4] = rows[4][:1]
         newcls = tmp_path / "short.csv"
-        with open(newcls, "w", newline="") as f:
-            csv.writer(f).writerows(rows)
+        save_csv_rows(newcls, rows)
         assert run("add-class", model_p, newcls, "--label", "2") == EXIT_INPUT
         assert "short.csv:5: expected 2 columns, got 1" in capsys.readouterr().err
 
@@ -261,8 +292,7 @@ class TestPredictCmd:
         model = cil.load(model_p)
         rows = rng.uniform(ds.features.min(axis=0) - 3, ds.features.max(axis=0) + 3, (300, 2))
         data = tmp_path / "rows.csv"
-        with open(data, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in row] for row in rows])
+        save_csv_rows(data, rows)
         capsys.readouterr()
         assert run("predict", model_p, data) == EXIT_OK
         out, err = capsys.readouterr()
@@ -510,8 +540,7 @@ class TestMap:
         model_p = tmp_path / "m.json"
         assert run("train", blobs_csv, "--out", model_p, "--order", "0,1") == EXIT_OK
         rows = tmp_path / "rows.csv"
-        with open(rows, "w", newline="") as f:
-            csv.writer(f).writerows([[repr(float(v)) for v in r] for r in load_csv(blobs_csv).rows_of(2)])
+        save_csv_rows(rows, load_csv(blobs_csv).rows_of(2))
         assert run("add-class", model_p, rows, "--label", label) == EXIT_OK
         return model_p
 
@@ -538,11 +567,7 @@ class TestMap:
 
     def test_wrong_dimension_exit(self, tmp_path):
         p = tmp_path / "hi_d.csv"
-        rng = np.random.default_rng(0)
-        with open(p, "w", newline="") as f:
-            w = csv.writer(f)
-            for i in range(60):
-                w.writerow([repr(float(v)) for v in rng.normal(size=3)] + [i % 2])
+        save_csv(LabeledDataset(np.random.default_rng(0).normal(size=(60, 3)), np.arange(60) % 2), p)
         model_p = tmp_path / "m3.json"
         assert run("train", p, "--out", model_p) == EXIT_OK
         assert run("map", model_p, "--bounds", "0,1,0,1", "--res", "4,4",

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_bias, reference_smo
+from conftest import train_cil
+from oracles import pgd_binary_objective, pgd_ocsvm_objective, reference_bias
 from sdcil import cil, smo
-from sdcil.cli import EXIT_OK, main
+from sdcil.cli import EXIT_OK, bench_cil_config, main
+from sdcil.dataset import make_toy
 from sdcil.kernels import gram, gram_from_sqdist, squared_distances
 from sdcil.smo import BOUND_MARGIN, SolverConfig, solve_binary_dual, solve_ocsvm_dual
 
@@ -244,12 +246,35 @@ def compiled_loop():
     return loop
 
 
-def run_loop(loop, *args):
-    """One of the two SMO loops, by name, on _smo's arguments: the KKT
-    vector r = -y*G is updated in place."""
-    if loop == "numpy":
-        return smo._numpy_smo(*args)
+def compiled_smo(*args):
+    """The C loop on _smo's arguments: alpha and the KKT vector r = -y*G are
+    updated in place."""
     return smo._compiled_smo(compiled_loop(), *args)
+
+
+def against_reference(loop, Kv, y, C, alpha, r, cfg):
+    """Run loop and smo._reference_smo from the same point, alpha and r, and
+    check that every output is byte-equal, NaN bits included. Returns loop's
+    iteration count and violation; alpha and r hold its result."""
+    a_ref, r_ref = alpha.copy(), r.copy()
+    it, violation = loop(Kv, y, C, alpha, r, cfg)
+    it_ref, violation_ref = smo._reference_smo(Kv, y, C, a_ref, r_ref, cfg)
+    assert it == it_ref
+    assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
+    assert alpha.tobytes() == a_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    return it, violation
+
+
+def count_calls(monkeypatch, name):
+    """Wrap smo's loop function `name` so each call records its size n."""
+    calls, loop = [], getattr(smo, name)
+
+    def counted(*args):
+        calls.append(args[-2].shape[0])
+        return loop(*args)
+
+    monkeypatch.setattr(smo, name, counted)
+    return calls
 
 
 def loop_problem(seed, n):
@@ -269,13 +294,13 @@ def solve_bytes(seed):
     return out
 
 
-@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+@pytest.mark.parametrize("loop", [compiled_smo], ids=["compiled"])  # the loop under test, by name
 class TestLoopIdentity:
-    """Each SMO loop against the reference copy of the loop as first merged,
-    which keeps the gradient G where the loops keep r = -y*G.
+    """The C loop against smo._reference_smo, the loop as first merged, which
+    runs when the C loop cannot be built or loaded.
 
     Same start point, same picks, same rounding: every output is byte-equal,
-    and -y*r is G byte for byte.
+    the KKT vector r included.
     """
 
     @given(
@@ -305,21 +330,14 @@ class TestLoopIdentity:
             y = np.ones(n)
             alpha = np.zeros(n)
             alpha[rng.permutation(n)[:m]] = 1.0 / m
-            G = Kv @ alpha
+            r = -(Kv @ alpha)
         else:
             C = float(2.0 ** rng.uniform(-3, 7))
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             y[0], y[-1] = 1.0, -1.0
             alpha = np.zeros(n)
-            G = -np.ones(n)
-        a_ref, G_ref = alpha.copy(), G.copy()
-        r = -y * G
-        it, violation = run_loop(loop, Kv, y, C, alpha, r, cfg)
-        it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
-        assert it == it_ref
-        assert np.float64(violation).tobytes() == np.float64(violation_ref).tobytes()
-        assert alpha.tobytes() == a_ref.tobytes()
-        assert (-y * r).tobytes() == G_ref.tobytes()
+            r = y.copy()
+        against_reference(loop, Kv, y, C, alpha, r, cfg)
 
     def test_ties_go_to_the_first_index(self, loop):
         # every base point three times over, shuffled: the repeated rows of
@@ -332,11 +350,7 @@ class TestLoopIdentity:
         y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)[idx]
         n = idx.size
         alpha, r = np.zeros(n), y.copy()
-        a_ref, G_ref = alpha.copy(), -np.ones(n)
-        cfg = SolverConfig(kkt_tolerance=1e-6)
-        it, violation = run_loop(loop, Kv, y, 2.0, alpha, r, cfg)
-        assert (it, violation) == reference_smo(Kv, y, 2.0, a_ref, G_ref, cfg)
-        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
+        it, _ = against_reference(loop, Kv, y, 2.0, alpha, r, SolverConfig(kkt_tolerance=1e-6))
         assert it > 10 and np.unique(r).size <= 20  # many steps, over exact ties
 
     @pytest.mark.parametrize("member", ["both sets", "I_up only"])
@@ -344,8 +358,7 @@ class TestLoopIdentity:
         # a one-class start: free alphas 1/8 at every fourth index, zero
         # elsewhere. A NaN in r makes both r + up and r + low NaN, so the
         # first NaN is picked as i and as j, and its step spreads NaN
-        # through r. The loops and the reference, which adds the same
-        # penalties, agree byte for byte, NaN bits included.
+        # through r.
         n = 32
         Kv, _ = binary_problem(5, n)
         y = np.ones(n)
@@ -354,17 +367,9 @@ class TestLoopIdentity:
         nans = [8, 20] if member == "both sets" else [5, 8]
         r[nans] = np.nan
         C, cfg = 1.0 / 7.5, SolverConfig(max_passes=1)
-        a_np, r_np = alpha.copy(), r.copy()
-        a_ref, G_ref = alpha.copy(), -y * r
-        it, violation = run_loop(loop, Kv, y, C, alpha, r, cfg)
+        it, violation = against_reference(loop, Kv, y, C, alpha, r, cfg)
         assert (it, np.float64(violation).tobytes()) == (1, np.float64(np.nan).tobytes())
         assert np.flatnonzero(np.isnan(alpha)).tolist() == nans[:1]
-        it_np, violation_np = smo._numpy_smo(Kv, y, C, a_np, r_np, cfg)
-        assert it_np == it and np.float64(violation_np).tobytes() == np.float64(violation).tobytes()
-        assert alpha.tobytes() == a_np.tobytes() and r.tobytes() == r_np.tobytes()
-        it_ref, violation_ref = reference_smo(Kv, y, C, a_ref, G_ref, cfg)
-        assert it_ref == it and np.float64(violation_ref).tobytes() == np.float64(violation).tobytes()
-        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
 
     def test_max_passes_stop_reports_the_violation_before_the_last_step(self, loop):
         # stopped at max_passes = m, the loop reports the violation it read
@@ -374,15 +379,14 @@ class TestLoopIdentity:
         runs = []
         for passes in (m - 1, m):
             alpha, r = np.zeros(80), y.copy()
-            it, violation = run_loop(loop, Kv, y, C, alpha, r, SolverConfig(kkt_tolerance=1e-9, max_passes=passes))
+            cfg = SolverConfig(kkt_tolerance=1e-9, max_passes=passes)
+            it, violation = against_reference(loop, Kv, y, C, alpha, r, cfg)
             assert it == passes
             runs.append((alpha, r, violation))
         alpha, r, _ = runs[0]
         inc, dec = alpha < C - BOUND_MARGIN, alpha > BOUND_MARGIN
         up, low = np.where(y > 0, inc, dec), np.where(y > 0, dec, inc)
         assert runs[1][2] == r[up].max() - r[low].min() > 1e-9
-        a_ref, G_ref = np.zeros(80), -np.ones(80)
-        assert reference_smo(Kv, y, C, a_ref, G_ref, SolverConfig(kkt_tolerance=1e-9, max_passes=m)) == (m, runs[1][2])
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "read-only"])
     def test_non_contiguous_arrays(self, loop, layout):
@@ -391,11 +395,11 @@ class TestLoopIdentity:
         # Read-only Kv and y are read where they are.
         Kv, y, C, alpha, r, cfg = loop_problem(7, 60)
         want_alpha, want_r = alpha.copy(), r.copy()
-        want = run_loop(loop, Kv, y, C, want_alpha, want_r, cfg)
+        want = loop(Kv, y, C, want_alpha, want_r, cfg)
         if layout == "read-only":
             Kv.setflags(write=False)
             y.setflags(write=False)
-            assert run_loop(loop, Kv, y, C, alpha, r, cfg) == want
+            assert loop(Kv, y, C, alpha, r, cfg) == want
             assert alpha.tobytes() == want_alpha.tobytes() and r.tobytes() == want_r.tobytes()
             return
         if layout == "fortran":
@@ -404,14 +408,14 @@ class TestLoopIdentity:
             Kv = np.repeat(Kv, 2, axis=1)[:, ::2]
         alpha, r = np.repeat(alpha, 3)[::3], np.repeat(r, 3)[::3]
         assert not (Kv.flags.c_contiguous or alpha.flags.c_contiguous or r.flags.c_contiguous)
-        assert run_loop(loop, Kv, y, C, alpha, r, cfg) == want
+        assert loop(Kv, y, C, alpha, r, cfg) == want
         assert alpha.tobytes() == want_alpha.tobytes()
         assert r.tobytes() == want_r.tobytes()
 
 
 class TestCompiledLoopBuild:
     """The C loop is built into the cache on the first solve; without it the
-    numpy loop runs, and the solves give the same bytes."""
+    reference loop runs, and the solves and fits give the same bytes."""
 
     def test_source_compiles_without_warnings(self, tmp_path):
         # the build's own flags plus every common warning, as errors
@@ -436,8 +440,17 @@ class TestCompiledLoopBuild:
 
     @pytest.mark.parametrize("cc", ["unset", "missing"])
     def test_no_compiler_uses_numpy_loop(self, cache, monkeypatch, cc):
+        # single solves, then a whole fit (width sweeps and pair grids),
+        # each solve through the reference loop: the C loop's bytes
         compiled_loop()
-        want = [solve_bytes(seed) for seed in range(3)]
+        saved = cache.parent / "model.json"
+
+        def outputs():
+            cil.save(train_cil(make_toy("blobs", 30), config=bench_cil_config(0.2)), saved)
+            return [solve_bytes(seed) for seed in range(3)], saved.read_bytes()
+
+        solves = count_calls(monkeypatch, "_compiled_smo")
+        want = outputs()
         smo._compiled_loop.cache_clear()
         if cc == "unset":
             monkeypatch.delenv("CC", raising=False)
@@ -445,16 +458,10 @@ class TestCompiledLoopBuild:
             monkeypatch.setenv("CC", str(cache / "no-such-cc"))
         monkeypatch.setenv("PATH", "")
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent / "empty"))
-        calls, numpy_smo = [], smo._numpy_smo
-
-        def numpy_loop(*args):
-            calls.append(args[0].shape[0])
-            return numpy_smo(*args)
-
-        monkeypatch.setattr(smo, "_numpy_smo", numpy_loop)
+        calls = count_calls(monkeypatch, "_reference_smo")
         assert smo._compiled_loop() is None
-        assert [solve_bytes(seed) for seed in range(3)] == want
-        assert calls == [40, 40] * 3
+        assert outputs() == want
+        assert calls == solves and calls[-6:] == [40, 40] * 3 and len(calls) > 100
         assert list((cache.parent / "empty").rglob("*.so")) == []
 
     def test_prediction_builds_nothing(self, blob_model_and_split, cache, tmp_path, capsys):
@@ -481,10 +488,7 @@ class TestCompiledLoopBuild:
             return
         compiled_loop()
         assert self.library(cache).read_bytes()[:4] == b"\x7fELF"
-        Kv, y, C, alpha, r, cfg = loop_problem(3, 30)
-        a_ref, G_ref = alpha.copy(), -y * r
-        assert smo._smo(Kv, y, C, alpha, r, cfg) == reference_smo(Kv, y, C, a_ref, G_ref, cfg)
-        assert alpha.tobytes() == a_ref.tobytes() and (-y * r).tobytes() == G_ref.tobytes()
+        against_reference(smo._smo, *loop_problem(3, 30))
 
     def test_unusable_cache_builds_in_a_temporary_directory(self, cache, monkeypatch):
         # the cache path is a file, so the cache directory cannot be made;
