@@ -60,10 +60,7 @@ classes that exceeds 1: the seed-1 blobs-grow model of the benchmark
 against 1,200 raw, so the model outgrows its data.
 
 A saved model (format version 2) stores each support vector once, in its
-class, as the model in memory does. Version-1 files also stored every
-pair's vectors; load() still reads them when those vectors are the stacked
-class support vectors, as every version-1 writer made them, and drops the
-copy.
+class, as the model in memory does. load() reads that format only.
 """
 
 from __future__ import annotations
@@ -724,12 +721,44 @@ def pair_payload(p: PairwiseClassifier) -> bytes:
     return json.dumps(_pair_entry(p), sort_keys=True, separators=(",", ":")).encode()
 
 
+# The type of each number in a saved config, by (section, field); "?" marks
+# a field that may be null, and a grid is a list of floats. A value of
+# another type, a bool included, would load and fail only when a class is
+# added, with a raw TypeError.
+_CONFIG_TYPES = {
+    (None, "nu_default"): "float",
+    (None, "k_neighbors"): "int?",
+    (None, "side_threshold"): "float",
+    (None, "width_count"): "int",
+    ("cv", "folds"): "int",
+    ("cv", "cost_grid"): "grid",
+    ("cv", "width_grid"): "grid?",
+    ("cv", "width_count"): "int",
+    ("cv", "seed"): "int",
+    ("solver", "kkt_tolerance"): "float",
+    ("solver", "max_passes"): "int?",
+    ("solver", "seed"): "int",
+}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind.endswith("?"):
+        return value is None or _has_type(value, kind[:-1])
+    if kind == "grid":
+        return isinstance(value, list) and all(_has_type(v, "float") for v in value)
+    return isinstance(value, int if kind == "int" else (int, float)) and not isinstance(value, bool)
+
+
 def _config_from_entry(e: dict) -> CilConfig:
     # a key that fell back to its default would hide a damaged file
     for entry, cls in ((e, CilConfig), (e["cv"], CvConfig), (e["solver"], SolverConfig)):
         missing = [f.name for f in fields(cls) if f.name not in entry]
         if missing:
             raise KeyError(missing[0])
+    for (section, name), kind in _CONFIG_TYPES.items():
+        value = (e[section] if section else e)[name]
+        if not _has_type(value, kind):
+            raise TypeError(f"config field {'.'.join(filter(None, (section, name)))} has the wrong type: {value!r}")
     cv = dict(e["cv"])
     cv["cost_grid"] = tuple(cv["cost_grid"])
     if cv["width_grid"] is not None:
@@ -777,49 +806,47 @@ def save(model: CilModel, path: str | Path) -> None:
             os.unlink(tmp)
 
 
-def _converged_from_entry(e: dict, version: int) -> bool | None:
-    if version == 1:  # version 1 did not record convergence
-        return None
+def _converged_from_entry(e: dict) -> bool:
     converged = e["converged"]
-    if converged is not None and not isinstance(converged, bool):
-        raise TypeError(f"converged must be true, false or null, got {converged!r}")
+    if not isinstance(converged, bool):
+        raise TypeError(f"converged must be true or false, got {converged!r}")
     return converged
 
 
-def _ocsvm_from_entry(e: dict, version: int) -> OcsvmModel:
+def _ocsvm_from_entry(e: dict) -> OcsvmModel:
     return OcsvmModel(
         class_label=int(e["label"]),
-        support_vectors=np.array(e["sv_matrix"], dtype=float),
-        sv_alphas=np.array(e["sv_alphas"], dtype=float),
+        support_vectors=_float_array(e["sv_matrix"]),
+        sv_alphas=_float_array(e["sv_alphas"]),
         rho=float(e["rho"]),
         width=float(e["width"]),
         nu=float(e["nu"]),
         train_count=int(e["train_count"]),
-        converged=_converged_from_entry(e, version),
+        converged=_converged_from_entry(e),
     )
 
 
-def _pair_from_entry(e: dict, version: int, svs: dict[int, np.ndarray]) -> PairwiseClassifier:
-    a, b = int(e["a"]), int(e["b"])
-    # a version-1 entry repeats its vectors; any other copy than the
-    # stacked class SVs is damage, and the copy is not kept. A pair of an
-    # unknown class is left to the pair-table check, which names it.
-    if version == 1 and {a, b} <= svs.keys() and not np.array_equal(np.array(e["vectors"], dtype=float), np.vstack((svs[a], svs[b]))):
-        raise ValueError(
-            "a pair's vectors must be the support vectors of its two classes, "
-            f"lower label first (pair {(a, b)})"
-        )
+def _pair_from_entry(e: dict) -> PairwiseClassifier:
     return PairwiseClassifier(
-        label_a=a,
-        label_b=b,
-        coeffs=np.array(e["coeffs"], dtype=float),
+        label_a=int(e["a"]),
+        label_b=int(e["b"]),
+        coeffs=_float_array(e["coeffs"]),
         bias=float(e["bias"]),
         width=float(e["width"]),
         cost=float(e["cost"]),
         cv_accuracy=float(e["cv_accuracy"]),
         train_accuracy=float(e["train_accuracy"]),
-        converged=_converged_from_entry(e, version),
+        converged=_converged_from_entry(e),
     )
+
+
+def _float_array(values) -> np.ndarray:
+    """values as a float array. The parser lets no NaN or infinity through,
+    so a non-finite entry is a null, which numpy reads as NaN."""
+    array = np.array(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError("null where a number belongs")
+    return array
 
 
 def _finite_number(token: str) -> float:
@@ -830,18 +857,16 @@ def _finite_number(token: str) -> float:
 
 
 def load(path: str | Path) -> CilModel:
-    """Read a model file written by save(), of this format version or of
-    version 1.
+    """Read a model file written by save() in this format version; a file
+    of any other version, 1 included, raises ModelFormatError.
 
-    A version-1 file also holds each pair's vectors; it loads only when they
-    are the stacked support vectors of the pair's two classes, lower label
-    first, and its classes and pairs load with converged=None (unknown).
     Building the model checks that the labels are int64, the pair table
     holds one pair per two classes, and each pair has one coefficient per
     support vector of its two classes. Support vectors must have norms within
     MAX_NORM, so that no prediction computes Inf - Inf. Scaler std entries
     must be at least STD_EPSILON, the floor fit_standardize gives a constant
-    column: a smaller one overflows the rows it scales."""
+    column: a smaller one overflows the rows it scales. No number list may
+    hold a null, and each config field must have its type."""
     try:
         with open(path, encoding="utf-8") as f:
             # NaN, Infinity and overflowing literals would load as values
@@ -851,16 +876,16 @@ def load(path: str | Path) -> CilModel:
         raise ModelFormatError(f"corrupt model file {path}: {e}") from e
     try:
         version = raw["format_version"]
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise ModelFormatError(
-                f"unsupported format_version {version} (this build reads 1 and {FORMAT_VERSION})"
+                f"unsupported format_version {version} (this build reads {FORMAT_VERSION})"
             )
         config = _config_from_entry(raw["config"])
         scaler = None
         if raw["scaler"] is not None:
             scaler = Scaler(
-                mean=np.array(raw["scaler"]["mean"], dtype=float),
-                std=np.array(raw["scaler"]["std"], dtype=float),
+                mean=_float_array(raw["scaler"]["mean"]),
+                std=_float_array(raw["scaler"]["std"]),
                 constant_columns=tuple(raw["scaler"]["constant_columns"]),
             )
             if not np.all(scaler.std >= STD_EPSILON):
@@ -868,7 +893,7 @@ def load(path: str | Path) -> CilModel:
                     f"malformed model file {path}: a scaler std entry is below {STD_EPSILON:g}, "
                     "the floor of a fitted scaler"
                 )
-        classes = tuple(_ocsvm_from_entry(e, version) for e in raw["classes"])
+        classes = tuple(_ocsvm_from_entry(e) for e in raw["classes"])
         dims = {m.support_vectors.shape[1:] for m in classes}
         if scaler is not None:
             dims |= {scaler.mean.shape, scaler.std.shape}
@@ -884,8 +909,7 @@ def load(path: str | Path) -> CilModel:
                 f"malformed model file {path}: pair table lists "
                 f"{sorted(key for key, n in listed.items() if n > 1)} more than once"
             )
-        svs = {m.class_label: m.support_vectors for m in classes}
-        pairs = {key: _pair_from_entry(e, version, svs) for key, e in entries.items()}
+        pairs = {key: _pair_from_entry(e) for key, e in entries.items()}
         bad = [f"class {m.class_label}" for m in classes if m.m == 0 or m.sv_alphas.shape != (m.m,)]
         if bad:
             raise ModelFormatError(

@@ -227,9 +227,9 @@ def _drop_stdout() -> None:
 
 def _warn_unconverged(model, label: int) -> None:
     """One stderr line for each pair of class label whose refit did not
-    converge; unknown (None, from a version-1 file) is not flagged."""
+    converge."""
     for key in sorted(model.pair_table):
-        if label in key and model.pair_table[key].converged is False:
+        if label in key and not model.pair_table[key].converged:
             print(f"warning: pair {key}: the refit did not converge", file=sys.stderr)
 
 

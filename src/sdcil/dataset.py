@@ -187,13 +187,23 @@ def save_csv(ds: LabeledDataset, path: str | Path) -> None:
 def fit_standardize(train: LabeledDataset) -> tuple[Scaler, LabeledDataset]:
     """Fit a z-score scaler on training rows and return the standardized set.
 
-    Constant columns get their std floored at STD_EPSILON (so they map to
-    zero) and are reported in Scaler.constant_columns.
+    Constant columns get their std floored at STD_EPSILON and are reported
+    in Scaler.constant_columns. A column whose values are all equal takes
+    that value as its mean, so it scales to exactly 0 whatever its
+    magnitude; a column whose mean or spread overflows raises DataError.
     """
     if train.n < 2:
         raise DataError("need at least 2 rows to standardize")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    X = train.features
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    equal = np.all(X == X[0], axis=0)
+    mean[equal] = X[0, equal]
+    std[equal] = 0.0
+    bad = np.nonzero(~np.isfinite(mean) | ~np.isfinite(std))[0]
+    if bad.size:
+        raise DataError(f"feature column {int(bad[0])} cannot be standardized: its mean or spread overflows")
     constant = tuple(int(j) for j in np.nonzero(std < STD_EPSILON)[0])
     std = np.maximum(std, STD_EPSILON)
     scaler = Scaler(mean=mean, std=std, constant_columns=constant)

@@ -32,7 +32,7 @@ class OcsvmModel:
     width: KernelWidth
     nu: float
     train_count: int
-    converged: bool | None  # None when unknown (a version-1 file)
+    converged: bool  # whether the chosen width's solve met the KKT tolerance
 
     @property
     def m(self) -> int:

@@ -75,7 +75,7 @@ class PairwiseClassifier:
     cost: float
     cv_accuracy: float
     train_accuracy: float
-    converged: bool | None  # the refit's solve; None when unknown (a version-1 file)
+    converged: bool  # whether the refit's solve met the KKT tolerance
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -10,7 +10,7 @@ maximal-KKT-violating-pair working-set selection from a feasible start:
 
 The one-class objective is the negated form of the usual maximization of
 -1/2 a'Ka; the optimizer and constraints are identical. Each entry point
-supplies its validation, start point, objective and the sign of its offset.
+supplies its validation, start point and the sign of its offset.
 The binary dual takes an optional start point (alpha seeding, DeCoste &
 Wagstaff, KDD 2000): any feasible a, such as the solution of the same
 problem at a smaller C, which stays feasible as the box grows. The gradient
@@ -19,8 +19,7 @@ is recomputed from it, and a zero start gives exactly the cold solve.
 Both entry points take the kernel matrix as a plain array. A solve's state
 is the KKT vector r = -y*G of the gradient G = Qa + p: an entry point
 computes r from its start point, the loop picks its pairs from r and
-updates it in place, the offset is read from r, and the objective reads G
-back as -y*r, which is exactly G because y is +-1.
+updates it in place, and the offset is read from r.
 
 The loop runs in C: _smo_loop.c, called through ctypes. It makes the picks
 of _reference_smo, the loop as first merged, with the same float64
@@ -46,8 +45,7 @@ the first pick scans r on its own.
 An iteration of the C loop costs well under a microsecond on the small pair
 cross-validation problems, which take some 20 iterations each, so a binary
 solve there costs mostly what it pays once: its checks, the start's KKT
-vector, the ctypes call, the offset and the objective. Each takes a few
-numpy calls. The labels are checked as one Python set. A start's min and
+vector, the ctypes call and the offset. Each takes a few numpy calls. The labels are checked as one Python set. A start's min and
 max carry its NaN and Inf check. A zero start's KKT vector is y itself, as
 its gradient is exactly -1 (K must be finite). One scratch array holds the
 C loop's penalty vectors and its violation, and _bias reduces through
@@ -112,7 +110,6 @@ class DualSolution:
 
     alphas: np.ndarray
     offset: float  # rho for the one-class dual, bias b for the binary dual
-    objective: float
     iterations: int
     converged: bool
     kkt_violation: float
@@ -348,7 +345,6 @@ def solve_ocsvm_dual(K: np.ndarray, nu: float, cfg: SolverConfig) -> DualSolutio
     return DualSolution(
         alphas=alpha,
         offset=-_bias(y, C, alpha, r),
-        objective=0.5 * float(alpha @ (-y * r)),
         iterations=it,
         converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),
@@ -401,7 +397,6 @@ def solve_binary_dual(
     return DualSolution(
         alphas=alpha,
         offset=_bias(y, C, alpha, r),
-        objective=0.5 * float(alpha @ (-y * r)) - 0.5 * float(alpha.sum()),
         iterations=it,
         converged=violation <= cfg.kkt_tolerance,
         kkt_violation=max(violation, 0.0),

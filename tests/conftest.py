@@ -19,9 +19,8 @@ from sdcil.smo import SolverConfig
 DATA_DIR = Path(os.environ.get("SDCIL_DATA_DIR", Path(__file__).parent / "data"))
 
 # A 3-class blobs model (make_toy("blobs", 20, seed=5), train_cil defaults)
-# written by the format-version-1 save() of commit 36d90a1, which stored
-# every pair's vectors beside its classes' support vectors.
-V1_MODEL = Path(__file__).parent / "fixtures" / "blobs3_v1.json"
+# as save() writes it in format version 2.
+V2_MODEL = Path(__file__).parent / "fixtures" / "blobs3_v2.json"
 
 
 def fast_config(nu: float = 0.2) -> cil.CilConfig:

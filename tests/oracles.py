@@ -8,6 +8,9 @@ uphill (O'Donoghue & Candes 2015), and is off for steps below 1e-10.
 Iteration cap 10^5 with an early exit once the iterate stops moving at
 floating-point resolution.
 
+`dual_objective` evaluates a dual at the alphas a solver returns, so that
+a solve is compared with an oracle by its objective.
+
 The rest are references that package code is held to: `gaussian`, the
 kernel from its definition; `class_values` and `pair_decisions`, one class
 model's values and one dispute classifier's decisions, each a kernel block
@@ -176,6 +179,18 @@ def pgd_binary_objective(K: np.ndarray, y: np.ndarray, C: float, iters: int = MA
         iters=iters,
     )
     return 0.5 * float(a @ Q @ a) - float(a.sum())
+
+
+def dual_objective(K: np.ndarray, alphas: np.ndarray, y: np.ndarray | None = None) -> float:
+    """1/2 a'Qa + p'a at a = alphas, Q = yy' * K: the one-class dual when y
+    is None (y = 1, p = 0), else the binary dual (p = -e). The solvers are
+    held to the oracles above through it."""
+    K = np.asarray(K, dtype=float)
+    a = np.asarray(alphas, dtype=float)
+    if y is None:
+        return 0.5 * float(a @ K @ a)
+    ay = a * np.asarray(y, dtype=float)
+    return 0.5 * float(ay @ K @ ay) - float(a.sum())
 
 
 def reference_bias(y, C, alpha, r):

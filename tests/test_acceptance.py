@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, fast_config, train_cil
-from oracles import pgd_binary_objective, pgd_ocsvm_objective, registry_pair_decisions
+from oracles import dual_objective, pgd_binary_objective, pgd_ocsvm_objective, registry_pair_decisions
 from sdcil import cil
 from sdcil.cli import run_trials
 from sdcil.dataset import (
@@ -105,7 +105,7 @@ class TestCriterion2OracleEquivalence:
             nu = max(float(rng.uniform(0.15, 0.9)), 1.5 / n)
             sol = solve_ocsvm_dual(K, nu, cfg)
             oracle = pgd_ocsvm_objective(K, nu)
-            worst = max(worst, abs(sol.objective - oracle) / max(abs(oracle), 1e-300))
+            worst = max(worst, abs(dual_objective(K, sol.alphas) - oracle) / max(abs(oracle), 1e-300))
         for trial in range(50):
             n = int(rng.integers(5, 21))
             X = rng.normal(size=(n, 3))
@@ -115,7 +115,7 @@ class TestCriterion2OracleEquivalence:
             C = float(rng.uniform(0.5, 50.0))
             sol = solve_binary_dual(K, y, C, cfg)
             oracle = pgd_binary_objective(K, y, C)
-            worst = max(worst, abs(sol.objective - oracle) / max(abs(oracle), 1e-300))
+            worst = max(worst, abs(dual_objective(K, sol.alphas, y) - oracle) / max(abs(oracle), 1e-300))
         dt = time.perf_counter() - t0
         ok = worst < 1e-6 and dt < 60.0
         report("criterion 2 (QP oracle equivalence)", ok,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import V1_MODEL, random_registry
+from conftest import V2_MODEL, random_registry
 from sdcil import cil
 from oracles import reference_batch_svm
 from sdcil.cli import EXIT_INPUT, EXIT_OK, EXIT_TRAINING, EvalReport, TrialResult, bench_cil_config, main, map_grid
@@ -84,6 +84,26 @@ class TestTrain:
         assert {k: cil.pair_payload(v) for k, v in ma.pair_table.items()} == {
             k: cil.pair_payload(v) for k, v in mb.pair_table.items()
         }
+
+    @pytest.mark.parametrize("column", ["equal", "spread"])
+    @pytest.mark.parametrize("npc", [20, 50])
+    def test_huge_column(self, tmp_path, capsys, npc, column):
+        """A column of 1e300 in every row trains a model that loads and
+        predicts; a column of +-1e300, whose spread overflows, exits 2
+        before training."""
+        ds = make_toy("blobs", npc, seed=3)
+        extra = np.full(ds.n, 1e300) if column == "equal" else np.where(np.arange(ds.n) % 2, 1e300, -1e300)
+        data, out = tmp_path / "d.csv", tmp_path / "m.json"
+        save_csv(LabeledDataset(features=np.column_stack([ds.features, extra]), labels=ds.labels), data)
+        if column == "spread":
+            assert run("train", data, "--out", out) == EXIT_INPUT
+            assert "feature column 2 cannot be standardized" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert run("train", data, "--out", out) == EXIT_OK
+        assert cil.load(out).scaler.constant_columns == (2,)
+        assert run("predict", out, data) == EXIT_OK
+        assert "accuracy: 100.00 percent" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert run("train", tmp_path / "nope.csv", "--out", tmp_path / "m.json") == EXIT_INPUT
@@ -182,7 +202,45 @@ class TestFileErrors:
             assert cil.load(out) == cil.load(model_path)
 
 
+@pytest.fixture(scope="module")
+def two_class_model(blobs_csv, tmp_path_factory):
+    """A model file of blobs classes 0 and 1, and a CSV of class 2's rows."""
+    d = tmp_path_factory.mktemp("two")
+    model_p, newcls = d / "m.json", d / "c2.csv"
+    assert run("train", blobs_csv, "--out", model_p, "--order", "0,1") == EXIT_OK
+    save_csv_rows(newcls, load_csv(blobs_csv).rows_of(2))
+    return model_p, newcls
+
+
+# (section, field, value): a saved config value of the wrong type
+CONFIG_DAMAGE = [
+    ("solver", "seed", 1.5), ("solver", "seed", "x"), ("solver", "max_passes", 1.5),
+    ("cv", "seed", 1.5), ("cv", "folds", 2.5), ("cv", "width_count", 1.5),
+    (None, "width_count", 2.5), (None, "k_neighbors", 2.5),
+    (None, "side_threshold", "a"), (None, "nu_default", "a"),
+    # a bool is not a number, and null is taken only where the field may be None
+    ("cv", "folds", True), (None, "nu_default", False), (None, "width_count", None),
+    ("cv", "cost_grid", [0.5, "a"]), ("cv", "width_grid", [True]),
+]
+
+
 class TestAddClass:
+    @pytest.mark.parametrize(
+        "section, name, value", CONFIG_DAMAGE,
+        ids=[f"{'.'.join(filter(None, (s, n)))}={v!r}" for s, n, v in CONFIG_DAMAGE],
+    )
+    def test_config_type_checked_at_load(self, two_class_model, tmp_path, capsys, section, name, value):
+        model_p, newcls = two_class_model
+        raw = json.loads(model_p.read_text())
+        (raw["config"][section] if section else raw["config"])[name] = value
+        damaged = tmp_path / "m.json"
+        damaged.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match="has the wrong type"):
+            cil.load(damaged)
+        capsys.readouterr()
+        assert run("add-class", damaged, newcls, "--label", "2") == EXIT_INPUT
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_incremental_equals_from_scratch(self, blobs_csv, tmp_path):
         partial = tmp_path / "partial.json"
         full = tmp_path / "full.json"
@@ -361,18 +419,23 @@ class TestPredictCmd:
         assert "malformed model file" in capsys.readouterr().err
 
 
-    def test_tampered_pair_vector_exit_code(self, blobs_csv, tmp_path, capsys):
-        # only a version-1 file stores pair vectors
+    def test_version_1_file_exit_code(self, blobs_csv, tmp_path, capsys):
+        # a version-1 file holds each pair's vectors and no convergence flags
+        raw = json.loads(V2_MODEL.read_text())
+        svs = {c["label"]: c["sv_matrix"] for c in raw["classes"]}
+        raw["format_version"] = 1
+        for entry in raw["classes"] + raw["pairs"]:
+            del entry["converged"]
+        for pair in raw["pairs"]:
+            pair["vectors"] = svs[pair["a"]] + svs[pair["b"]]
         model_p = tmp_path / "m.json"
-        raw = json.loads(V1_MODEL.read_text())
-        raw["pairs"][0]["vectors"][-1][-1] += 0.5
         model_p.write_text(json.dumps(raw))
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT
-        assert "support vectors of its two classes" in capsys.readouterr().err
+        assert "unsupported format_version 1 " in capsys.readouterr().err
 
     def test_duplicate_pair_exit_code(self, blobs_csv, tmp_path, capsys):
         model_p = tmp_path / "m.json"
-        raw = json.loads(V1_MODEL.read_text())
+        raw = json.loads(V2_MODEL.read_text())
         raw["pairs"].append(dict(raw["pairs"][0], bias=5.0))
         model_p.write_text(json.dumps(raw))
         assert run("predict", model_p, blobs_csv) == EXIT_INPUT

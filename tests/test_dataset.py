@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sdcil.cil import knn_labels
 from sdcil.dataset import (
+    STD_EPSILON,
     DataError,
     LabeledDataset,
     Scaler,
@@ -123,6 +124,24 @@ class TestStandardize:
         assert scaler.constant_columns == (0,)
         assert np.all(std.features[:, 0] == 0.0)
         assert scaler.std[0] > 0.0
+
+    @pytest.mark.parametrize("value", [5.0, 1e5 + 0.1, -1e300, 1.7e308])
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_equal_column_scales_to_zero(self, value, n):
+        # the mean of n equal values can miss the value by an ulp, whose
+        # square overflows at 1e300
+        X = np.column_stack([np.full(n, value), np.arange(float(n))])
+        scaler, std = fit_standardize(LabeledDataset(features=X, labels=np.zeros(n, dtype=int)))
+        assert scaler.constant_columns == (0,)
+        assert scaler.mean[0] == value and scaler.std[0] == STD_EPSILON
+        assert std.features[:, 0].tolist() == [0.0] * n
+        assert scaler.transform(X[:3])[:, 0].tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_overflowing_spread_names_the_column(self, n):
+        X = np.column_stack([np.arange(float(n)), np.where(np.arange(n) % 2, 1e300, -1e300)])
+        with pytest.raises(DataError, match="feature column 1 cannot be standardized"):
+            fit_standardize(LabeledDataset(features=X, labels=np.zeros(n, dtype=int)))
 
     def test_training_moments(self):
         rng = np.random.default_rng(4)
