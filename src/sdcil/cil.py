@@ -59,6 +59,13 @@ classes that exceeds 1: the seed-1 blobs-grow model of the benchmark
 (d = 2, k = 10, 160 SVs of 600 rows) stores 320 + 1,440 = 1,760 numbers
 against 1,200 raw, so the model outgrows its data.
 
+Training's working set is set by its n x n arrays. Adding a class of n
+rows holds two n x n float64 arrays, the squared distances and one kernel
+buffer, plus blocks of rows: 16 n^2 bytes, 21.8 MB at 1,167 rows and
+1.6 GB at 10,000. Training a pair holds its pooled vectors' squared
+distances, one Gram buffer and one CV fold's training and validation
+copies of it.
+
 A saved model (format version 2) stores each support vector once, in its
 class, as the model in memory does. load() reads that format only.
 """
@@ -121,6 +128,16 @@ class CilConfig:
     width_count: int = 30
     cv: CvConfig = field(default_factory=CvConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if not 0.0 < self.nu_default <= 1.0:
+            raise ValueError(f"nu_default must lie in (0, 1], got {self.nu_default}")
+        if self.width_count < 1:
+            raise ValueError(f"width_count must be >= 1, got {self.width_count}")
+        if self.k_neighbors is not None and self.k_neighbors < 2:
+            raise ValueError(f"k_neighbors must be None or >= 2, got {self.k_neighbors}")
+        if not 0.5 < self.side_threshold <= 1.0:
+            raise ValueError(f"side_threshold must lie in (0.5, 1], got {self.side_threshold}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -722,9 +739,10 @@ def pair_payload(p: PairwiseClassifier) -> bytes:
 
 
 # The type of each number in a saved config, by (section, field); "?" marks
-# a field that may be null, and a grid is a list of floats. A value of
-# another type, a bool included, would load and fail only when a class is
-# added, with a raw TypeError.
+# a field that may be null, a grid is a list of floats, and an int is an
+# int64. A value of another type, a bool included, would load and fail only
+# when a class is added, with a raw TypeError; a larger int would fail where
+# numpy takes it. The config classes check each field's range.
 _CONFIG_TYPES = {
     (None, "nu_default"): "float",
     (None, "k_neighbors"): "int?",
@@ -746,7 +764,9 @@ def _has_type(value, kind: str) -> bool:
         return value is None or _has_type(value, kind[:-1])
     if kind == "grid":
         return isinstance(value, list) and all(_has_type(v, "float") for v in value)
-    return isinstance(value, int if kind == "int" else (int, float)) and not isinstance(value, bool)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max
+    return kind == "float" and isinstance(value, float)
 
 
 def _config_from_entry(e: dict) -> CilConfig:

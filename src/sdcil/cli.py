@@ -500,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as e:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except RuntimeError as e:
         print(f"training error: {e}", file=sys.stderr)
         return EXIT_TRAINING

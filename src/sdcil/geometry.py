@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import KernelWidth, gram_from_sqdist, squared_distances
+from .kernels import BLOCK_ROWS, KernelWidth, gram_from_sqdist, squared_distances
 from .ocsvm import SV_THRESHOLD, OcsvmModel, model_from_solution
 from .smo import DualSolution, SolverConfig, solve_ocsvm_dual
 
@@ -75,13 +75,19 @@ def _nearest_neighbours(d2: np.ndarray, k: int) -> np.ndarray:
     np.partition finds each row's k-th smallest distance, and every entry of
     the sorted prefix is at most that. The candidates, taken in index order,
     are sorted by (row, distance) with a stable sort, so index order still
-    breaks distance ties, and each row keeps its first k.
+    breaks distance ties, and each row keeps its first k. Each row's result
+    depends on that row alone, so the rows go BLOCK_ROWS at a time, and the
+    partition's copy and the candidate mask are one block in size.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(d2 <= kth)  # row-major: index order within a row
-    order = np.lexsort((d2[rows, cols], rows))
-    first = np.searchsorted(rows, np.arange(d2.shape[0]))
-    return cols[order][first[:, None] + np.arange(k)]
+    nbr = np.empty((d2.shape[0], k), dtype=np.intp)
+    for i in range(0, d2.shape[0], BLOCK_ROWS):
+        blk = d2[i:i + BLOCK_ROWS]
+        kth = np.partition(blk, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(blk <= kth)  # row-major: index order within a row
+        order = np.lexsort((blk[rows, cols], rows))
+        first = np.searchsorted(rows, np.arange(blk.shape[0]))
+        nbr[i:i + BLOCK_ROWS] = cols[order][first[:, None] + np.arange(k)]
+    return nbr
 
 
 def beps_partition(
@@ -96,12 +102,15 @@ def beps_partition(
     neighbor gives a zero unit vector, and a normal shorter than
     _NORMAL_EPS makes the point interior.
 
-    All points are handled at once, in one n x k x d block of differences
-    to the neighbors, built after the distance matrix is freed. Each step
-    rounds as np.linalg.norm, np.mean and the @ product do on one point's
-    k x d slice: the norms are the square root of the sum of squares along
-    the last axis, the normal's length is the square root of its dot with
-    itself, and each side test is a matrix-vector product of the slice.
+    The neighbours come from the n x n distance matrix, the only array of
+    that size: squared_distances and _nearest_neighbours each work through
+    it a block of rows at a time. It is freed before the normals are
+    computed, for all points at once, in one n x k x d block of differences
+    to the neighbors. Each step rounds as np.linalg.norm, np.mean and the @
+    product do on one point's k x d slice: the norms are the square root of
+    the sum of squares along the last axis, the normal's length is the
+    square root of its dot with itself, and each side test is a
+    matrix-vector product of the slice.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -144,10 +153,11 @@ def select_width(
 
     Solves one one-class dual per candidate and admits converged candidates
     with SV fraction in [nu, 1.5*nu]; only the winner is built into a model.
-    The sweep computes the pairwise squared distances once and allocates one
-    kernel buffer, which each candidate's kernel overwrites in place; a
-    candidate's covering gaps are read along its support vectors' rows of
-    the exactly symmetric distance matrix. Among the admitted, the winner
+    The sweep's working set is two n x n arrays: the pairwise squared
+    distances, computed once, and one kernel buffer, which each candidate's
+    kernel overwrites in place. A candidate's covering gaps are read along
+    its support vectors' rows of the exactly symmetric distance matrix,
+    BLOCK_ROWS rows at a time. Among the admitted, the winner
     puts its support vectors on the detected boundary: fewest SVs outside
     the edge set first, then the smallest worst-case gap between an edge
     point and its nearest SV, then the smaller width. Raw feature-space
@@ -187,11 +197,14 @@ def select_width(
         score = float(np.mean(~edge_mask[keep]))
         # each edge point's squared gap to its nearest SV, read along the SV
         # rows: d2 is symmetric and min is exact, so this equals the min over
-        # the edge rows' SV columns. sqrt is monotone and correctly rounded:
-        # take it after the min and max
+        # the edge rows' SV columns, in any order of blocks of SV rows. sqrt
+        # is monotone and correctly rounded: take it after the min and max
         if part.edge_indices.size:
-            gaps2 = d2[keep].min(axis=0)[part.edge_indices]
-            covering = float(np.sqrt(np.max(gaps2)))
+            sv = np.flatnonzero(keep)
+            gaps2 = d2[sv[:BLOCK_ROWS]].min(axis=0)
+            for i in range(BLOCK_ROWS, sv.size, BLOCK_ROWS):
+                np.minimum(gaps2, d2[sv[i:i + BLOCK_ROWS]].min(axis=0), out=gaps2)
+            covering = float(np.sqrt(np.max(gaps2[part.edge_indices])))
         else:
             covering = 0.0
         records.append(

@@ -19,6 +19,10 @@ KernelWidth = float
 # candidate-grid computation O(500^2) regardless of dataset size.
 _MEDIAN_SUBSAMPLE = 500
 
+# Rows per block where an n x m distance array is worked through a block of
+# rows at a time, so that the work space beyond the array is BLOCK_ROWS x m.
+BLOCK_ROWS = 128
+
 # Geometric grid spans [lo * D_med, hi * D_med].
 _GRID_LO = 0.05
 _GRID_HI = 20.0
@@ -55,6 +59,12 @@ def squared_distances(
     caller that reuses X or Y over many calls computes once; the result is
     the same as without them.
 
+    The result is (xx_i + yy_j) - 2 P_ij clipped at 0, with P = X @ Y.T, and
+    it is the only array of its size made: P is turned into it in place,
+    BLOCK_ROWS rows at a time, so the work space beyond it is one block of
+    rows. Each element takes the steps the one-shot expression
+    xx[:, None] + yy[None, :] - 2.0 * P takes, so the bytes are the same.
+
     With Y omitted the result is exactly symmetric with a 0 diagonal:
     numpy computes X @ X.T as a symmetric product for a C- or F-contiguous
     X, but may not for a strided one, which is therefore copied first.
@@ -67,8 +77,12 @@ def squared_distances(
         xx = squared_norms(X)
     if yy is None:
         yy = squared_norms(Z)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Z.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = X @ Z.T
+    for i in range(0, d2.shape[0], BLOCK_ROWS):
+        blk = d2[i:i + BLOCK_ROWS]
+        blk *= 2.0  # exact, as 2.0 * P is
+        np.subtract(xx[i:i + BLOCK_ROWS, None] + yy, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
     if Y is None:
         np.fill_diagonal(d2, 0.0)
     return d2

@@ -53,6 +53,8 @@ class CvConfig:
             raise ValueError("folds must be >= 2")
         if len(self.cost_grid) == 0:
             raise ValueError("cost_grid must be nonempty")
+        if self.width_count < 1:
+            raise ValueError(f"width_count must be >= 1, got {self.width_count}")
         if self.width_grid is not None and len(self.width_grid) == 0:
             raise ValueError("width_grid must be nonempty when given")
         for name, grid in (("cost_grid", self.cost_grid), ("width_grid", self.width_grid or ())):
@@ -105,6 +107,10 @@ def train_pair(
     starts from the previous cost's alphas. The winner is refit on the full
     pool from a cold start. The classifier keeps the refit's coefficients,
     not the pooled vectors.
+
+    The working set is the pool's n x n squared distances, one n x n Gram
+    buffer, which every width and the refit overwrite, and one fold's
+    training and validation blocks of it, freed before the next fold's.
     """
     if label_a == label_b:
         raise ValueError("pair labels must differ")
@@ -145,13 +151,14 @@ def train_pair(
         tr = np.nonzero(fold_of != f)[0]
         fold_sets.append((np.ix_(tr, tr), np.ix_(va, tr), y[tr], y[va] > 0))
 
+    K = np.empty_like(d2)
     best = None  # (accuracy, C, s)
     any_converged = False
     for s in widths:
-        Kv = gram_from_sqdist(d2, s).values
+        gram_from_sqdist(d2, s, out=K)
         fold_acc = [[] for _ in costs]
         for tr_tr, va_tr, y_tr, pos_va in fold_sets:
-            K_tr, K_va = Kv[tr_tr], Kv[va_tr]
+            K_tr, K_va = K[tr_tr], K[va_tr]
             alphas = None  # costs ascend, so each solve seeds the next
             for C, accs in zip(costs, fold_acc):
                 sol = solve_binary_dual(K_tr, y_tr, C, cfg, start=alphas)
@@ -160,6 +167,7 @@ def train_pair(
                 dec = K_va @ (alphas * y_tr) + sol.offset
                 # an exact count over the fold size: np.mean's share of hits, byte for byte
                 accs.append(np.count_nonzero((dec > 0.0) == pos_va) / pos_va.size)
+            del K_tr, K_va  # before the next fold's copies are made
         for C, accs in zip(costs, fold_acc):
             acc = float(np.mean(accs))
             # ties prefer smaller C, then smaller width
@@ -168,7 +176,7 @@ def train_pair(
 
     cv_accuracy, C_win, s_win = best
     final_cfg = replace(cfg, max_passes=cfg.resolve_max_passes(n) * _FINAL_PASS_BOOST)
-    K = gram_from_sqdist(d2, s_win).values
+    gram_from_sqdist(d2, s_win, out=K)
     sol = solve_binary_dual(K, y, C_win, final_cfg)
     if not sol.converged and not any_converged:
         raise RuntimeError(

@@ -97,6 +97,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.kkt_tolerance < math.inf:
             raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
+        if self.max_passes is not None and self.max_passes < 1:
+            raise ValueError(f"max_passes must be None or >= 1, got {self.max_passes}")
 
     def resolve_max_passes(self, n: int) -> int:
         if self.max_passes is not None:

@@ -17,10 +17,13 @@ model's values and one dispute classifier's decisions, each a kernel block
 times its coefficients; `reference_bias`, the package's offset recovery as
 first merged; `reference_details`, its prediction path before the fused
 kernel passes; `reference_batch_svm`, the batch-SVM baseline with one
-stacked kernel product per pair; `reference_select_width`, the width sweep
-with a fresh kernel matrix per candidate and the covering gaps read along
-the edge rows; and `reference_beps_partition`, the edge partition with
-one loop iteration per row.
+stacked kernel product per pair; `reference_squared_distances`, the
+distance matrix as one whole-array expression; `reference_select_width`,
+the width sweep with a fresh kernel matrix per candidate and the covering
+gaps read along the edge rows; and `reference_beps_partition`, the edge
+partition with one loop iteration per row and the neighbours from a full
+stable sort. The last two take their distances from
+`reference_squared_distances`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from sdcil import cil
-from sdcil.geometry import _NORMAL_EPS, BoundaryPartition, CandidateRecord, WidthSelection, _nearest_neighbours
+from sdcil.geometry import _NORMAL_EPS, BoundaryPartition, CandidateRecord, WidthSelection
 from sdcil.kernels import gram_from_sqdist, kernel_divisor, squared_distances, squared_norms
 from sdcil.ocsvm import SV_THRESHOLD, model_from_solution
 from sdcil.smo import BOUND_MARGIN, solve_ocsvm_dual
@@ -303,14 +306,30 @@ def reference_batch_svm(svm, X) -> np.ndarray:
     return labels[np.argmax(votes, axis=1)]
 
 
+def reference_squared_distances(X, Y=None, *, xx=None, yy=None) -> np.ndarray:
+    """kernels.squared_distances as it was before it worked through its
+    result a block of rows at a time: the whole (xx + yy) - 2P expression
+    at once, clipped at 0, with a 0 diagonal when Y is omitted."""
+    X = np.asarray(X, dtype=float)
+    if Y is None and not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    Z = X if Y is None else np.asarray(Y, dtype=float)
+    xx = squared_norms(X) if xx is None else xx
+    yy = squared_norms(Z) if yy is None else yy
+    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Z.T)
+    np.maximum(d2, 0.0, out=d2)
+    if Y is None:
+        np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 def reference_select_width(X_class, nu, candidates, part, cfg, class_label=0) -> WidthSelection:
     """geometry.select_width as it was before the sweep reused one kernel
     buffer: a fresh gram_from_sqdist matrix per candidate, and each edge
     point's gap to its nearest support vector taken along the edge rows of
     an np.ix_ block. Pins the sweep's records, choice and model exactly."""
     X = np.asarray(X_class, dtype=float)
-    d2 = squared_distances(X)
-    np.fill_diagonal(d2, 0.0)
+    d2 = reference_squared_distances(X)
     edge_mask = np.zeros(X.shape[0], dtype=bool)
     edge_mask[part.edge_indices] = True
     records, solutions = [], []
@@ -348,9 +367,9 @@ def reference_beps_partition(X, k_neighbors, side_threshold) -> BoundaryPartitio
     that row's k x d differences. Pins the partition exactly."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    d2 = squared_distances(X)
+    d2 = reference_squared_distances(X)
     np.fill_diagonal(d2, np.inf)  # exclude self
-    nbr = _nearest_neighbours(d2, k_neighbors)
+    nbr = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
 
     edge = np.zeros(n, dtype=bool)
     for i in range(n):

@@ -1186,6 +1186,18 @@ class TestPersistence:
         with pytest.raises(cil.ModelFormatError, match="dual box"):
             cil.load(p)
 
+    @pytest.mark.parametrize("cls, name, value", [
+        (SolverConfig, "max_passes", 0), (SolverConfig, "max_passes", -5),
+        (CvConfig, "width_count", 0), (cil.CilConfig, "width_count", 0),
+        (cil.CilConfig, "nu_default", 5.0), (cil.CilConfig, "nu_default", 0.0),
+        (cil.CilConfig, "nu_default", float("nan")), (cil.CilConfig, "k_neighbors", 1),
+        (cil.CilConfig, "side_threshold", 0.5), (cil.CilConfig, "side_threshold", 1.5),
+    ])
+    def test_config_range_checked_by_constructor(self, cls, name, value):
+        # the check load() makes of a saved config, as it builds one
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
     @pytest.mark.parametrize("damage", ["missing", "unknown"])
     def test_config_keys_must_match(self, tmp_path, damage):
         p = tmp_path / "m.json"

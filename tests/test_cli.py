@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import V2_MODEL, random_registry
-from sdcil import cil
+from sdcil import cil, geometry
 from oracles import reference_batch_svm
 from sdcil.cli import EXIT_INPUT, EXIT_OK, EXIT_TRAINING, EvalReport, TrialResult, bench_cil_config, main, map_grid
 from sdcil.dataset import LabeledDataset, SplitSpec, fit_standardize, load_csv, make_toy, save_csv, stratified_split
@@ -223,8 +223,52 @@ CONFIG_DAMAGE = [
     ("cv", "cost_grid", [0.5, "a"]), ("cv", "width_grid", [True]),
 ]
 
+# (section, field, value): a saved config value of the right type whose
+# range no class can be trained with; 2**70 is no int64
+CONFIG_RANGE_DAMAGE = [
+    ("solver", "max_passes", 0), ("solver", "max_passes", -5),
+    (None, "width_count", 0), (None, "width_count", 2**70),
+    ("cv", "width_count", 0), ("cv", "width_count", 2**70),
+    (None, "nu_default", 5.0), (None, "nu_default", 0.0),
+    (None, "k_neighbors", 1), (None, "side_threshold", 0.5),
+]
+
 
 class TestAddClass:
+    @pytest.mark.parametrize(
+        "section, name, value", CONFIG_RANGE_DAMAGE,
+        ids=[f"{'.'.join(filter(None, (s, n)))}={v!r}" for s, n, v in CONFIG_RANGE_DAMAGE],
+    )
+    def test_config_range_checked_at_load(self, two_class_model, tmp_path, capsys, section, name, value):
+        model_p, newcls = two_class_model
+        raw = json.loads(model_p.read_text())
+        (raw["config"][section] if section else raw["config"])[name] = value
+        damaged = tmp_path / "m.json"
+        damaged.write_text(json.dumps(raw))
+        with pytest.raises(cil.ModelFormatError, match=f"malformed model file .*{name}"):
+            cil.load(damaged)
+        capsys.readouterr()
+        assert run("add-class", damaged, newcls, "--label", "2") == EXIT_INPUT
+        assert "malformed model file" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_code(self, two_class_model, tmp_path, capsys, monkeypatch):
+        # a real allocation this large is unsafe to try, so the class's
+        # distance matrix raises as numpy would
+        def no_memory(*args, **kwargs):
+            raise MemoryError(
+                "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+            )
+
+        monkeypatch.setattr(geometry, "squared_distances", no_memory)
+        model_p, newcls = two_class_model
+        out = tmp_path / "grown.json"
+        assert run("add-class", model_p, newcls, "--label", "2", "--out", out) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+            "and data type float64\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, name, value", CONFIG_DAMAGE,
         ids=[f"{'.'.join(filter(None, (s, n)))}={v!r}" for s, n, v in CONFIG_DAMAGE],

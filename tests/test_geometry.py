@@ -7,7 +7,7 @@ from oracles import reference_beps_partition, reference_select_width
 from sdcil.geometry import (
     DEFAULT_SIDE_THRESHOLD, BoundaryPartition, _nearest_neighbours, beps_partition, default_k_neighbors, select_width,
 )
-from sdcil.kernels import candidate_widths, squared_distances
+from sdcil.kernels import BLOCK_ROWS, candidate_widths, squared_distances
 from sdcil.smo import SolverConfig
 
 CFG = SolverConfig(kkt_tolerance=1e-5)
@@ -87,6 +87,9 @@ class TestBepsPartition:
         d=st.integers(1, 3),
         side=st.integers(1, 4),
     )
+    # rows on both sides of the block edges
+    @example(seed=5, n=BLOCK_ROWS + 1, d=2, side=3)
+    @example(seed=6, n=2 * BLOCK_ROWS + 5, d=3, side=2)
     @settings(max_examples=60, deadline=None)
     def test_neighbours_match_full_stable_sort(self, seed, n, d, side):
         # points on a small integer grid: duplicate rows and tied distances
@@ -110,6 +113,9 @@ class TestBepsPartition:
     # a normal length or side value from another dot product, flips a row
     @example(seed=136, n=83, d=6, shape="lattice", default_k=True, side_threshold=1.0)
     @example(seed=1345, n=57, d=9, shape="lattice", default_k=True, side_threshold=1.0)
+    # neighbours found a block of rows at a time, on both sides of the block edges
+    @example(seed=7, n=BLOCK_ROWS + 1, d=4, shape="lattice", default_k=True, side_threshold=DEFAULT_SIDE_THRESHOLD)
+    @example(seed=8, n=2 * BLOCK_ROWS + 5, d=3, shape="gaussian", default_k=True, side_threshold=0.55)
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, seed, n, d, shape, default_k, side_threshold):
         # the n x k x d block rounds as the per-row loop did: lattice rows
@@ -287,3 +293,20 @@ def test_select_width_matches_fresh_kernel_reference(seed, n, d, shape, edges, s
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for name in ("class_label", "rho", "width", "nu", "train_count", "converged"):
         assert repr(getattr(sel.model, name)) == repr(getattr(ref.model, name))
+
+
+def test_select_width_covering_across_sv_blocks():
+    # more support vectors than BLOCK_ROWS: the covering gaps are minima
+    # over several blocks of SV rows, with the reference's bytes
+    n = 2 * BLOCK_ROWS + 5
+    X = disk_points(n, seed=3)
+    part = beps_partition(X, default_k_neighbors(n))
+    assert 0 < part.edge_indices.size < n
+    cands = candidate_widths(X, 4)
+    sel = select_width(X, 0.6, cands, part, CFG, class_label=2)
+    ref = reference_select_width(X, 0.6, cands, part, CFG, class_label=2)
+    assert max(r.sv_fraction for r in sel.per_candidate if r.converged) * n > BLOCK_ROWS
+    assert repr(sel.per_candidate) == repr(ref.per_candidate)
+    assert (sel.chosen, sel.fallback) == (ref.chosen, ref.fallback)
+    for name in ("support_vectors", "sv_alphas"):
+        assert getattr(sel.model, name).tobytes() == getattr(ref.model, name).tobytes()

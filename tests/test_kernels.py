@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import gaussian
+from oracles import gaussian, reference_squared_distances
 from sdcil.kernels import (
+    BLOCK_ROWS,
     GramMatrix,
     _median_pairwise_distance,
     candidate_widths,
@@ -12,6 +13,7 @@ from sdcil.kernels import (
     gram_from_sqdist,
     kernel_divisor,
     squared_distances,
+    squared_norms,
 )
 
 
@@ -194,3 +196,25 @@ def test_kernel_into_buffer_rejects_bad_width_untouched(fn, bad):
     with pytest.raises(ValueError, match="kernel width"):
         fn(d2, bad, out=buf)
     assert np.array_equal(buf, np.full_like(d2, 7.0))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("case", ["Y omitted", "Y given", "norms given"])
+def test_blocks_match_one_shot_expression(n, case):
+    # rows on both sides of every block edge take the one-shot expression's
+    # steps; rows of mixed magnitudes and repeated rows, whose distances
+    # round below 0 and are clipped, make any other rounding show
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 5)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    X[n // 2:] = X[:n - n // 2]
+    if case == "Y omitted":
+        args, kwargs = (X,), {}
+    else:
+        Y = np.vstack([rng.normal(size=(BLOCK_ROWS + 2, 5)), X[:3]])
+        kwargs = {"xx": squared_norms(X), "yy": squared_norms(Y)} if case == "norms given" else {}
+        args = (X, Y)
+    got, want = squared_distances(*args, **kwargs), reference_squared_distances(*args, **kwargs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+    if case == "Y omitted":
+        assert np.array_equal(got, got.T) and not np.diag(got).any()

@@ -309,7 +309,7 @@ class TestLoopIdentity:
         log_tol=st.floats(-7.0, -2.0),
         dual=st.sampled_from(["ocsvm", "binary"]),
         rows=st.sampled_from(["distinct", "duplicate", "near-duplicate"]),
-        max_passes=st.one_of(st.none(), st.integers(0, 100)),
+        max_passes=st.one_of(st.none(), st.integers(1, 100)),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_loop(self, loop, seed, n, log_tol, dual, rows, max_passes):
@@ -603,7 +603,7 @@ class TestFixedCost:
             if gram_kind == "indefinite":  # negative entries give -0.0 products
                 A = np.random.default_rng(seed).normal(size=K.shape)
                 K = A + A.T
-            solve_binary_dual(K, y, 4.0, SolverConfig(max_passes=0))
+            solve_binary_dual(K, y, 4.0, SolverConfig(max_passes=1))
             assert seen[-1].tobytes() == (-y * (y * (K @ (0 * y)) - 1.0)).tobytes()
 
     @pytest.mark.parametrize("case, message", [
