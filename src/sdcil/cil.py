@@ -7,43 +7,55 @@ the support vectors are extracted. Prediction first asks every class model;
 a single positive answer decides immediately, otherwise the dispute
 classifiers of the candidate classes vote.
 
-Prediction computes on one batched path, _class_stage, which checks and
-scales the rows and takes them in chunks, and _vote_counts, which counts
-the votes of a chunk's disputed rows. Each chunk works in two fused
-stages. The class stage writes one product per class into one rows x
-all-SVs buffer and turns it in place into squared distances and kernel
-values, with a fixed number of numpy calls per chunk plus one product per
-class on each side; the per-model column layout (CilModel.layout) is
-derived from the registry and never saved. The dispute stage settles all
-disputed rows of a chunk that share their candidate classes together, in
-a fixed number of numpy calls whatever the number of pairs. A dispute
-classifier holds coefficients only; they follow its two classes' support
-vectors, lower label first, so its distance columns are the two class
-blocks side by side, one segment of the layout's PairTable. A group
-gathers its pairs' segments in one call, turns them into kernel terms
-with one divide, one exp and one multiply, sums each segment with one
-reduceat, and counts every row's votes with one bincount. _vote_counts is
-the one 1vs1 vote of the package: the batch 1vs1 baseline of Table II
-votes through it too, on a PairTable over its training rows.
+Prediction shares two numeric kernels between its paths. _class_kernel
+writes one product per class into one rows x all-SVs buffer and turns it
+in place into squared distances and kernel values, with a fixed number of
+numpy calls plus one product per class; the per-model column layout
+(CilModel.layout) is derived from the registry and never saved.
+_decisions decides the 1vs1 pairs of one set of candidate classes for
+any number of rows, in a fixed number of numpy calls whatever the number
+of pairs. A dispute classifier holds coefficients only; they follow its
+two classes' support vectors, lower label first, so its distance columns
+are the two class blocks side by side, one segment of the layout's
+PairTable. _decisions gathers its pairs' segments in one call, turns them
+into kernel terms with one divide, one exp and one multiply, and sums
+each segment with one reduceat. It is the one 1vs1 decision of the
+package: the batch 1vs1 baseline of Table II votes through it too, on a
+PairTable over its training rows.
 
-Two tails settle the rows from there, picked by what the caller asks for,
-and they give the same labels and regions. The label views
-(predict_labels, ocsvm_nn_labels and through them the CLI) settle in
-arrays in _settle: a count of positive classes per row gives the regions,
-and a masked argmax settles vote ties, with a fixed number of numpy calls
-per chunk and per set of candidate classes. The detail views
-(predict_details, predict_detail) settle per row in lean Python in
-_details, which builds the candidate tuples and vote lists that a
-PredictionDetail holds anyway: the region loop collects each row's
-positive classes, and the vote tail settles a row with one max and one
-count on its vote counts, reading class values only on a vote tie. Each
-tail wins where it runs. On a 256-row chunk the per-row Python costs more
-than the array calls: on the benchmark's blobs-map workload, 100 x 100 map
-cells mostly in the none region, map_grid went from 305k to 439k cells
-per second with the array tail (medians of ten runs each, one BLAS thread
-on a shared 2-core Xeon). On a one-row chunk a vectorised tail costs tens
-of microseconds in call overhead, more than the whole Python tail of that
-row, and one-row predict_detail is the latency path.
+Batch prediction (_class_stage) checks and scales the rows and runs
+_class_kernel on them in chunks of _CHUNK_ROWS. The disputed rows of a
+chunk that share their candidate classes are decided together, and
+_vote_counts counts all their votes with one bincount. Two tails settle
+the rows from there, picked by what the caller asks for, and they give
+the same labels and regions. The label views (predict_labels,
+ocsvm_nn_labels and through them the CLI) settle in arrays in _settle: a
+count of positive classes per row gives the regions, and a masked argmax
+settles vote ties, with a fixed number of numpy calls per chunk and per
+set of candidate classes. The detail view (predict_details) settles per
+row in lean Python in _details, which builds the candidate tuples and
+vote dicts that a PredictionDetail holds anyway, by two rules of one row:
+_candidates gives its region and candidate classes, and _winner takes
+the most votes, then the larger class value, then the smaller label.
+Each tail wins where it runs. On a 256-row chunk the per-row Python costs
+more than the array calls: on the benchmark's blobs-map workload, 100 x
+100 map cells mostly in the none region, map_grid went from 305k to 439k
+cells per second with the array tail (medians of ten runs each, one BLAS
+thread on a shared 2-core Xeon).
+
+One-row predict_detail, the latency path, builds no chunk. It scales its
+row, runs _class_kernel on it, reads each class value as one dot with the
+class's alphas, and settles by the same two rules, with one _decisions
+call for a disputed row and none for a unique one. Most of a one-row call
+is per-call overhead, not arithmetic, so it counts its votes with _tally,
+a Python loop over its few decisions, which costs less than the array
+count on one row: on the disputed rows of the benchmark's waveform-trial
+models (2 or 3 pairs) the call took 7-10 % less time than with
+_vote_counts, and on blobs-grow's none rows (45 pairs) 1-3 % less. On a
+chunk the array count wins, so _details keeps it. Without the chunk
+machinery the median per-row latency on waveform-trial fell from 81 to
+54 microseconds (medians of ten runs each, one BLAS thread on a shared
+2-core host).
 
 The paper claims that keeping the old models cuts training time and
 memory against retraining. The time claim holds: the k-th class trains one
@@ -79,7 +91,7 @@ import os
 import uuid
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate, combinations
 from pathlib import Path
@@ -150,7 +162,7 @@ class PredictionDetail:
 
 
 class PairTable(NamedTuple):
-    """A complete 1vs1 table as _vote_counts reads it: each pair, in sorted
+    """A complete 1vs1 table as _decisions reads it: each pair, in sorted
     key order, is one segment of the pair arrays, the distance columns of
     its two classes lower label first, as its coefficients follow them. The
     SD-CIL dispute stage and the batch baseline both vote through one."""
@@ -362,22 +374,9 @@ def _scale_bounded(X: np.ndarray, scaler: Scaler | None) -> tuple[np.ndarray, np
     return Xs, xx
 
 
-def _class_stage(model: CilModel, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Check and scale the rows of X, then yield, per chunk of _CHUNK_ROWS
-    rows in order, the chunk's squared distances to every support vector
-    (rows x all SVs, in model.layout's columns) and its class values
-    (classes x rows, in registry order). The distances are a view of a
-    buffer that the next chunk overwrites.
-
-    Per chunk: the rows' squared norms once, one product with each class's
-    support vectors, written into one rows x all-SVs buffer that becomes
-    the squared distances in place, one exp of it divided by each column's
-    class divisor, and one product with each class's alphas.
-
-    numpy multiplies a one-row chunk by the alphas with a dot kernel and a
-    larger chunk with gemv, which round differently: a row's class values
-    can differ in the last bits with the number of rows in its chunk.
-    """
+def _rows(model: CilModel, X: np.ndarray) -> np.ndarray:
+    """X as a float matrix of rows; ValueError unless classes are
+    registered and X is n x d for their d."""
     if not model.classes:
         raise ValueError("no classes registered")
     X = np.asarray(X, dtype=float)
@@ -385,103 +384,149 @@ def _class_stage(model: CilModel, X: np.ndarray) -> Iterator[tuple[np.ndarray, n
         raise ValueError(f"need an n x d matrix of rows, got shape {X.shape}")
     if X.shape[1] != model.classes[0].d:
         raise ValueError(f"dimension mismatch: model expects d={model.classes[0].d}, got {X.shape[1]}")
+    return X
+
+
+def _class_kernel(model: CilModel, Xs: np.ndarray, xx: np.ndarray, d2: np.ndarray, K: np.ndarray) -> None:
+    """Write the squared distances of the scaled rows Xs (squared norms xx)
+    to every support vector into d2, and their kernel values into K, both
+    rows x all SVs in model.layout's columns: one product with each class's
+    support vectors, written into d2, which becomes the squared distances
+    in place, and one exp of them divided by each column's class divisor.
+    A class value is then its columns of K times its alphas, minus rho."""
+    layout = model.layout
+    # one product per class, never one stacked product: a class's values
+    # must not depend on which other classes are registered
+    for m, cols in zip(model.classes, layout.columns.values()):
+        np.matmul(Xs, m.support_vectors.T, out=d2[:, cols])
+    # squared_distances' (xx + yy) - 2P clipped at 0, then each class's
+    # kernel, all in place
+    np.add(xx[:, None], layout.sq_norms, out=K)
+    d2 *= 2.0
+    np.subtract(K, d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    np.exp(np.divide(d2, layout.divisors, out=K), out=K)
+
+
+def _class_stage(model: CilModel, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Check and scale the rows of X, then yield, per chunk of _CHUNK_ROWS
+    rows in order, the chunk's squared distances to every support vector
+    (rows x all SVs, in model.layout's columns) and its class values
+    (classes x rows, in registry order). The distances are a view of a
+    buffer that the next chunk overwrites.
+
+    Per chunk: one _class_kernel call into the two buffers, then one
+    product with each class's alphas.
+
+    numpy multiplies a one-row chunk by the alphas with a dot kernel and a
+    larger chunk with gemv, which round differently: a row's class values
+    can differ in the last bits with the number of rows in its chunk.
+    """
     # the whole matrix, scaled, is checked before any row is returned
-    X_scaled, xx = _scale_bounded(X, model.scaler)
+    X_scaled, xx = _scale_bounded(_rows(model, X), model.scaler)
     layout = model.layout
     # the distance and kernel buffers, reused by every chunk: fresh pages
     # for each chunk would cost more than the arithmetic on them
-    d2_buffer = np.empty((min(X.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
+    d2_buffer = np.empty((min(X_scaled.shape[0], _CHUNK_ROWS), layout.sq_norms.size))
     K_buffer = np.empty_like(d2_buffer)
-    for start in range(0, X.shape[0], _CHUNK_ROWS):
-        Xs = X_scaled[start:start + _CHUNK_ROWS]
+    for start in range(0, X_scaled.shape[0], _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        Xs = X_scaled[chunk]
         d2, K = d2_buffer[:Xs.shape[0]], K_buffer[:Xs.shape[0]]
-        # one product per class, never one stacked product: a class's
-        # values must not depend on which other classes are registered
-        for m, cols in zip(model.classes, layout.columns.values()):
-            np.matmul(Xs, m.support_vectors.T, out=d2[:, cols])
-        # squared_distances' (xx + yy) - 2P clipped at 0, then each class's
-        # kernel, all in place
-        np.add(xx[start:start + _CHUNK_ROWS, None], layout.sq_norms, out=K)
-        d2 *= 2.0
-        np.subtract(K, d2, out=d2)
-        np.maximum(d2, 0.0, out=d2)
-        np.exp(np.divide(d2, layout.divisors, out=K), out=K)
+        _class_kernel(model, Xs, xx[chunk], d2, K)
         values = np.array([K[:, cols] @ m.sv_alphas for m, cols in zip(model.classes, layout.columns.values())])
         values -= layout.rhos[:, None]
         yield d2, values
 
 
-def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> tuple[list, ...]:
+# --- the settle rules of one row ---------------------------------------------
+
+
+def _candidates(labels: dict[int, slice], everyone: tuple[int, ...], row: list[float]) -> tuple[str, tuple[int, ...]]:
+    """A row's region and candidate classes (ascending), from its class
+    values (row, in the registry order of labels): its one positive class,
+    its several positive classes, or every class (everyone) when no class
+    is positive."""
+    # max, one call, passes over a row no class claims
+    if max(row) > 0.0:
+        positive = [lbl for lbl, v in zip(labels, row) if v > 0.0]
+        if len(positive) == 1:
+            return REGION_UNIQUE, tuple(positive)
+        return REGION_MULTI, tuple(sorted(positive))
+    return REGION_NONE, everyone
+
+
+def _tally(possible: tuple[int, ...], decisions: list[float]) -> dict[int, int]:
+    """One row's 1vs1 votes per possible class, in possible's (ascending)
+    order, from its decisions as _decisions orders them: the pairs of
+    possible in combinations order, which is their keys' order in
+    PairTable.ids. A positive decision is a vote for the lower label.
+    predict_detail's count; _vote_counts counts the same for many rows."""
+    votes = dict.fromkeys(possible, 0)
+    for (a, b), decision in zip(combinations(possible, 2), decisions):
+        votes[a if decision > 0.0 else b] += 1
+    return votes
+
+
+def _winner(votes: dict[int, int], row: list[float], positions: dict[int, int]) -> int:
+    """The class with the most votes; a vote tie goes to the larger class
+    value (row, in registry order, where positions places each label), then
+    to the smaller label. Class values are read only on a vote tie."""
+    top = max(votes.values())
+    tied = [lbl for lbl, count in votes.items() if count == top]
+    if len(tied) == 1:
+        return tied[0]
+    # votes is in ascending label order and max keeps the first of equal
+    # values, so a value tie goes to the smaller label
+    return max(tied, key=lambda lbl: row[positions[lbl]])
+
+
+def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> list[PredictionDetail]:
     """The predictions for the rows of one _class_stage chunk, given its
-    distances and class values, as plain columns with one entry per row:
+    distances and class values.
 
-    - labels, the predicted class ids;
-    - region codes, the regions' positions in REGIONS;
-    - possible, the candidate classes as an ascending tuple;
-    - values, the class values as a list in registry order;
-    - votes, the vote counts as a list in possible's order, or None where
-      no vote was taken.
-
-    The region loop collects each row's positive classes: one positive
-    decides the row, and a row no class claims shares the layout's tuple
-    of every label. Then one _vote_counts call per set of candidate
-    classes counts the votes of every disputed row of the chunk with those
-    candidates, and a lean Python tail settles each row with one max and
-    one count on its counts. A vote tie goes to the larger class value,
-    then to the smaller label; class values are read only on a vote tie.
-    """
+    _candidates gives each row's region and candidates, as for
+    predict_detail's one row. Then one _vote_counts call per set of
+    candidate classes counts the votes of every disputed row of the chunk
+    with those candidates, and _winner settles each such row."""
     layout = model.layout
-    labels, everyone = layout.columns, layout.sorted_labels  # registry order, ascending
+    labels, everyone, positions = layout.columns, layout.sorted_labels, layout.positions
     rows = values.T.tolist()
-    regions, candidates, disputes = [], [], {}
-    for i, row in enumerate(rows):
-        # max, one call, passes over a row no class claims
-        if max(row) > 0.0:
-            positive = [lbl for lbl, v in zip(labels, row) if v > 0.0]
-            if len(positive) == 1:
-                regions.append(0)
-                candidates.append(tuple(positive))
-                continue
-            possible = tuple(sorted(positive))
-            regions.append(1)
-        else:
-            possible = everyone
-            regions.append(2)
-        candidates.append(possible)
+    settled = [_candidates(labels, everyone, row) for row in rows]
+    disputes = {}
+    for i, (_, possible) in enumerate(settled):
         if len(possible) > 1:
             disputes.setdefault(possible, []).append(i)
-    winners = [possible[0] for possible in candidates]
     votes = [None] * len(rows)
-    positions = layout.positions
     for possible, idx in disputes.items():
-        for i, row_counts in zip(idx, _vote_counts(layout.pairs, d2[idx], possible).tolist()):
-            votes[i] = row_counts
-            top = max(row_counts)
-            if row_counts.count(top) == 1:
-                winners[i] = possible[row_counts.index(top)]
-            else:
-                # possible is ascending and max keeps the first of equal
-                # values, so a value tie goes to the smaller label
-                row = rows[i]
-                tied = [lbl for lbl, c in zip(possible, row_counts) if c == top]
-                winners[i] = max(tied, key=lambda lbl: row[positions[lbl]])
-    return winners, regions, candidates, rows, votes
+        for i, counts in zip(idx, _vote_counts(layout.pairs, d2[idx], possible).tolist()):
+            votes[i] = dict(zip(possible, counts))
+    return [
+        PredictionDetail(
+            possible[0] if row_votes is None else _winner(row_votes, row, positions),
+            region, possible, dict(zip(labels, row)), {} if row_votes is None else row_votes,
+        )
+        for (region, possible), row, row_votes in zip(settled, rows, votes)
+    ]
 
 
-def _vote_counts(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) -> np.ndarray:
-    """Each row's 1vs1 vote counts among the possible classes (ascending),
-    as a rows x len(possible) array in possible's order.
+def _decisions(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's 1vs1 decisions among the possible classes (ascending), as
+    a rows x pairs array, and each pair's (label_a, label_b) row of
+    table.labels: the pairs of possible in combinations order, which is
+    their keys' order in table.ids. A positive decision is a vote for the
+    pair's lower label.
 
-    Counts the group's votes in a fixed number of numpy calls, whatever the
-    number of pairs, which are every pair when every class is possible (the
-    whole none region), one span for two classes, or else the spans of
+    Decides in a fixed number of numpy calls, whatever the number of pairs,
+    which are every pair when every class is possible (the whole none
+    region), one span for two classes, or else the spans of
     combinations(possible, 2) in the table, laid end to end. One gather
     takes each pair's distance columns, [cols_a | cols_b], from d2; one
     divide by the per-column divisors, one exp and one multiply by the
     coefficients turn them into kernel terms, and one reduceat sums each
     pair's segment before the biases are added. A decision is thus a segment
     sum, not a BLAS dot, and may differ from one in the last bits."""
-    rows, n = d2.shape[0], len(possible)
+    n = len(possible)
     if n * (n - 1) // 2 == len(table.ids):  # every class of the table
         pairs, cols, starts = slice(None), slice(None), table.starts
     elif n == 2:  # one pair, one span
@@ -503,7 +548,15 @@ def _vote_counts(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) ->
     E *= table.coeffs[cols]
     decisions = np.add.reduceat(E, starts, axis=1)
     decisions += table.biases[pairs]
-    labels = table.labels[pairs]
+    return decisions, table.labels[pairs]
+
+
+def _vote_counts(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) -> np.ndarray:
+    """Each row's 1vs1 vote counts among the possible classes (ascending),
+    as a rows x len(possible) array in possible's order, counted with one
+    bincount over the rows' _decisions."""
+    decisions, labels = _decisions(table, d2, possible)
+    rows, n = decisions.shape[0], len(possible)
     # each row's winners as positions in possible, offset by the row, so one
     # bincount gives every row's votes
     winners = np.searchsorted(possible, np.where(decisions > 0.0, labels[:, 0], labels[:, 1]))
@@ -516,9 +569,9 @@ _REGION_BY_COUNT = np.array([2, 0, 1], dtype=np.uint8)
 
 
 def _settle(model: CilModel, X: np.ndarray, nearest_sv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The label and region columns of _details, or with nearest_sv those
-    of the nearest-SV baseline, as two arrays, settled with a fixed number
-    of numpy calls per chunk and per set of candidate classes.
+    """The labels and region codes of _details' rows, or with nearest_sv
+    those of the nearest-SV baseline, as two arrays, settled with a fixed
+    number of numpy calls per chunk and per set of candidate classes.
 
     Each chunk's class values are read in ascending label order. A row's
     candidates are its positive classes, or every class when none is
@@ -578,43 +631,49 @@ def predict_labels(model: CilModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _settle(model, X, nearest_sv=False)
 
 
-def _detail(
-    labels: Iterable[int], label: int, region: int, possible: tuple[int, ...],
-    values: list[float], votes: list[int] | None,
-) -> PredictionDetail:
-    """One row of _details' columns as a PredictionDetail; labels are the
-    class ids in registry order."""
-    return PredictionDetail(
-        label, REGIONS[region], possible, dict(zip(labels, values)),
-        {} if votes is None else dict(zip(possible, votes)),
-    )
-
-
 def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail]:
     """Full per-class values, region and votes for each row of X, in order.
 
     Computed a chunk at a time as the iterator is consumed, so memory stays
-    bounded on large X; invalid input raises at the first item. A row's
-    class values may differ in the last bits from predict_detail's for the
-    same row (a one-row chunk is multiplied with a dot kernel, a larger one
-    with gemv), so compare them with a tolerance, not byte for byte."""
-    labels = model.layout.columns
+    bounded on large X; invalid input raises at the first item. Each
+    chunk's rows are settled by _details, with one _vote_counts call per
+    set of candidate classes. A row's class values may differ in the
+    last bits from predict_detail's for the same row (a one-row chunk is
+    multiplied with a dot kernel, a larger one with gemv), so compare them
+    with a tolerance, not byte for byte."""
     for d2, values in _class_stage(model, X):
-        for row in zip(*_details(model, d2, values)):
-            yield _detail(labels, *row)
+        yield from _details(model, d2, values)
 
 
 def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
-    """Full per-class values, region, and votes behind a prediction.
+    """Full per-class values, region, and votes behind the prediction of one
+    row x, of shape (d,) or (1, d); ValueError names any other shape.
 
-    The row is a chunk of its own, multiplied with a dot kernel rather than
-    gemv, so its class values may differ in the last bits from the values
-    predict_details gives the same row among others."""
-    # unpacking runs the generator to its end, which costs less on this
-    # latency path than closing it half-way as next() would leave it
-    (d2, values), = _class_stage(model, np.asarray(x, dtype=float).reshape(1, -1))
-    ((label,), (region,), (possible,), (values,), (votes,)) = _details(model, d2, values)
-    return _detail(model.layout.columns, label, region, possible, values, votes)
+    The latency path: the row is checked and scaled, _class_kernel fills
+    its distances and kernel values, and each class value is its dot with
+    the class's alphas minus rho. A row with one positive class is
+    settled there; otherwise one _decisions call decides the candidates'
+    pairs, _tally counts their votes and _winner settles the row, by the
+    rules _details applies to the rows of a chunk. A dot kernel, not gemv,
+    multiplies the one row, so its class values may differ in the last
+    bits from the values predict_details gives the same row among others."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[:-1] not in ((), (1,)):
+        raise ValueError(f"predict_detail takes one row, of shape (d,) or (1, d); got shape {x.shape}")
+    Xs, xx = _scale_bounded(_rows(model, x.reshape(1, -1)), model.scaler)
+    layout = model.layout
+    d2 = np.empty((1, layout.sq_norms.size))
+    K = np.empty_like(d2)
+    _class_kernel(model, Xs, xx, d2, K)
+    labels = layout.columns
+    row = [(K[:, cols] @ m.sv_alphas).item() - m.rho for m, cols in zip(model.classes, labels.values())]
+    region, possible = _candidates(labels, layout.sorted_labels, row)
+    values = dict(zip(labels, row))
+    if len(possible) == 1:
+        return PredictionDetail(possible[0], region, possible, values, {})
+    decisions, _ = _decisions(layout.pairs, d2, possible)
+    votes = _tally(possible, decisions[0].tolist())
+    return PredictionDetail(_winner(votes, row, layout.positions), region, possible, values, votes)
 
 
 def predict(model: CilModel, x: np.ndarray) -> int:

@@ -2,6 +2,7 @@ import errno
 import json
 import re
 import warnings
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -388,6 +389,25 @@ class TestPredict:
         with pytest.raises(Exception):
             cil.predict(model, np.zeros(5))
 
+    @pytest.mark.parametrize("fn", [cil.predict_detail, cil.predict])
+    @pytest.mark.parametrize("x", [np.zeros((2, 2)), [[0.1], [0.2]], np.zeros((1, 1, 2)), 0.5], ids=[
+        "two-rows", "two-rows-of-one-value", "three-axes", "scalar",
+    ])
+    def test_one_row_only(self, blob_model_and_split, fn, x):
+        """A 2-D model takes one row of shape (2,) or (1, 2); two rows of one
+        value are not read as one row of two, nor are two rows of two a
+        dimension mismatch."""
+        model, _, _ = blob_model_and_split
+        shape = np.shape(x)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fn(model, x)
+
+    def test_row_of_shape_1_by_d(self, blob_model_and_split):
+        model, _, test = blob_model_and_split
+        for x in test.features[:20]:
+            flat, wide = cil.predict_detail(model, x), cil.predict_detail(model, x[None, :])
+            assert_same_details([wide], [flat])
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(1, 600),  # crosses the 256-row chunk boundary
@@ -728,6 +748,97 @@ class TestFusedPrediction:
         for before, after in zip(cil.predict_details(model, X), cil.predict_details(grown, X), strict=True):
             for lbl, v in before.ocsvm_values.items():
                 assert np.float64(after.ocsvm_values[lbl]).tobytes() == np.float64(v).tobytes()
+
+
+class TestOneRowPath:
+    """predict_detail settles its row without the chunk machinery, by the
+    rules _details applies to every row of a chunk; its Python tally of a
+    row's decisions counts what _vote_counts counts in arrays."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(2, 7),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_tally_matches_array_count(self, k, d, seed, data):
+        rng = np.random.default_rng(seed)
+        model = random_registry(rng, k, d)
+        layout = model.layout
+        # the last row, far from every SV, is in the none region
+        X = np.vstack([raw_probes(rng, model, 40), model.scaler.inverse(np.full((1, d), 1e3))])
+        (d2, _), = cil._class_stage(model, X)
+        everyone = layout.sorted_labels
+        # every pair, one pair and, from four classes on, the spans of a
+        # 3-of-k candidate set, which only the general path of _decisions reads
+        sets = [everyone, tuple(sorted(data.draw(st.permutations(everyone))[:2]))]
+        if k >= 4:
+            sets.append(tuple(sorted(data.draw(st.permutations(everyone))[:3])))
+        for possible in sets:
+            decisions, pair_labels = cil._decisions(layout.pairs, d2, possible)
+            assert decisions.shape == (X.shape[0], len(possible) * (len(possible) - 1) // 2)
+            assert list(map(tuple, pair_labels.tolist())) == list(combinations(possible, 2))
+            tallies = [list(cil._tally(possible, row).values()) for row in decisions.tolist()]
+            assert tallies == cil._vote_counts(layout.pairs, d2, possible).tolist()
+
+        # the batch detail tail's votes are the array counts of each row's candidates
+        details = list(cil.predict_details(model, X))
+        assert details[-1].region == cil.REGION_NONE
+        for i, dt in enumerate(details):
+            if dt.votes:
+                assert list(dt.votes) == list(dt.possible)
+                assert list(dt.votes.values()) == cil._vote_counts(layout.pairs, d2[i:i + 1], dt.possible)[0].tolist()
+
+        # one row alone settles as among others. A one-row chunk is
+        # multiplied with a dot kernel and a larger one with gemv, so rows
+        # with a class value or a decision within 1e-12 of 0, whose region
+        # or votes that can move, are not compared
+        for i, (dt, x) in enumerate(zip(details, X)):
+            one = cil.predict_detail(model, x)
+            near = min(map(abs, one.ocsvm_values.values())) <= 1e-12
+            if len(one.possible) > 1:
+                near |= np.abs(cil._decisions(layout.pairs, d2[i:i + 1], one.possible)[0]).min() <= 1e-12
+            if not near:
+                assert (one.label, one.region, one.possible, one.votes) == (dt.label, dt.region, dt.possible, dt.votes)
+
+    @pytest.fixture(scope="class")
+    def rows_by_region(self):
+        rng = np.random.default_rng(7)
+        model = random_registry(rng, 4, 2)
+        X = raw_probes(rng, model, 300)
+        rows = {}
+        for dt, x in zip(cil.predict_details(model, X), X):
+            rows.setdefault(dt.region, x)
+        assert rows.keys() == set(cil.REGIONS)
+        return model, rows
+
+    @pytest.mark.parametrize("region, calls", [
+        (cil.REGION_UNIQUE, 0), (cil.REGION_MULTI, 1), (cil.REGION_NONE, 1),
+    ])
+    def test_latency_path_work(self, rows_by_region, monkeypatch, region, calls):
+        """predict_detail never enters the chunk generator, and decides the
+        pairs of a disputed row with one _decisions call, of none else."""
+        model, rows = rows_by_region
+        seen = Counter()
+
+        def counted(name):
+            original = getattr(cil, name)
+
+            def wrapped(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cil, name, wrapped)
+
+        counted("_class_stage")
+        counted("_decisions")
+        detail = cil.predict_detail(model, rows[region])
+        assert detail.region == region
+        assert seen == Counter({"_decisions": calls} if calls else {})
+        # the counters see the chunk path's calls
+        list(cil.predict_details(model, rows[region][None, :]))
+        assert seen == Counter({"_class_stage": 1, "_decisions": 2 * calls} if calls else {"_class_stage": 1})
 
 
 def nn_label(model, x) -> int:
