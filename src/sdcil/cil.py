@@ -24,38 +24,30 @@ package: the batch 1vs1 baseline of Table II votes through it too, on a
 PairTable over its training rows.
 
 Batch prediction (_class_stage) checks and scales the rows and runs
-_class_kernel on them in chunks of _CHUNK_ROWS. The disputed rows of a
-chunk that share their candidate classes are decided together, and
-_vote_counts counts all their votes with one bincount. Two tails settle
-the rows from there, picked by what the caller asks for, and they give
-the same labels and regions. The label views (predict_labels,
-ocsvm_nn_labels and through them the CLI) settle in arrays in _settle: a
-count of positive classes per row gives the regions, and a masked argmax
-settles vote ties, with a fixed number of numpy calls per chunk and per
-set of candidate classes. The detail view (predict_details) settles per
-row in lean Python in _details, which builds the candidate tuples and
-vote dicts that a PredictionDetail holds anyway, by two rules of one row:
-_candidates gives its region and candidate classes, and _winner takes
-the most votes, then the larger class value, then the smaller label.
-Each tail wins where it runs. On a 256-row chunk the per-row Python costs
-more than the array calls: on the benchmark's blobs-map workload, 100 x
-100 map cells mostly in the none region, map_grid went from 305k to 439k
-cells per second with the array tail (medians of ten runs each, one BLAS
-thread on a shared 2-core Xeon).
+_class_kernel on them in chunks of _CHUNK_ROWS. _settle settles each chunk
+in arrays, with a fixed number of numpy calls per chunk and per set of
+candidate classes: a count of positive classes per row gives the regions,
+the disputed rows that share their candidate classes are decided
+together, _vote_counts counts all their votes with one bincount, and a
+masked argmax settles vote ties. Every batch view reads what it yields:
+predict_labels and ocsvm_nn_labels (and through them the CLI) keep the
+labels and regions, and predict_details builds each PredictionDetail from
+the chunk's class values, labels, regions and vote counts.
 
 One-row predict_detail, the latency path, builds no chunk. It scales its
 row, runs _class_kernel on it, reads each class value as one dot with the
-class's alphas, and settles by the same two rules, with one _decisions
-call for a disputed row and none for a unique one. Most of a one-row call
-is per-call overhead, not arithmetic, so it counts its votes with _tally,
-a Python loop over its few decisions, which costs less than the array
-count on one row: on the disputed rows of the benchmark's waveform-trial
-models (2 or 3 pairs) the call took 7-10 % less time than with
-_vote_counts, and on blobs-grow's none rows (45 pairs) 1-3 % less. On a
-chunk the array count wins, so _details keeps it. Without the chunk
-machinery the median per-row latency on waveform-trial fell from 81 to
-54 microseconds (medians of ten runs each, one BLAS thread on a shared
-2-core host).
+class's alphas, and settles by two rules of one row, with one _decisions
+call for a disputed row and none for a unique one: _candidates gives its
+region and candidate classes, and _winner takes the most votes, then the
+larger class value, then the smaller label, as _settle does in arrays.
+Most of a one-row call is per-call overhead, not arithmetic, so it counts
+its votes with _tally, a Python loop over its few decisions, which costs
+less than the array count on one row: on the disputed rows of the
+benchmark's waveform-trial models (2 or 3 pairs) the call took 7-10 % less
+time than with _vote_counts, and on blobs-grow's none rows (45 pairs) 1-3 %
+less. Without the chunk machinery the median per-row latency on
+waveform-trial fell from 81 to 54 microseconds (medians of ten runs each,
+one BLAS thread on a shared 2-core host).
 
 The paper claims that keeping the old models cuts training time and
 memory against retraining. The time claim holds: the k-th class trains one
@@ -306,13 +298,18 @@ def add_class(model: CilModel, label: int, X_class: np.ndarray, nu: float | None
 
     Trains the class's one-class SVM (width picked per the SV-fraction
     filter) and one dispute classifier against each already-registered
-    class, using stored support vectors only. The label must be an int64
-    and new to the registry, and the class needs at least 3 rows, because
-    the edge partition needs 2 neighbours per row. Rows holding NaN or Inf,
+    class, using stored support vectors only. The label must be a Python
+    or numpy integer, not a bool, within the int64 range and new to the
+    registry; anything else raises ValueError before any training. The
+    class needs at least 3 rows, because the edge partition needs 2
+    neighbours per row. Rows holding NaN or Inf,
     or with a norm beyond MAX_NORM when scaled, raise DataError before any
     training. The input registry is never modified; on any failure it
     is returned unchanged to the caller by virtue of never being touched.
     """
+    # int() would quietly turn 1.5 or True into 1, and "7" into 7
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ValueError(f"class label must be an integer, got {label!r}")
     label = _check_label(int(label))
     if label in model.labels:
         raise ValueError(f"class {label} already registered")
@@ -481,35 +478,6 @@ def _winner(votes: dict[int, int], row: list[float], positions: dict[int, int]) 
     return max(tied, key=lambda lbl: row[positions[lbl]])
 
 
-def _details(model: CilModel, d2: np.ndarray, values: np.ndarray) -> list[PredictionDetail]:
-    """The predictions for the rows of one _class_stage chunk, given its
-    distances and class values.
-
-    _candidates gives each row's region and candidates, as for
-    predict_detail's one row. Then one _vote_counts call per set of
-    candidate classes counts the votes of every disputed row of the chunk
-    with those candidates, and _winner settles each such row."""
-    layout = model.layout
-    labels, everyone, positions = layout.columns, layout.sorted_labels, layout.positions
-    rows = values.T.tolist()
-    settled = [_candidates(labels, everyone, row) for row in rows]
-    disputes = {}
-    for i, (_, possible) in enumerate(settled):
-        if len(possible) > 1:
-            disputes.setdefault(possible, []).append(i)
-    votes = [None] * len(rows)
-    for possible, idx in disputes.items():
-        for i, counts in zip(idx, _vote_counts(layout.pairs, d2[idx], possible).tolist()):
-            votes[i] = dict(zip(possible, counts))
-    return [
-        PredictionDetail(
-            possible[0] if row_votes is None else _winner(row_votes, row, positions),
-            region, possible, dict(zip(labels, row)), {} if row_votes is None else row_votes,
-        )
-        for (region, possible), row, row_votes in zip(settled, rows, votes)
-    ]
-
-
 def _decisions(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each row's 1vs1 decisions among the possible classes (ascending), as
     a rows x pairs array, and each pair's (label_a, label_b) row of
@@ -568,81 +536,106 @@ def _vote_counts(table: PairTable, d2: np.ndarray, possible: tuple[int, ...]) ->
 _REGION_BY_COUNT = np.array([2, 0, 1], dtype=np.uint8)
 
 
-def _settle(model: CilModel, X: np.ndarray, nearest_sv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The labels and region codes of _details' rows, or with nearest_sv
-    those of the nearest-SV baseline, as two arrays, settled with a fixed
-    number of numpy calls per chunk and per set of candidate classes.
+def _settle(model: CilModel, X: np.ndarray, nearest_sv: bool) -> Iterator[tuple]:
+    """Settle the rows of X in arrays, one _class_stage chunk at a time,
+    with a fixed number of numpy calls per chunk and per set of candidate
+    classes. Each chunk yields its class values (classes x rows, in
+    registry order), its labels, its region codes and its disputes: for
+    each set of two or more candidate classes, the indices of the chunk's
+    rows that vote among them (ascending), the candidates (an ascending
+    tuple) and those rows' _vote_counts. With nearest_sv the labels are the
+    nearest-SV baseline's and no dispute is listed.
 
-    Each chunk's class values are read in ascending label order. A row's
-    candidates are its positive classes, or every class when none is
+    A row's candidates are its positive classes, or every class when none is
     positive; the number of positives gives its region, and a row with one
     candidate takes it. With nearest_sv every row takes the candidate that
     holds its nearest support vector: one minimum.reduceat over the
     classes' distance columns, the other classes masked to +inf, and an
-    argmin, which gives a distance tie to the smaller label. Otherwise the
-    disputed rows are grouped by candidate set as _details groups them (a
-    row that every class claims joins the none rows), each group's votes
-    come from _vote_counts, and an argmax over the class values of the
-    candidates with the most votes, the others masked to -inf, settles
-    each row as _details does: a vote tie goes to the larger class value,
-    then to the smaller label."""
+    argmin, which gives a distance tie to the smaller label. Otherwise an
+    argmax over the class values of the candidates with the most votes, the
+    others masked to -inf, settles each disputed row as _winner settles one:
+    a vote tie goes to the larger class value, then to the smaller label."""
     layout = model.layout
     order = [layout.positions[label] for label in layout.sorted_labels]  # registry positions, ascending labels
     everyone = np.array(layout.sorted_labels, dtype=int)
     class_starts = [cols.start for cols in layout.columns.values()]
-    # the leading empty arrays give an empty X its two empty columns
-    labels, regions = [everyone[:0]], [_REGION_BY_COUNT[:0]]
     for d2, values in _class_stage(model, X):
-        values = values[order].T
-        candidates = values > 0.0
+        by_label = values[order].T
+        candidates = by_label > 0.0
         count = np.count_nonzero(candidates, axis=1)
-        regions.append(_REGION_BY_COUNT[np.minimum(count, 2)])
+        regions = _REGION_BY_COUNT[np.minimum(count, 2)]
         none = count == 0
         candidates[none] = True
         count[none] = everyone.size
+        disputes = []
         if nearest_sv:
             nearest = np.minimum.reduceat(d2, class_starts, axis=1)[:, order]
             winners = np.argmin(np.where(candidates, nearest, np.inf), axis=1)
         else:
-            winners = np.argmax(values, axis=1)  # a unique row's one positive class
+            winners = np.argmax(by_label, axis=1)  # a unique row's one positive class
             disputed = np.flatnonzero(count > 1)
             if disputed.size:
                 # a stable sort on the rows' candidate bits makes each set's
                 # rows one run, in ascending row order (np.unique(axis=0)
-                # sorts rows as opaque records, several times slower)
+                # sorts rows as opaque records, several times slower); a row
+                # that every class claims joins the none rows
                 bits = np.packbits(candidates[disputed], axis=1)
                 by_set = np.lexsort(bits.T)
                 bits = bits[by_set]
                 firsts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
                 for idx in np.split(disputed[by_set], firsts):
                     members = candidates[idx[0]]
-                    counts = _vote_counts(layout.pairs, d2[idx], tuple(everyone[members].tolist()))
+                    possible = tuple(everyone[members].tolist())
+                    counts = _vote_counts(layout.pairs, d2[idx], possible)
                     top = counts == counts.max(axis=1, keepdims=True)
-                    tied_values = np.where(top, values[idx][:, members], -np.inf)
+                    tied_values = np.where(top, by_label[idx][:, members], -np.inf)
                     winners[idx] = np.flatnonzero(members)[np.argmax(tied_values, axis=1)]
-        labels.append(everyone[winners])
+                    disputes.append((idx, possible, counts))
+        yield values, everyone[winners], regions, disputes
+
+
+def _label_views(model: CilModel, X: np.ndarray, nearest_sv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and region codes that _settle gives the rows of X, as two
+    arrays."""
+    # the leading empty arrays give an empty X its two empty columns
+    labels, regions = [np.empty(0, dtype=int)], [_REGION_BY_COUNT[:0]]
+    for _, chunk_labels, chunk_regions, _ in _settle(model, X, nearest_sv):
+        labels.append(chunk_labels)
+        regions.append(chunk_regions)
     return np.concatenate(labels), np.concatenate(regions)
 
 
 def predict_labels(model: CilModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class id and region code (the region's position in
     REGIONS, as uint8) for each row of X: the labels and regions of
-    predict_details, settled in arrays with no per-row Python."""
-    return _settle(model, X, nearest_sv=False)
+    predict_details, with no per-row Python."""
+    return _label_views(model, X, nearest_sv=False)
 
 
 def predict_details(model: CilModel, X: np.ndarray) -> Iterator[PredictionDetail]:
     """Full per-class values, region and votes for each row of X, in order.
 
     Computed a chunk at a time as the iterator is consumed, so memory stays
-    bounded on large X; invalid input raises at the first item. Each
-    chunk's rows are settled by _details, with one _vote_counts call per
-    set of candidate classes. A row's class values may differ in the
+    bounded on large X; invalid input raises at the first item. Each detail
+    is read from _settle's arrays: a unique row's candidates are its label,
+    a disputed row takes its set's candidates and vote counts, and a row of
+    a one-class registry that its class does not claim has that class as
+    its one candidate and no votes. A row's class values may differ in the
     last bits from predict_detail's for the same row (a one-row chunk is
     multiplied with a dot kernel, a larger one with gemv), so compare them
     with a tolerance, not byte for byte."""
-    for d2, values in _class_stage(model, X):
-        yield from _details(model, d2, values)
+    layout = model.layout
+    columns, everyone = layout.columns, layout.sorted_labels
+    for values, labels, regions, disputes in _settle(model, X, nearest_sv=False):
+        labels, regions = labels.tolist(), regions.tolist()
+        # region code 0 is the unique region
+        possible = [everyone if region else (label,) for label, region in zip(labels, regions)]
+        votes = [{} for _ in labels]
+        for idx, candidates, counts in disputes:
+            for i, row_counts in zip(idx.tolist(), counts.tolist()):
+                possible[i], votes[i] = candidates, dict(zip(candidates, row_counts))
+        for label, region, row_possible, row, row_votes in zip(labels, regions, possible, values.T.tolist(), votes):
+            yield PredictionDetail(label, REGIONS[region], row_possible, dict(zip(columns, row)), row_votes)
 
 
 def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
@@ -653,10 +646,11 @@ def predict_detail(model: CilModel, x: np.ndarray) -> PredictionDetail:
     its distances and kernel values, and each class value is its dot with
     the class's alphas minus rho. A row with one positive class is
     settled there; otherwise one _decisions call decides the candidates'
-    pairs, _tally counts their votes and _winner settles the row, by the
-    rules _details applies to the rows of a chunk. A dot kernel, not gemv,
-    multiplies the one row, so its class values may differ in the last
-    bits from the values predict_details gives the same row among others."""
+    pairs, _tally counts their votes and _winner settles the row, the
+    rules _settle applies in arrays to the rows of a chunk. A dot kernel,
+    not gemv, multiplies the one row, so its class values may differ in the
+    last bits from the values predict_details gives the same row among
+    others."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[:-1] not in ((), (1,)):
         raise ValueError(f"predict_detail takes one row, of shape (d,) or (1, d); got shape {x.shape}")
@@ -685,7 +679,7 @@ def ocsvm_nn_labels(model: CilModel, X: np.ndarray) -> np.ndarray:
     """Predicted class id for each row of X, with disputes resolved by the
     class of the nearest SV (a distance tie goes to the smaller label),
     settled in arrays with no per-row Python."""
-    return _settle(model, X, nearest_sv=True)[0]
+    return _label_views(model, X, nearest_sv=True)[0]
 
 
 # --- baselines ---------------------------------------------------------------

@@ -141,14 +141,17 @@ class TestAddClass:
             with pytest.raises(DataError, match=r"row norm exceeds 1e\+150 when scaled"):
                 cil.add_class(cil.new_model(fast_config()), 0, X, 0.2)
 
-    @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**29])
+    # a float, a bool or a string is no integer label, even where int()
+    # would make one of it
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**29, 1.5, True, "7"])
     def test_label_outside_int64_rejected_before_training(self, monkeypatch, label):
         def no_training(*args):
             raise AssertionError("training started")
 
         monkeypatch.setattr(cil, "beps_partition", no_training)
         train, _ = blob_split()
-        with pytest.raises(ValueError, match="outside the int64 range"):
+        message = "outside the int64 range" if type(label) is int else "must be an integer"
+        with pytest.raises(ValueError, match=message):
             cil.add_class(cil.new_model(fast_config()), label, train.rows_of(0), 0.2)
 
     def test_failure_leaves_registry_untouched(self):
@@ -752,8 +755,9 @@ class TestFusedPrediction:
 
 class TestOneRowPath:
     """predict_detail settles its row without the chunk machinery, by the
-    rules _details applies to every row of a chunk; its Python tally of a
-    row's decisions counts what _vote_counts counts in arrays."""
+    Python rules _candidates, _tally and _winner, which _settle applies in
+    arrays to every row of a chunk; its tally of a row's decisions counts
+    what _vote_counts counts."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -782,7 +786,7 @@ class TestOneRowPath:
             tallies = [list(cil._tally(possible, row).values()) for row in decisions.tolist()]
             assert tallies == cil._vote_counts(layout.pairs, d2, possible).tolist()
 
-        # the batch detail tail's votes are the array counts of each row's candidates
+        # predict_details' votes are the array counts of each row's candidates
         details = list(cil.predict_details(model, X))
         assert details[-1].region == cil.REGION_NONE
         for i, dt in enumerate(details):

@@ -1,4 +1,5 @@
-"""Peak traced memory of the training stages that hold n x n arrays.
+"""Peak traced memory of the training stages that hold n x n arrays, and
+of prediction, which holds n-row arrays and one chunk's work at a time.
 
 Each bound is the stage's designed working set in float64 cells, plus
 SLACK for numpy's fixed-size iterator buffers and the small vectors of
@@ -10,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 
+from sdcil import cil
 from sdcil.geometry import BoundaryPartition, select_width
 from sdcil.kernels import BLOCK_ROWS, candidate_widths, squared_distances
 from sdcil.pairwise import CvConfig, train_pair
@@ -55,3 +57,28 @@ def test_train_pair_holds_distances_gram_and_one_fold():
     n, n_tr, n_va = 300, 200, 100
     peak = traced_peak(train_pair, A, 0, B, 1, cv, SolverConfig())
     assert peak <= CELL * (2 * n * n + n_tr * n_tr + n_va * n_tr) + SLACK
+
+
+def prediction_bound(model, n: int, d: int) -> int:
+    """The designed peak of predicting n rows of d features before any
+    output: the scaled rows and their squared norms, plus the larger of the
+    scaling's one n x d temporary and one chunk's work. A chunk holds its
+    two rows x all-SVs buffers, the disputed rows' copy of the distances
+    and the dispute vote's gather of every pair's columns."""
+    layout, rows = model.layout, cil._CHUNK_ROWS
+    chunk = rows * (3 * layout.sq_norms.size + layout.pairs.columns.size)
+    return CELL * (n * d + n + max(n * d, chunk)) + SLACK
+
+
+def test_prediction_holds_one_chunk(blob_model_and_split):
+    """Drawing the first detail scales the whole matrix and settles one
+    chunk, never all of them; predict_labels adds only its two outputs,
+    int64 labels and uint8 region codes, to that. The rows span every
+    region, so the first chunk votes over every pair."""
+    model, train, _ = blob_model_and_split
+    n, d = 20_000, 2
+    lo, hi = train.features.min(axis=0) - 2.0, train.features.max(axis=0) + 2.0
+    X = np.random.default_rng(3).uniform(lo, hi, size=(n, d))
+    assert cil.REGIONS.index(cil.REGION_NONE) in cil.predict_labels(model, X[:cil._CHUNK_ROWS])[1]
+    assert traced_peak(lambda: next(cil.predict_details(model, X))) <= prediction_bound(model, n, d)
+    assert traced_peak(cil.predict_labels, model, X) <= prediction_bound(model, n, d) + n * (CELL + 1)
